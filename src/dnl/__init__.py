@@ -44,7 +44,6 @@ from .oracles import (
     InfeasibleInstanceError,
     OracleResult,
     SolverOracle,
-    solve_bruteforce,
     solve_knapsack_bb,
     solve_knapsack_dp,
     solve_scheduling,

@@ -243,7 +243,7 @@ class Solution:
 
 def knapsack_solution(selection) -> Solution:
     x = np.asarray(selection, dtype=float)
-    return Solution(tuple(int(v) for v in x), Direction.MAX, x)
+    return Solution(tuple(x.astype(int).tolist()), Direction.MAX, x)
 
 
 def scheduling_solution(assignment: Sequence[tuple[int, int]], constraint: Scheduling) -> Solution:

@@ -53,23 +53,26 @@ class RegretValue:
 
 
 class TrueOptimumCache:
-    """Memo of true-optimal objectives per problem set id.
+    """Memo of true-optimal objectives per problem set object.
 
     True optima never change during training; caching them halves the oracle
-    calls of every regret evaluation. Safe for concurrent readers.
+    calls of every regret evaluation. Keyed on object identity, as ids repeat
+    across datasets; entries hold their problem set, so no id is reused.
+    Safe for concurrent readers.
     """
 
     def __init__(self):
-        self._values: dict[str, float] = {}
+        self._values: dict[int, tuple[ProblemSet, float]] = {}
         self._lock = threading.Lock()
 
     def true_optimal(self, problem: ProblemSet, oracle: SolverOracle) -> float:
         with self._lock:
-            if problem.id in self._values:
-                return self._values[problem.id]
+            entry = self._values.get(id(problem))
+        if entry is not None:
+            return entry[1]
         value = _signed_objective(oracle.solve(problem.true_values, problem.constraint))
         with self._lock:
-            return self._values.setdefault(problem.id, value)
+            return self._values.setdefault(id(problem), (problem, value))[1]
 
     def __len__(self) -> int:
         return len(self._values)

@@ -1,15 +1,20 @@
 """Exact optimization oracles.
 
-Knapsack is solved by dynamic programming (integerized weights) or by
-branch-and-bound with an LP-relaxation bound (real weights). Scheduling is
-solved by depth-first branch-and-bound. A brute-force enumerator serves as
-the testing ground truth. All solvers are pure functions and safe for
-concurrent use.
+Knapsack is solved by dynamic programming over integer-scaled weights, or by
+branch-and-bound with an LP-relaxation bound (real weights). The DP scales
+each `Knapsack` once and memoises the result on the immutable instance. When
+every scaled weight is the same positive w, the optimum is closed form: the
+capacity // w largest positive values, ties to the lower index, as the table
+DP's backtrack picks them. Other weights run the table DP, capped at
+`DP_TABLE_MAX_CELLS` cells: a larger table raises ValueError before anything
+is allocated, and `SolverOracle`'s auto mode falls back to branch-and-bound.
+Scheduling is solved by depth-first branch-and-bound. All solvers are pure
+functions and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +36,11 @@ __all__ = [
     "solve_knapsack_dp",
     "solve_knapsack_bb",
     "solve_scheduling",
-    "solve_bruteforce",
     "SolverOracle",
 ]
 
-BRUTEFORCE_MAX_ITEMS = 22
-BRUTEFORCE_MAX_COMBOS = 10_000_000
+# Largest items x (capacity + 1) boolean table the knapsack DP may allocate.
+DP_TABLE_MAX_CELLS = 20_000_000
 
 
 class InfeasibleInstanceError(ValueError):
@@ -66,19 +70,37 @@ def _integerize(weights: np.ndarray, capacity: float, max_shift: int = 6):
     )
 
 
-def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
-    """Maximize selected value subject to the weight capacity, by dynamic programming.
+def _integer_form(constraint: Knapsack):
+    """The knapsack scaled to integers as `(weights, capacity, take)`, where
+    `take` is capacity // w when every weight is the same positive w and None
+    otherwise; or the error message when the weights do not scale. Computed
+    on first use and memoised on the immutable instance; concurrent first
+    uses compute equal forms, so that race is harmless."""
+    form = constraint.__dict__.get("_integer_form")
+    if form is None:
+        try:
+            weights, cap = _integerize(constraint.weights, constraint.capacity)
+        except ValueError as exc:
+            form = str(exc)
+        else:
+            equal = weights.size > 0 and weights[0] > 0 and bool(np.all(weights == weights[0]))
+            form = (weights, cap, cap // int(weights[0]) if equal else None)
+        object.__setattr__(constraint, "_integer_form", form)
+    return form
 
-    Items with nonpositive value are never selected (excluding an item is
-    always feasible). Ties prefer exclusion, so the returned selection is
-    deterministic.
+
+def _knapsack_table_dp(values: np.ndarray, weights: np.ndarray, cap: int) -> np.ndarray:
+    """0-1 selection maximising value by the items x capacity table DP.
+
+    Items with nonpositive value are never selected. Ties prefer excluding
+    the later item.
     """
-    values = np.asarray(values, dtype=float)
-    weights, cap = _integerize(constraint.weights, constraint.capacity)
     n = values.shape[0]
-    if weights.shape[0] != n:
-        raise ValueError("values and weights must have equal length")
-
+    if n * (cap + 1) > DP_TABLE_MAX_CELLS:
+        raise ValueError(
+            f"knapsack DP table of {n} x {cap + 1} cells exceeds the "
+            f"{DP_TABLE_MAX_CELLS}-cell budget; use the branch-and-bound solver"
+        )
     best = np.zeros(cap + 1)
     keep = np.zeros((n, cap + 1), dtype=bool)
     for i in range(n):
@@ -103,6 +125,34 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
         if keep[i, remaining]:
             x[i] = 1.0
             remaining -= int(weights[i])
+    return x
+
+
+def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
+    """Maximize selected value subject to the weight capacity, by dynamic programming.
+
+    Items with nonpositive value are never selected (excluding an item is
+    always feasible). Ties prefer excluding later items, so the returned
+    selection is deterministic; with equal weights, the lower index wins
+    among equal values. Raises ValueError when the weights do not scale to
+    integers or the DP table would exceed `DP_TABLE_MAX_CELLS`.
+    """
+    values = np.asarray(values, dtype=float)
+    form = _integer_form(constraint)
+    if isinstance(form, str):
+        raise ValueError(form)
+    weights, cap, take = form
+    n = values.shape[0]
+    if weights.shape[0] != n:
+        raise ValueError("values and weights must have equal length")
+
+    if take is None:
+        x = _knapsack_table_dp(values, weights, cap)
+    else:
+        # A stable sort of -values orders by value, ties to the lower index.
+        take = min(take, int(np.count_nonzero(values > 0)))
+        x = np.zeros(n)
+        x[np.argsort(-values, kind="stable")[:take]] = 1.0
     solution = knapsack_solution(x)
     return OracleResult(solution, solution_objective(solution, values))
 
@@ -250,87 +300,33 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     return OracleResult(solution, solution_objective(solution, prices))
 
 
-def _bruteforce_knapsack(values: np.ndarray, constraint: Knapsack) -> OracleResult:
-    n = values.shape[0]
-    if n > BRUTEFORCE_MAX_ITEMS:
-        raise ValueError(f"brute force limited to {BRUTEFORCE_MAX_ITEMS} items, got {n}")
-    weights = constraint.weights
-    subset_w = np.zeros(1)
-    subset_v = np.zeros(1)
-    for i in range(n):
-        subset_w = np.concatenate((subset_w, subset_w + weights[i]))
-        subset_v = np.concatenate((subset_v, subset_v + values[i]))
-    feasible = subset_w <= constraint.capacity + OBJECTIVE_TOL
-    masked = np.where(feasible, subset_v, -np.inf)
-    idx = int(np.argmax(masked))
-    x = np.array([(idx >> i) & 1 for i in range(n)], dtype=float)
-    solution = knapsack_solution(x)
-    return OracleResult(solution, solution_objective(solution, values))
-
-
-def _bruteforce_scheduling(prices: np.ndarray, constraint: Scheduling) -> OracleResult:
-    options = _job_options(prices, constraint)
-    combos = 1
-    for opts in options:
-        combos *= len(opts)
-        if combos > BRUTEFORCE_MAX_COMBOS:
-            raise ValueError("instance too large for brute-force enumeration")
-    caps = np.array([m.capacity for m in constraint.machines])
-    best_cost = np.inf
-    best_assignment = None
-    for combo in itertools.product(*options):
-        usage = np.zeros((len(caps), constraint.periods))
-        cost = 0.0
-        feasible = True
-        for job, (opt_cost, machine, start) in zip(constraint.jobs, combo):
-            usage[machine, start : start + job.duration] += job.resource
-            cost += opt_cost
-            if np.any(usage[machine] > caps[machine] + OBJECTIVE_TOL):
-                feasible = False
-                break
-        if feasible and cost < best_cost:
-            best_cost = cost
-            best_assignment = [(machine, start) for _, machine, start in combo]
-    if best_assignment is None:
-        raise InfeasibleInstanceError("no feasible schedule exists for this instance")
-    solution = scheduling_solution(best_assignment, constraint)
-    return OracleResult(solution, solution_objective(solution, prices))
-
-
-def solve_bruteforce(values, constraint: ConstraintData) -> OracleResult:
-    """Exhaustive enumeration; exact ground truth for small instances."""
-    values = np.asarray(values, dtype=float)
-    if isinstance(constraint, Knapsack):
-        return _bruteforce_knapsack(values, constraint)
-    if isinstance(constraint, Scheduling):
-        return _bruteforce_scheduling(values, constraint)
-    raise TypeError(f"unsupported constraint type {type(constraint)}")
-
-
 class SolverOracle:
     """Dispatching oracle with an invocation counter.
 
-    `method` picks the knapsack backend: "dp", "bb", "brute", or "auto"
-    (DP when weights integerize, branch-and-bound otherwise). Scheduling
-    always uses branch-and-bound unless method is "brute".
+    `method` picks the knapsack backend: "dp", "bb", or "auto" (DP when the
+    weights integerize and the DP table fits its budget, branch-and-bound
+    otherwise). Scheduling always uses branch-and-bound. One oracle may be
+    shared across threads: the call counter is updated under a lock, and the
+    per-`Knapsack` integer-form memo the DP keeps is idempotent.
     """
 
-    METHODS = ("auto", "dp", "bb", "brute")
+    METHODS = ("auto", "dp", "bb")
 
     def __init__(self, method: str = "auto"):
         if method not in self.METHODS:
             raise ValueError(f"unknown oracle method {method!r}")
         self.method = method
         self.calls = 0
+        self._lock = threading.Lock()
 
     def reset(self) -> None:
-        self.calls = 0
+        with self._lock:
+            self.calls = 0
 
     def solve(self, values, constraint: ConstraintData) -> OracleResult:
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         if isinstance(constraint, Knapsack):
-            if self.method == "brute":
-                return solve_bruteforce(values, constraint)
             if self.method == "bb":
                 return solve_knapsack_bb(values, constraint)
             if self.method == "dp":
@@ -340,7 +336,5 @@ class SolverOracle:
             except ValueError:
                 return solve_knapsack_bb(values, constraint)
         if isinstance(constraint, Scheduling):
-            if self.method == "brute":
-                return solve_bruteforce(values, constraint)
             return solve_scheduling(values, constraint)
         raise TypeError(f"unsupported constraint type {type(constraint)}")

@@ -89,6 +89,8 @@ class TestPredict:
 class TestSolutionObjective:
     def test_knapsack_dot(self):
         sol = dnl.knapsack_solution([1, 0, 1])
+        assert sol.assignment == (1, 0, 1)
+        assert all(type(v) is int for v in sol.assignment)
         assert dnl.solution_objective(sol, [2.0, 1.0, 3.0]) == pytest.approx(5.0)
 
     def test_zero_values(self):

@@ -78,6 +78,16 @@ class TestRegret:
         dnl.regret_of(example1_model(3.0), ps, oracle, cache)
         assert oracle.calls == calls_after_first + 1
 
+    def test_cache_separates_problem_sets_sharing_an_id(self, oracle):
+        ps = example1_problem()
+        other = dnl.ProblemSet([5.0, 1.0, 1.0], ps.features, ps.constraint, ps.id)
+        cache = dnl.TrueOptimumCache()
+        assert cache.true_optimal(ps, oracle) == pytest.approx(5.0)
+        assert cache.true_optimal(other, oracle) == pytest.approx(6.0)
+        assert cache.true_optimal(ps, oracle) == pytest.approx(5.0)
+        assert len(cache) == 2
+        assert oracle.calls == 2
+
 
 class TestPovTov:
     def test_example1_pov_values(self, oracle):

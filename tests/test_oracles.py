@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import dnl
+from dnl import oracles
 from util import (
     enumerate_knapsack,
     enumerate_schedule,
@@ -168,21 +172,128 @@ class TestScheduling:
             dnl.solve_scheduling([1.0, 1.0], constraint)
 
 
+def table_dp_assignment(values, constraint):
+    weights, cap, _ = oracles._integer_form(constraint)
+    x = oracles._knapsack_table_dp(np.asarray(values, dtype=float), weights, cap)
+    return tuple(int(v) for v in x)
+
+
+class TestEqualWeightPath:
+    """Equal weights take the closed-form top-k path; it must return the
+    table DP's selection, ties included."""
+
+    def test_tie_heavy_inputs_match_table_dp(self):
+        rng = np.random.default_rng(71)
+        for _ in range(3000):
+            n = int(rng.integers(1, 13))
+            values = rng.integers(-3, 4, size=n).astype(float)
+            w = float(rng.choice([1.0, 2.0, 0.5, 3.0]))
+            capacity = float(
+                rng.choice([0.0, n * w, (n + 2) * w, float(rng.uniform(0.0, n * w))])
+            )
+            constraint = dnl.Knapsack(np.full(n, w), capacity)
+            res = dnl.solve_knapsack_dp(values, constraint)
+            assert oracles._integer_form(constraint)[2] is not None
+            assert res.solution.assignment == table_dp_assignment(values, constraint)
+
+    def test_equal_non_unit_weights(self):
+        constraint = dnl.Knapsack(np.full(6, 2.0), 7.0)
+        values = [1.0, 2.0, 2.0, -1.0, 2.0, 2.0]
+        res = dnl.solve_knapsack_dp(values, constraint)
+        assert res.solution.assignment == (0, 1, 1, 0, 1, 0)
+        assert res.solution.assignment == table_dp_assignment(values, constraint)
+        assert res.objective == 6.0
+
+    def test_solvers_agree_with_enumeration(self):
+        rng = np.random.default_rng(73)
+        for _ in range(150):
+            n = int(rng.integers(1, 11))
+            values = rng.integers(-3, 4, size=n).astype(float)
+            if rng.random() < 0.5:
+                weights = np.full(n, float(rng.integers(1, 4)))
+            else:
+                weights = rng.integers(0, 5, size=n).astype(float)
+            capacity = float(rng.uniform(0.0, weights.sum() + 1.0))
+            constraint = dnl.Knapsack(weights, capacity)
+            best_val, _ = enumerate_knapsack(values, weights, capacity)
+            dp = dnl.solve_knapsack_dp(values, constraint)
+            bb = dnl.solve_knapsack_bb(values, constraint)
+            assert dp.objective == pytest.approx(best_val, abs=1e-9)
+            assert bb.objective == pytest.approx(best_val, abs=1e-9)
+            dnl.validate_solution(dp.solution, constraint)
+
+    def test_integerize_runs_once_per_knapsack(self, monkeypatch):
+        calls = []
+        original = oracles._integerize
+
+        def counting(weights, capacity):
+            calls.append(1)
+            return original(weights, capacity)
+
+        monkeypatch.setattr(oracles, "_integerize", counting)
+        oracle = dnl.SolverOracle()
+        for weights in ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 1.0 / 3.0, 1.0]):
+            constraint = dnl.Knapsack(weights, 2.0)
+            before = len(calls)
+            for k in range(5):
+                oracle.solve([1.0, float(k), 2.0], constraint)
+            assert len(calls) - before == 1
+
+
+class TestDPTableBudget:
+    """Six-decimal weights at capacity 100 would need a 48 x 100,000,001
+    table; large allocations fail the test instead of running."""
+
+    @pytest.fixture(autouse=True)
+    def small_allocations_only(self, monkeypatch):
+        real_zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            assert np.prod(shape) < 1_000_000, f"allocated an array of shape {shape}"
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", small_zeros)
+
+    @pytest.fixture
+    def oversized(self):
+        rng = np.random.default_rng(79)
+        weights = np.round(rng.uniform(1.0, 5.0, size=48), 6)
+        return rng.uniform(0.5, 3.0, size=48), dnl.Knapsack(weights, 100.0)
+
+    def test_oversized_table_rejected_before_allocation(self, oversized):
+        values, constraint = oversized
+        _, cap, _ = oracles._integer_form(constraint)
+        assert 48 * (cap + 1) > oracles.DP_TABLE_MAX_CELLS
+        with pytest.raises(ValueError, match="budget"):
+            dnl.solve_knapsack_dp(values, constraint)
+
+    def test_auto_mode_falls_back_to_bb(self, oversized):
+        values, constraint = oversized
+        res = dnl.SolverOracle().solve(values, constraint)
+        assert res.objective == dnl.solve_knapsack_bb(values, constraint).objective
+        dnl.validate_solution(res.solution, constraint)
+
+
 class TestBruteForce:
+    """The exhaustive enumerators in util.py are the ground truth the
+    solvers are checked against."""
+
     def test_matches_dp_on_example1(self):
         ps = example1_problem()
-        brute = dnl.solve_bruteforce(ps.true_values, ps.constraint)
-        dp = dnl.solve_knapsack_dp(ps.true_values, ps.constraint)
-        assert brute.objective == pytest.approx(dp.objective)
+        c = ps.constraint
+        best_val, _ = enumerate_knapsack(ps.true_values, c.weights, c.capacity)
+        dp = dnl.solve_knapsack_dp(ps.true_values, c)
+        assert best_val == pytest.approx(dp.objective)
 
     def test_single_item(self):
-        res = dnl.solve_bruteforce([1.0], dnl.Knapsack([1.0], 1.0))
-        assert res.solution.assignment == (1,)
+        _, best_x = enumerate_knapsack([1.0], [1.0], 1.0)
+        assert best_x == (1,)
+        assert dnl.solve_knapsack_dp([1.0], dnl.Knapsack([1.0], 1.0)).solution.assignment == (1,)
 
     def test_too_large_rejected(self):
         n = 23
         with pytest.raises(ValueError):
-            dnl.solve_bruteforce(np.ones(n), dnl.Knapsack(np.ones(n), 3.0))
+            enumerate_knapsack(np.ones(n), np.ones(n), 3.0)
 
     def test_scheduling_matches_enumeration(self):
         rng = np.random.default_rng(41)
@@ -195,7 +306,7 @@ class TestBruteForce:
                 continue
             if not np.isfinite(expected_cost):
                 continue
-            res = dnl.solve_bruteforce(prices, constraint)
+            res = dnl.solve_scheduling(prices, constraint)
             assert res.objective == pytest.approx(expected_cost, abs=1e-9)
 
 
@@ -262,3 +373,24 @@ class TestSolverOracle:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             dnl.SolverOracle("dijkstra")
+
+    def test_counter_is_exact_across_threads(self):
+        oracle = dnl.SolverOracle()
+        ps = example1_problem()
+
+        def work():
+            for _ in range(500):
+                oracle.solve(ps.true_values, ps.constraint)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert oracle.calls == 2000

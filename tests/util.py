@@ -10,10 +10,15 @@ import numpy as np
 
 import dnl
 
+ENUMERATE_MAX_ITEMS = 22
+
 
 def enumerate_knapsack(values, weights, capacity):
-    """Exhaustive 0-1 knapsack by plain subset iteration."""
+    """Exhaustive 0-1 knapsack by plain subset iteration; ties keep the
+    first subset found. Refuses more than ENUMERATE_MAX_ITEMS items."""
     n = len(values)
+    if n > ENUMERATE_MAX_ITEMS:
+        raise ValueError(f"enumeration limited to {ENUMERATE_MAX_ITEMS} items, got {n}")
     best_val = 0.0
     best_x = (0,) * n
     for bits in itertools.product((0, 1), repeat=n):
