@@ -62,7 +62,6 @@ from .training import (
 from .transitions import (
     SearchSpec,
     TransitionProfile,
-    collinear,
     extract_full,
     extract_greedy,
 )

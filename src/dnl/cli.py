@@ -13,11 +13,10 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearModel, load_model, save_model
+from .core import load_model, save_model
 from .data import (
     Fold,
     SplitSpec,
@@ -141,7 +140,7 @@ def _build_dataset(args, capacity=None):
 
 
 def _folds(dataset, args) -> list[Fold]:
-    return split(dataset, SplitSpec(folds=args.folds, seed=args.seed))
+    return split(dataset, SplitSpec(folds=args.folds))
 
 
 def _variants(args) -> list[str]:

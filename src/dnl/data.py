@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,7 +93,6 @@ class SplitSpec:
     train_frac: float = 0.70
     val_frac: float = 0.10
     test_frac: float = 0.20
-    seed: int = 0
 
     def __post_init__(self):
         if self.folds < 1:

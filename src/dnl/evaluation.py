@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    OBJECTIVE_TOL,
     Direction,
     LinearModel,
     ProblemSet,
@@ -31,15 +32,43 @@ __all__ = [
     "evaluate_model_regret",
 ]
 
-REGRET_CLAMP = 1e-9
-
-
 def _sign(direction: Direction) -> float:
     return 1.0 if direction is Direction.MAX else -1.0
 
 
 def _signed_objective(result: OracleResult) -> float:
     return _sign(result.solution.objective_direction) * result.objective
+
+
+def _true_value(result: OracleResult, problem: ProblemSet) -> float:
+    """The result's decision scored under the true coefficients."""
+    return _sign(result.solution.objective_direction) * solution_objective(
+        result.solution, problem.true_values
+    )
+
+
+def _clamped_regret(true_optimal: float, achieved: float, problem: ProblemSet) -> float:
+    """true_optimal - achieved, with rounding noise within OBJECTIVE_TOL of
+    zero read as zero. A regret below -OBJECTIVE_TOL means the oracle missed
+    the optimum, which is an error."""
+    regret = true_optimal - achieved
+    if regret < -OBJECTIVE_TOL:
+        raise RuntimeError(
+            f"negative regret {regret} on problem {problem.id}: oracle is not exact"
+        )
+    return 0.0 if regret <= OBJECTIVE_TOL else regret
+
+
+def _solve_at(
+    model: LinearModel,
+    problem: ProblemSet,
+    beta_index: int,
+    beta_value: float,
+    oracle: SolverOracle,
+) -> OracleResult:
+    """The oracle's answer under the predictions at one probed parameter value."""
+    probe = model.with_coefficient(beta_index, beta_value)
+    return oracle.solve(predict(probe, problem), problem.constraint)
 
 
 @dataclass(frozen=True)
@@ -94,18 +123,9 @@ def regret_of(
         true_optimal = cache.true_optimal(problem, oracle)
     else:
         true_optimal = _signed_objective(oracle.solve(problem.true_values, problem.constraint))
-    predicted = predict(model, problem)
-    result = oracle.solve(predicted, problem.constraint)
-    achieved = _sign(result.solution.objective_direction) * solution_objective(
-        result.solution, problem.true_values
-    )
-    regret = true_optimal - achieved
-    if regret < -REGRET_CLAMP:
-        raise RuntimeError(
-            f"negative regret {regret} on problem {problem.id}: oracle is not exact"
-        )
-    if regret <= REGRET_CLAMP:
-        regret = 0.0
+    result = oracle.solve(predict(model, problem), problem.constraint)
+    achieved = _true_value(result, problem)
+    regret = _clamped_regret(true_optimal, achieved, problem)
     return RegretValue(regret, true_optimal, achieved)
 
 
@@ -122,9 +142,7 @@ def pov(
     under those same predictions. Convex and piecewise linear in the probed
     parameter.
     """
-    probe = model.with_coefficient(beta_index, beta_value)
-    result = oracle.solve(predict(probe, problem), problem.constraint)
-    return _signed_objective(result)
+    return _signed_objective(_solve_at(model, problem, beta_index, beta_value, oracle))
 
 
 def tov(
@@ -136,11 +154,7 @@ def tov(
 ) -> float:
     """True optimal value: the predicted-coefficient solution scored under the
     true coefficients. A step function of the probed parameter."""
-    probe = model.with_coefficient(beta_index, beta_value)
-    result = oracle.solve(predict(probe, problem), problem.constraint)
-    return _sign(result.solution.objective_direction) * solution_objective(
-        result.solution, problem.true_values
-    )
+    return _true_value(_solve_at(model, problem, beta_index, beta_value, oracle), problem)
 
 
 def evaluate_model_regret(

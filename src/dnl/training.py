@@ -2,23 +2,26 @@
 
 Each mini-batch sweeps the model parameters in ascending index order. For
 one parameter, transition profiles are extracted per problem set, candidate
-values are taken at interval midpoints, the batch-optimal candidate is
-selected by the variant's comparison rule, and the parameter moves a
-learning-rate fraction toward it (a quasi-gradient step). Validation regret
-drives early stopping.
+values are taken midway between consecutive transition points, the
+batch-optimal candidate is selected by the variant's comparison rule, and
+the parameter moves a learning-rate fraction toward it (a quasi-gradient
+step). Candidates are scored from complete profiles without oracle calls;
+only truncated greedy profiles fall back to solving at the candidate.
+Validation regret drives early stopping, and the `max_seconds` budget is
+checked before each parameter update.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import LinearModel, ProblemSet
-from .evaluation import TrueOptimumCache, evaluate_model_regret, regret_of
+from .core import OBJECTIVE_TOL, LinearModel, ProblemSet
+from .evaluation import TrueOptimumCache, _clamped_regret, evaluate_model_regret, regret_of
 from .oracles import SolverOracle
 from .transitions import SearchSpec, TransitionProfile, extract_full, extract_greedy
 
@@ -34,9 +37,6 @@ __all__ = [
     "train",
     "write_trace_csv",
 ]
-
-REGRET_TIE_TOL = 1e-9
-
 
 class Variant(str, Enum):
     DNL = "dnl"
@@ -108,30 +108,54 @@ def candidate_betas(
     return sorted(candidates)
 
 
-def _batch_regret(
-    beta: float,
+def _regret_scorer(
     batch: Sequence[ProblemSet],
     model: LinearModel,
     beta_index: int,
     oracle: SolverOracle,
     cache: Optional[TrueOptimumCache],
-    memo: dict[tuple[int, float], float],
+    profiles: Optional[Sequence[TransitionProfile]] = None,
+) -> Callable[[int, float], float]:
+    """Memoised regret of batch member i at candidate value beta, as a
+    function regret(i, beta).
+
+    A candidate inside the region of a complete profile is scored from it
+    with no oracle call: the cached true optimum minus the true value of the
+    piece (or breakpoint) the candidate lies on. Other candidates, and sets
+    whose profile is truncated or missing, go through `regret_of`. Both paths
+    clamp through the same helper, so they give the same regret bit for bit.
+    """
+    if profiles is not None and len(profiles) != len(batch):
+        raise ValueError("one profile per batch problem set required")
+    if cache is None:
+        cache = TrueOptimumCache()
+    memo: dict[tuple[int, float], float] = {}
+
+    def regret(i: int, beta: float) -> float:
+        if (i, beta) not in memo:
+            achieved = None if profiles is None else profiles[i].true_value_at(beta)
+            if achieved is None:
+                probe = model.with_coefficient(beta_index, beta)
+                memo[i, beta] = regret_of(probe, batch[i], oracle, cache).regret
+            else:
+                true_optimal = cache.true_optimal(batch[i], oracle)
+                memo[i, beta] = _clamped_regret(true_optimal, achieved, batch[i])
+        return memo[i, beta]
+
+    return regret
+
+
+def _batch_regret(
+    regret: Callable[[int, float], float], batch_size: int, beta: float
 ) -> float:
-    probe = model.with_coefficient(beta_index, beta)
-    total = 0.0
-    for i, problem in enumerate(batch):
-        key = (i, beta)
-        if key not in memo:
-            memo[key] = regret_of(probe, problem, oracle, cache).regret
-        total += memo[key]
-    return total / len(batch)
+    return sum(regret(i, beta) for i in range(batch_size)) / batch_size
 
 
 def _argmin_candidate(
     scores: dict[float, float], current_beta: float
 ) -> float:
     best = min(scores.values())
-    tied = [b for b, r in scores.items() if r <= best + REGRET_TIE_TOL]
+    tied = [b for b, r in scores.items() if r <= best + OBJECTIVE_TOL]
     return min(tied, key=lambda b: (abs(b - current_beta), b))
 
 
@@ -142,19 +166,21 @@ def select_beta_full(
     beta_index: int,
     oracle: SolverOracle,
     cache: Optional[TrueOptimumCache] = None,
+    profiles: Optional[Sequence[TransitionProfile]] = None,
 ) -> float:
     """Batch-mean-regret argmin over every candidate (the full comparison).
 
-    Ties break toward the candidate nearest the current parameter value.
+    Given the batch's transition profiles, one per problem set, a set with a
+    complete profile is scored from it without an oracle call; with a warm
+    cache and complete profiles the selection makes none. Without profiles,
+    every (set, candidate) pair costs one `regret_of` solve. Ties break
+    toward the candidate nearest the current parameter value.
     """
     if not candidates:
         raise ValueError("at least one candidate required")
     current = float(model.coefficients[beta_index])
-    memo: dict[tuple[int, float], float] = {}
-    scores = {
-        float(b): _batch_regret(float(b), batch, model, beta_index, oracle, cache, memo)
-        for b in candidates
-    }
+    regret = _regret_scorer(batch, model, beta_index, oracle, cache, profiles)
+    scores = {float(b): _batch_regret(regret, len(batch), float(b)) for b in candidates}
     return _argmin_candidate(scores, current)
 
 
@@ -169,28 +195,18 @@ def select_beta_max(
     """Greedy comparison: each problem set nominates its own best candidate,
     then only the nominees (plus the current value) compete on the whole batch.
 
-    With per-set candidate count at most L and batch size N, the selection
-    spends at most (N-1)N + LN oracle calls.
+    Sets with a complete profile are scored from it; with a warm cache and
+    complete profiles only, the selection makes no oracle call. Otherwise,
+    with per-set candidate count at most L and batch size N, it spends at
+    most (N-1)N + LN oracle calls on a warm cache.
     """
-    if len(profiles) != len(batch):
-        raise ValueError("one profile per batch problem set required")
     current = float(model.coefficients[beta_index])
-    memo: dict[tuple[int, float], float] = {}
+    regret = _regret_scorer(batch, model, beta_index, oracle, cache, profiles)
     nominees = {current}
-    for i, (problem, profile) in enumerate(zip(batch, profiles)):
+    for i, profile in enumerate(profiles):
         own = candidate_betas([profile], current)
-        scores = {}
-        for b in own:
-            probe = model.with_coefficient(beta_index, b)
-            key = (i, b)
-            if key not in memo:
-                memo[key] = regret_of(probe, problem, oracle, cache).regret
-            scores[b] = memo[key]
-        nominees.add(_argmin_candidate(scores, current))
-    batch_scores = {
-        b: _batch_regret(b, batch, model, beta_index, oracle, cache, memo)
-        for b in sorted(nominees)
-    }
+        nominees.add(_argmin_candidate({b: regret(i, b) for b in own}, current))
+    batch_scores = {b: _batch_regret(regret, len(batch), b) for b in sorted(nominees)}
     return _argmin_candidate(batch_scores, current)
 
 
@@ -241,11 +257,11 @@ def train(
         order = rng.permutation(len(train_sets))
         timed_out = False
         for chunk in _batches(order, config.batch_size):
-            if time.perf_counter() - start_time > config.max_seconds:
-                timed_out = True
-                break
             batch = [train_sets[i] for i in chunk]
             for k in range(model.num_parameters):
+                if time.perf_counter() - start_time > config.max_seconds:
+                    timed_out = True
+                    break
                 beta_old = float(model.coefficients[k])
                 spec = SearchSpec.from_parameter(beta_old)
                 try:
@@ -261,7 +277,7 @@ def train(
                     if config.variant is Variant.DNL:
                         candidates = candidate_betas(profiles, beta_old)
                         beta_opt = select_beta_full(
-                            candidates, batch, model, k, oracle, cache
+                            candidates, batch, model, k, oracle, cache, profiles
                         )
                     else:
                         beta_opt = select_beta_max(
@@ -277,6 +293,8 @@ def train(
                 else:
                     beta_new = beta_old + config.learning_rate * (beta_opt - beta_old)
                 model = model.with_coefficient(k, beta_new)
+            if timed_out:
+                break
         stats.append(snapshot(epoch))
         if stats[-1].val_regret < best_val - 1e-12:
             best_model, best_epoch, best_val = model, epoch, stats[-1].val_regret

@@ -1,172 +1,214 @@
-"""Transition-point extraction by divide-and-conquer collinearity probing.
+"""Exact transition points by supporting-line search.
 
-The predicted optimal value along one model parameter is convex piecewise
-linear, so three samples are collinear exactly when no solution change lies
-between the outer two. The extractor samples a region on a uniform grid,
-keeps the spans around non-collinear triples, and re-samples only those
-spans with a ten-fold smaller step until the step reaches the requested
-resolution. Collinear triples certify their interior transition-free, so
-discarded regions are sound.
+With every parameter but one fixed, the predicted coefficients are affine in
+the free parameter beta: base + beta * direction. Each feasible decision x
+then scores a line in beta, intercept x.base and slope x.direction (costs are
+negated for scheduling, so larger is always better), and the predicted
+optimal value (POV) is the upper envelope of those lines: convex and
+piecewise linear. Every oracle answer at a probe is a supporting line.
+
+The search (Eisner and Severance's parametric search) probes the two ends of
+the region. For a span whose end lines differ by more than `OBJECTIVE_TOL` at
+either end, it probes where they cross. If POV there equals the lines' value
+within `OBJECTIVE_TOL`, the crossing is a breakpoint: the left line is POV up
+to it and the right line after it. Otherwise the probe's line lies above both
+and splits the span in two. A probe either finds a new piece or confirms a
+breakpoint, so a region with m breakpoints costs at most 2m + 1 probes (two
+when m = 0). Several decisions optimal at a breakpoint are a tie the oracle
+resolves by its own rule; the profile keeps the true value of the decision it
+returned at the confirming probe, which sits exactly on the breakpoint.
+
+The greedy search also probes the old parameter value, takes its decision's
+true objective value (TOV) as the reference, and resolves spans nearest the
+old value first. It stops at the nearest breakpoint whose far-side piece
+raises TOV above the reference by more than `OBJECTIVE_TOL`; that profile is
+truncated and holds only this breakpoint. A greedy search that finds no such
+breakpoint is complete; the old-value probe raises its bound by one, to
+2m + 2 probes (three when m = 0).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import bisect
+import heapq
+import itertools
+from dataclasses import dataclass
+from typing import Optional
 
-import numpy as np
-
-from .core import LinearModel, ProblemSet
-from .evaluation import pov, tov
+from .core import OBJECTIVE_TOL, LinearModel, ProblemSet
+from .evaluation import _sign, _solve_at, _true_value
 from .oracles import SolverOracle
 
 __all__ = [
     "SearchSpec",
     "TransitionProfile",
-    "collinear",
     "extract_full",
     "extract_greedy",
-    "COLLINEARITY_TOL",
 ]
 
-# Relative tolerance on the collinearity cross term.
-COLLINEARITY_TOL = 1e-7
+# The search region spans the current parameter plus or minus this multiple
+# of its magnitude.
+RELATIVE_SPAN = 1.5
 
-# Below this magnitude the relative search bounds degenerate and the
-# symmetric fallback region is used instead.
+# Below this magnitude the relative region degenerates and the symmetric
+# fallback region is used instead.
 ZERO_PARAM_THRESHOLD = 1e-6
 ZERO_PARAM_BOUNDS = (-1.0, 1.0)
-ZERO_PARAM_MIN_STEP = 0.01
-
-# Strict TOV improvement threshold for the greedy early stop.
-TOV_IMPROVEMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """One-parameter search region and resolution for transition extraction."""
+    """One-parameter search region for transition extraction."""
 
     lower: float
     upper: float
-    min_step: float
-    initial_points: int = 10
-    shrink_factor: float = 10.0
 
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError("lower must be strictly below upper")
-        if self.initial_points < 3:
-            raise ValueError("at least three probe points required")
-        if self.shrink_factor <= 1:
-            raise ValueError("shrink_factor must exceed 1")
-        if self.min_step <= 0:
-            raise ValueError("min_step must be positive")
 
     @classmethod
-    def from_parameter(
-        cls,
-        beta: float,
-        relative_span: float = 1.5,
-        initial_points: int = 10,
-        shrink_factor: float = 10.0,
-    ) -> "SearchSpec":
-        """Region centered on the current parameter: half-width 1.5 times its
-        magnitude, minimum step one tenth of it. Near zero the relative rule
-        degenerates, so a fixed symmetric region is substituted."""
+    def from_parameter(cls, beta: float) -> "SearchSpec":
+        """Region centered on the current parameter, with half-width 1.5
+        times its magnitude. Near zero the relative rule degenerates, so a
+        fixed symmetric region is substituted."""
         if abs(beta) < ZERO_PARAM_THRESHOLD:
-            lo, hi = ZERO_PARAM_BOUNDS
-            return cls(lo, hi, ZERO_PARAM_MIN_STEP, initial_points, shrink_factor)
-        lo, hi = sorted((beta - relative_span * beta, beta + relative_span * beta))
-        return cls(lo, hi, abs(beta) / 10.0, initial_points, shrink_factor)
+            return cls(*ZERO_PARAM_BOUNDS)
+        lo, hi = sorted((beta - RELATIVE_SPAN * beta, beta + RELATIVE_SPAN * beta))
+        return cls(lo, hi)
 
 
 @dataclass(frozen=True)
 class TransitionProfile:
-    """Ordered transition intervals found for one problem set and parameter."""
+    """Transition points found for one problem set and parameter.
+
+    Each breakpoint t is stored as the degenerate interval (t, t). A complete
+    profile also carries `values`: the true value (maximisation convention)
+    of the oracle's decision on each piece and at each breakpoint, in order
+    piece 0, breakpoint 0, piece 1, ..., piece m. Truncated greedy profiles,
+    and profiles built by hand, carry none.
+    """
 
     intervals: tuple[tuple[float, float], ...]
     probe_count: int
     lower: float
     upper: float
     truncated: bool = False
+    values: tuple[float, ...] = ()
 
     def __post_init__(self):
         prev_high = None
         for low, high in self.intervals:
-            if not (self.lower - 1e-12 <= low < high <= self.upper + 1e-12):
+            if not (self.lower - 1e-12 <= low <= high <= self.upper + 1e-12):
                 raise ValueError(f"interval ({low}, {high}) outside region")
             if prev_high is not None and low < prev_high - 1e-12:
                 raise ValueError("transition intervals must be sorted and disjoint")
             prev_high = high
+        if self.values and len(self.values) != 2 * len(self.intervals) + 1:
+            raise ValueError("one value per piece and per breakpoint required")
 
     def midpoints(self) -> list[float]:
         return [(low + high) / 2.0 for low, high in self.intervals]
 
-
-def collinear(p1, p2, p3, tol: float = COLLINEARITY_TOL) -> bool:
-    """Whether three (x, y) samples lie on one line, up to a relative tolerance.
-
-    For a convex piecewise-linear function this is equivalent to: no
-    transition point strictly between the outer abscissae.
-    """
-    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
-    if not x1 < x2 < x3:
-        raise ValueError("probe abscissae must be strictly increasing")
-    cross = (y2 - y1) * (x3 - x2) - (y3 - y2) * (x2 - x1)
-    scale = max(1.0, abs(y1), abs(y3))
-    return abs(cross) <= tol * scale
+    def true_value_at(self, beta: float) -> Optional[float]:
+        """True value of the oracle's decision at `beta`, read off a complete
+        profile; None when the profile carries no values or `beta` lies
+        outside its region."""
+        if not self.values or not self.lower <= beta <= self.upper:
+            return None
+        i = bisect.bisect_left(self.intervals, (beta, beta))
+        if i < len(self.intervals) and self.intervals[i][0] == beta:
+            return self.values[2 * i + 1]
+        return self.values[2 * i]
 
 
-def _flagged_spans(grid: np.ndarray, values: list[float], tol: float):
-    """Spans around non-collinear consecutive triples, merged when they touch."""
-    spans = []
-    for i in range(1, len(grid) - 1):
-        if not collinear(
-            (grid[i - 1], values[i - 1]),
-            (grid[i], values[i]),
-            (grid[i + 1], values[i + 1]),
-            tol,
-        ):
-            spans.append((float(grid[i - 1]), float(grid[i + 1])))
-    return _merge_spans(spans)
+@dataclass(frozen=True)
+class _Line:
+    """One probe's decision as a line in the free parameter."""
+
+    intercept: float
+    slope: float
+    true_value: float
+
+    def at(self, beta: float) -> float:
+        return self.intercept + self.slope * beta
 
 
-def _merge_spans(spans):
-    merged: list[list[float]] = []
-    for low, high in sorted(spans):
-        if merged and low <= merged[-1][1] + 1e-15:
-            merged[-1][1] = max(merged[-1][1], high)
+def _search(
+    model: LinearModel,
+    problem: ProblemSet,
+    beta_index: int,
+    spec: SearchSpec,
+    oracle: SolverOracle,
+    beta_old: Optional[float],
+) -> TransitionProfile:
+    calls_before = oracle.calls
+    rest = model.coefficients.copy()
+    rest[beta_index] = 0.0
+    base = problem.features @ rest + model.intercept
+    direction = problem.features[:, beta_index]
+
+    def probe(beta: float) -> _Line:
+        result = _solve_at(model, problem, beta_index, beta, oracle)
+        sign = _sign(result.solution.objective_direction)
+        x = result.solution.vector
+        return _Line(
+            sign * float(x @ base), sign * float(x @ direction), _true_value(result, problem)
+        )
+
+    points = sorted({spec.lower, spec.upper} | ({beta_old} if beta_old is not None else set()))
+    lines = [probe(b) for b in points]
+    reference = lines[points.index(beta_old)].true_value if beta_old is not None else None
+
+    # Entries are (distance to beta_old, tie order, lo, hi, left, right, at):
+    # a span to resolve when `at` is None, else a confirmed breakpoint lo == hi.
+    pending: list = []
+    order = itertools.count()
+
+    def push(lo, hi, left, right, at=None):
+        distance = 0.0 if beta_old is None else max(lo - beta_old, beta_old - hi, 0.0)
+        heapq.heappush(pending, (distance, next(order), lo, hi, left, right, at))
+
+    for lo, hi, left, right in zip(points, points[1:], lines, lines[1:]):
+        push(lo, hi, left, right)
+    found = []
+    while pending:
+        _, _, lo, hi, left, right, at = heapq.heappop(pending)
+        if at is not None:
+            # Every span nearer beta_old is resolved, so no nearer breakpoint is left.
+            if reference is not None:
+                far = ([left] if lo <= beta_old else []) + ([right] if lo >= beta_old else [])
+                if any(line.true_value > reference + OBJECTIVE_TOL for line in far):
+                    return TransitionProfile(
+                        ((lo, lo),), oracle.calls - calls_before,
+                        spec.lower, spec.upper, truncated=True,
+                    )
+            found.append((lo, left, at, right))
+            continue
+        if all(abs(left.at(b) - right.at(b)) <= OBJECTIVE_TOL for b in (lo, hi)):
+            continue  # one piece, up to ties
+        gap = right.slope - left.slope
+        if gap <= 0:  # supporting lines of a convex function cannot cross this way
+            raise RuntimeError(f"POV not convex on problem {problem.id}: oracle is not exact")
+        t = min(max((left.intercept - right.intercept) / gap, lo), hi)
+        line = probe(t)
+        if line.at(t) <= max(left.at(t), right.at(t)) + OBJECTIVE_TOL:
+            push(t, t, left, right, line)
         else:
-            merged.append([low, high])
-    return [(low, high) for low, high in merged]
+            push(lo, t, left, line)
+            push(t, hi, line, right)
 
-
-def _grid(lower: float, upper: float, step: float):
-    # ceil keeps the realized spacing at or below the requested step, so a
-    # merged three-cell span at the final level stays within min_step.
-    npts = max(3, math.ceil((upper - lower) / step - 1e-9) + 1)
-    grid = np.linspace(lower, upper, npts)
-    return grid, (upper - lower) / (npts - 1)
-
-
-def _resolution_floor(spec: SearchSpec) -> float:
-    # A flagged span covers two grid cells plus possibly a merged third, so
-    # refinement continues until three cells fit inside min_step.
-    return spec.min_step / 3.0
-
-
-def _child_step(step: float, spec: SearchSpec) -> tuple[float, bool]:
-    """Next refinement step, clamped to the resolution floor.
-
-    The collinearity cross term shrinks with the square of the step, so
-    overshooting the floor would mask shallow kinks at the final level.
-    Returns the step and whether that level is the final one.
-    """
-    child = step / spec.shrink_factor
-    floor = _resolution_floor(spec)
-    if child <= floor:
-        return floor, True
-    return child, False
+    found.sort(key=lambda b: b[0])
+    values = [found[0][1].true_value if found else lines[0].true_value]
+    for _, _, at, right in found:
+        values += [at.true_value, right.true_value]
+    return TransitionProfile(
+        tuple((t, t) for t, *_ in found),
+        oracle.calls - calls_before,
+        spec.lower,
+        spec.upper,
+        values=tuple(values),
+    )
 
 
 def extract_full(
@@ -176,41 +218,8 @@ def extract_full(
     spec: SearchSpec,
     oracle: SolverOracle,
 ) -> TransitionProfile:
-    """All final-resolution transition intervals of POV over the region."""
-    calls_before = oracle.calls
-    value_cache: dict[float, float] = {}
-
-    def pov_at(beta: float) -> float:
-        if beta not in value_cache:
-            value_cache[beta] = pov(model, problem, beta_index, beta, oracle)
-        return value_cache[beta]
-
-    def refine(lower: float, upper: float, step: float, final: bool):
-        grid, actual = _grid(lower, upper, step)
-        values = [pov_at(float(b)) for b in grid]
-        spans = _flagged_spans(grid, values, COLLINEARITY_TOL)
-        if final:
-            return spans
-        child, child_final = _child_step(actual, spec)
-        out = []
-        for low, high in spans:
-            out.extend(refine(low, high, child, child_final))
-        return _merge_spans(out)
-
-    initial_step = (spec.upper - spec.lower) / (spec.initial_points - 1)
-    intervals = refine(
-        spec.lower, spec.upper, initial_step, initial_step <= _resolution_floor(spec)
-    )
-    return TransitionProfile(
-        tuple(intervals), oracle.calls - calls_before, spec.lower, spec.upper
-    )
-
-
-def _span_distance(span: tuple[float, float], beta: float) -> float:
-    low, high = span
-    if low <= beta <= high:
-        return 0.0
-    return min(abs(low - beta), abs(high - beta))
+    """Every transition point of POV over the region, exactly."""
+    return _search(model, problem, beta_index, spec, oracle, None)
 
 
 def extract_greedy(
@@ -221,55 +230,12 @@ def extract_greedy(
     oracle: SolverOracle,
     beta_old: float,
 ) -> TransitionProfile:
-    """Transition extraction that stops at the first interval improving TOV.
+    """Transition search that stops at the nearest breakpoint to `beta_old`
+    whose far side improves TOV.
 
-    Subregions nearest the old parameter are explored first. As soon as a
-    final-resolution interval's midpoint improves TOV over the old parameter,
-    the profile is returned truncated to that single interval. When nothing
-    improves, the full profile of the explored region is returned.
+    The profile is then truncated to that breakpoint. When nothing improves,
+    the complete profile of the region is returned.
     """
     if not spec.lower <= beta_old <= spec.upper:
         raise ValueError("beta_old must lie inside the search region")
-    calls_before = oracle.calls
-    value_cache: dict[float, float] = {}
-    tov_reference = tov(model, problem, beta_index, beta_old, oracle)
-    found: list[tuple[float, float]] = []
-    winner: list[tuple[float, float]] = []
-
-    def pov_at(beta: float) -> float:
-        if beta not in value_cache:
-            value_cache[beta] = pov(model, problem, beta_index, beta, oracle)
-        return value_cache[beta]
-
-    def refine(lower: float, upper: float, step: float, final: bool) -> bool:
-        grid, actual = _grid(lower, upper, step)
-        values = [pov_at(float(b)) for b in grid]
-        spans = _flagged_spans(grid, values, COLLINEARITY_TOL)
-        spans.sort(key=lambda s: (_span_distance(s, beta_old), s[0]))
-        child, child_final = _child_step(actual, spec)
-        for span in spans:
-            if final:
-                mid = (span[0] + span[1]) / 2.0
-                if (
-                    tov(model, problem, beta_index, mid, oracle)
-                    > tov_reference + TOV_IMPROVEMENT_TOL
-                ):
-                    winner.append(span)
-                    return True
-                found.append(span)
-            elif refine(span[0], span[1], child, child_final):
-                return True
-        return False
-
-    initial_step = (spec.upper - spec.lower) / (spec.initial_points - 1)
-    improved = refine(
-        spec.lower, spec.upper, initial_step, initial_step <= _resolution_floor(spec)
-    )
-    if improved:
-        return TransitionProfile(
-            (winner[0],), oracle.calls - calls_before, spec.lower, spec.upper, truncated=True
-        )
-    intervals = _merge_spans(found)
-    return TransitionProfile(
-        tuple(intervals), oracle.calls - calls_before, spec.lower, spec.upper
-    )
+    return _search(model, problem, beta_index, spec, oracle, beta_old)

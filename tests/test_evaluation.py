@@ -157,8 +157,9 @@ class TestPovTov:
         ps = example1_problem()
         model = example1_model(0.0)
         xs = (0.2, 1.0, 1.8)
-        ys = [dnl.pov(model, ps, 0, x, oracle) for x in xs]
-        assert dnl.collinear(*zip(xs, ys))
+        (x1, x2, x3) = xs
+        y1, y2, y3 = [dnl.pov(model, ps, 0, x, oracle) for x in xs]
+        assert (y2 - y1) * (x3 - x2) == pytest.approx((y3 - y2) * (x2 - x1), abs=1e-12)
 
 
 class TestEvaluateModelRegret:

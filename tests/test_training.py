@@ -1,8 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 
 import dnl
-from util import example1_model, example1_problem, random_knapsack_problem
+from dnl.training import _regret_scorer
+from util import (
+    example1_model,
+    example1_problem,
+    random_knapsack_problem,
+    random_scheduling_problem,
+)
 
 
 @pytest.fixture
@@ -142,7 +150,73 @@ class TestSelectBetaMax:
         assert oracle.calls - before <= limit
 
 
+class TestLookupScoring:
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize(
+        "make", [random_knapsack_problem, random_scheduling_problem],
+        ids=["knapsack", "scheduling"],
+    )
+    def test_lookup_equals_regret_of_bit_for_bit(self, oracle, make, cached):
+        # Every candidate, and every breakpoint (a tie the oracle resolves
+        # itself), scores the same from a complete profile as by solving.
+        rng = np.random.default_rng(331)
+        regrets = []
+        for i in range(8):
+            ps = make(rng, ps_id=f"look{i}")
+            model = dnl.LinearModel(rng.normal(size=3), 0.0)
+            current = float(model.coefficients[0])
+            spec = dnl.SearchSpec.from_parameter(current)
+            for profile in (
+                dnl.extract_full(model, ps, 0, spec, oracle),
+                dnl.extract_greedy(model, ps, 0, spec, oracle, current),
+            ):
+                if profile.truncated:
+                    continue
+                cache = dnl.TrueOptimumCache() if cached else None
+                regret = _regret_scorer([ps], model, 0, oracle, cache, [profile])
+                regret(0, current)  # the true optimum is now known
+                points = dnl.candidate_betas([profile], current) + profile.midpoints()
+                for beta in points:
+                    before = oracle.calls
+                    lookup = regret(0, beta)
+                    assert oracle.calls == before
+                    probe = model.with_coefficient(0, beta)
+                    assert lookup == dnl.regret_of(probe, ps, oracle, cache).regret
+                    regrets.append(lookup)
+        assert len(regrets) > 40 and sum(r > 0 for r in regrets) > 10
+
+    def test_truncated_profile_falls_back_to_the_oracle(self, oracle):
+        ps = example1_problem()
+        model = example1_model(3.0)
+        profile = dnl.extract_greedy(model, ps, 0, dnl.SearchSpec(-5.0, 5.0), oracle, 3.0)
+        assert profile.truncated
+        regret = _regret_scorer([ps], model, 0, oracle, None, [profile])
+        before = oracle.calls
+        assert regret(0, 1.0) == 0.0
+        assert oracle.calls == before + 2
+
+
 class TestTrain:
+    def test_time_budget_checked_before_each_parameter(self, oracle, monkeypatch):
+        # The clock crosses the budget once parameter 0 is updated, inside
+        # the first batch: parameter 1 is not updated, and the epoch is still
+        # scored before training stops.
+        sets, hidden = realizable_sets(8)
+        updated = []
+        select = dnl.training.select_beta_full
+
+        def recording_select(candidates, batch, model, beta_index, *args):
+            updated.append(beta_index)
+            return select(candidates, batch, model, beta_index, *args)
+
+        monkeypatch.setattr(dnl.training, "select_beta_full", recording_select)
+        monkeypatch.setattr(time, "perf_counter", lambda: 100.0 if updated else 0.0)
+        config = dnl.TrainConfig(variant="dnl", max_epochs=3, max_seconds=50.0, rng_seed=1)
+        trace = dnl.train(sets[:6], sets[6:], config, oracle, hidden)
+        assert updated == [0]
+        assert trace.stopped == "time"
+        assert [e.epoch for e in trace.epochs] == [0, 1]
+
     def test_learning_rate_one_jumps_to_selected_candidate(self, oracle):
         # Single parameter, one full batch, lr 1: replay the coordinate update
         # by hand and expect the trained coefficient to match exactly.

@@ -1,13 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 import dnl
+from dnl.core import OBJECTIVE_TOL
 from util import (
     example1_model,
     example1_problem,
     random_knapsack_problem,
+    random_scheduling_problem,
     sweep_solution_changes,
 )
 
@@ -17,61 +17,50 @@ def oracle():
     return dnl.SolverOracle()
 
 
-class TestCollinear:
-    def test_exact_line(self):
-        assert dnl.collinear((0, 0), (1, 1), (2, 2))
+def piece_values(profile):
+    return profile.values[::2]
 
-    def test_example1_triple_is_not_collinear(self, oracle):
-        ps = example1_problem()
-        model = example1_model(0.0)
-        pts = [(x, dnl.pov(model, ps, 0, x, oracle)) for x in (-1.0, 1.0, 3.0)]
-        assert not dnl.collinear(*pts)
 
-    def test_within_tolerance(self):
-        assert dnl.collinear((0, 0), (1, 1), (2, 2 + 5e-13), tol=1e-9)
-
-    def test_requires_increasing_abscissae(self):
-        with pytest.raises(ValueError):
-            dnl.collinear((1, 0), (0, 0), (2, 0))
+def staircase_problem():
+    """Capacity-one knapsack whose best item moves up one slope step at each
+    of 0.5, 1.5, 2.5, 3.5 and 4.5; true values rise with the slope."""
+    slopes = np.arange(6.0)
+    features = np.column_stack([slopes, 20.0 - slopes**2 / 2.0])
+    return dnl.ProblemSet(
+        1.0 + slopes, features, dnl.Knapsack(np.ones(6), 1.0), "staircase"
+    )
 
 
 class TestSearchSpec:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
-            dnl.SearchSpec(1.0, 1.0, 0.1)
+            dnl.SearchSpec(1.0, 1.0)
         with pytest.raises(ValueError):
-            dnl.SearchSpec(0.0, 1.0, -0.1)
-        with pytest.raises(ValueError):
-            dnl.SearchSpec(0.0, 1.0, 0.1, initial_points=2)
+            dnl.SearchSpec(2.0, 1.0)
 
     def test_from_positive_parameter(self):
         spec = dnl.SearchSpec.from_parameter(2.0)
         assert spec.lower == pytest.approx(-1.0)
         assert spec.upper == pytest.approx(5.0)
-        assert spec.min_step == pytest.approx(0.2)
 
     def test_from_negative_parameter(self):
         spec = dnl.SearchSpec.from_parameter(-2.0)
         assert spec.lower == pytest.approx(-5.0)
         assert spec.upper == pytest.approx(1.0)
-        assert spec.min_step == pytest.approx(0.2)
 
     def test_zero_parameter_uses_fallback(self):
         spec = dnl.SearchSpec.from_parameter(0.0)
         assert (spec.lower, spec.upper) == (-1.0, 1.0)
-        assert spec.min_step == 0.01
 
 
 class TestExtractFull:
     def test_example1_two_intervals(self, oracle):
         ps = example1_problem()
-        spec = dnl.SearchSpec(-5.0, 5.0, min_step=0.05)
+        spec = dnl.SearchSpec(-5.0, 5.0)
         profile = dnl.extract_full(example1_model(1.0), ps, 0, spec, oracle)
-        assert len(profile.intervals) == 2
-        (a1, b1), (a2, b2) = profile.intervals
-        assert a1 <= 0.0 <= b1
-        assert a2 <= 2.0 <= b2
-        assert b1 - a1 <= 0.05 and b2 - a2 <= 0.05
+        assert profile.intervals == ((0.0, 0.0), (2.0, 2.0))
+        # Items {0, 1}, {0, 2} and {1, 2} hold the three pieces.
+        assert piece_values(profile) == (3.0, 5.0, 4.0)
 
     def test_constant_argmax_region_has_no_intervals(self, oracle):
         # Both items respond identically to the parameter and the leader stays
@@ -82,16 +71,17 @@ class TestExtractFull:
             dnl.Knapsack([1.0, 1.0], 1.0),
             "const",
         )
-        spec = dnl.SearchSpec(-3.0, 3.0, min_step=0.05)
+        spec = dnl.SearchSpec(-3.0, 3.0)
         profile = dnl.extract_full(dnl.LinearModel([0.0, 1.0], 0.0), ps, 0, spec, oracle)
         assert profile.intervals == ()
+        assert profile.probe_count == 2
 
     def test_intervals_bracket_solution_changes(self, oracle):
         rng = np.random.default_rng(211)
         for i in range(12):
             ps = random_knapsack_problem(rng, n=8, ps_id=f"sweep{i}")
             model = dnl.LinearModel(rng.normal(size=3), 0.0)
-            spec = dnl.SearchSpec(-1.5, 1.5, min_step=0.05)
+            spec = dnl.SearchSpec(-1.5, 1.5)
             profile = dnl.extract_full(model, ps, 0, spec, oracle)
             changes = sweep_solution_changes(model, ps, 0, -1.5, 1.5, 0.005)
             for a, b in profile.intervals:
@@ -101,20 +91,58 @@ class TestExtractFull:
                 covered = any(hi >= a and lo <= b for a, b in profile.intervals)
                 assert covered, f"solution change in ({lo}, {hi}) was missed"
 
-    def test_probe_budget(self, oracle):
-        ps = example1_problem()
-        spec = dnl.SearchSpec(-5.0, 5.0, min_step=0.05)
-        profile = dnl.extract_full(example1_model(1.0), ps, 0, spec, oracle)
-        k = len(profile.intervals)
-        levels = 2 + math.ceil(
-            math.log((spec.upper - spec.lower) / spec.min_step, spec.shrink_factor)
+    def test_scheduling_breakpoints_match_vector_changes(self, oracle):
+        # Compares consumption vectors: a machine swap changes the assignment
+        # but not the vector, and is no transition of the predicted value.
+        rng = np.random.default_rng(233)
+        for i in range(3):
+            ps = random_scheduling_problem(rng, f"sched{i}")
+            model = dnl.LinearModel(rng.normal(size=3), 0.0)
+            profile = dnl.extract_full(model, ps, 0, dnl.SearchSpec(-1.5, 1.5), oracle)
+            changes = sweep_solution_changes(
+                model, ps, 0, -1.5, 1.5, 0.005,
+                solve=dnl.solve_scheduling, key=lambda s: tuple(s.vector),
+            )
+            assert changes, "the sweep should see the schedule move"
+            points = [t for t, _ in profile.intervals]
+            for t in points:
+                assert any(lo - 1e-9 <= t <= hi + 1e-9 for lo, hi in changes), t
+            for lo, hi in changes:
+                assert any(lo - 1e-9 <= t <= hi + 1e-9 for t in points), (lo, hi)
+
+    def test_default_train_data_transitions(self, oracle):
+        # `dnl train`'s default data and ridge warm start: a shallow kink of
+        # day0002 and one in the last grid cell of day0004 are found.
+        series = dnl.synthesize(20, 4, 0.5, 0)
+        dataset = dnl.make_knapsack(series, False, 24.0, seed=1)
+        (fold,) = dnl.split(dataset, dnl.SplitSpec(folds=1))
+        warm, _ = dnl.select_ridge(
+            fold.train, fold.val, dnl.SolverOracle(), cache=dnl.TrueOptimumCache()
         )
-        ceiling = 3 * spec.initial_points * (k + 1) * levels
-        assert profile.probe_count <= ceiling
+        spec = dnl.SearchSpec.from_parameter(float(warm.coefficients[3]))
+        days = {ps.id: ps for ps in fold.train}
+        for day, point in (("day0002", 0.2053), ("day0004", 2.6005)):
+            profile = dnl.extract_full(warm, days[day], 3, spec, oracle)
+            assert any(a - 5e-4 <= point <= b + 5e-4 for a, b in profile.intervals), day
+
+    def test_probe_budget(self, oracle):
+        # Each probe finds a new piece or confirms a breakpoint: at most
+        # 2m + 1 probes for m breakpoints, and 2 when there are none.
+        rng = np.random.default_rng(239)
+        cases = [(example1_model(1.0), example1_problem(), dnl.SearchSpec(-5.0, 5.0))]
+        cases.append((dnl.LinearModel([1.0, 1.0], 0.0), staircase_problem(),
+                      dnl.SearchSpec(-1.0, 6.0)))
+        for i in range(10):
+            model = dnl.LinearModel(rng.normal(size=3), 0.0)
+            spec = dnl.SearchSpec.from_parameter(float(model.coefficients[0]))
+            cases.append((model, random_knapsack_problem(rng, ps_id=f"b{i}"), spec))
+        for model, ps, spec in cases:
+            profile = dnl.extract_full(model, ps, 0, spec, oracle)
+            assert profile.probe_count <= max(2, 2 * len(profile.intervals) + 1)
 
     def test_probe_count_matches_oracle_calls(self, oracle):
         ps = example1_problem()
-        spec = dnl.SearchSpec(-5.0, 5.0, min_step=0.05)
+        spec = dnl.SearchSpec(-5.0, 5.0)
         before = oracle.calls
         profile = dnl.extract_full(example1_model(1.0), ps, 0, spec, oracle)
         assert profile.probe_count == oracle.calls - before
@@ -124,15 +152,13 @@ class TestExtractGreedy:
     def test_example1_from_beta_3_returns_improving_interval(self, oracle):
         ps = example1_problem()
         model = example1_model(3.0)
-        spec = dnl.SearchSpec(-5.0, 5.0, min_step=0.05)
+        spec = dnl.SearchSpec(-5.0, 5.0)
         profile = dnl.extract_greedy(model, ps, 0, spec, oracle, 3.0)
         assert profile.truncated
-        assert len(profile.intervals) == 1
-        mid = profile.midpoints()[0]
-        tov_old = dnl.tov(model, ps, 0, 3.0, oracle)
-        assert dnl.tov(model, ps, 0, mid, oracle) > tov_old
-        # The improving interval sits at one of the two known transitions.
-        assert min(abs(mid - 0.0), abs(mid - 2.0)) < 0.05
+        # The breakpoint at 2 is nearest; beyond it items {0, 2} are worth 5.
+        assert profile.intervals == ((2.0, 2.0),)
+        assert profile.values == ()
+        assert dnl.tov(model, ps, 0, 1.0, oracle) > dnl.tov(model, ps, 0, 3.0, oracle)
 
     def test_perfect_model_finds_no_improvement(self, oracle):
         exact = dnl.ProblemSet(
@@ -148,42 +174,53 @@ class TestExtractGreedy:
 
     def test_beta_old_outside_region_rejected(self, oracle):
         ps = example1_problem()
-        spec = dnl.SearchSpec(-1.0, 1.0, min_step=0.05)
+        spec = dnl.SearchSpec(-1.0, 1.0)
         with pytest.raises(ValueError):
             dnl.extract_greedy(example1_model(0.0), ps, 0, spec, oracle, 5.0)
 
     def test_greedy_improves_whenever_full_does(self, oracle):
+        # Truncated exactly when some piece of the full profile beats the old
+        # TOV, and then the far-side piece of its breakpoint does too.
         rng = np.random.default_rng(223)
-        for i in range(15):
-            ps = random_knapsack_problem(rng, ps_id=f"greedy{i}")
+        problems = [random_knapsack_problem(rng, ps_id=f"greedy{i}") for i in range(15)]
+        problems += [random_scheduling_problem(rng, f"gsched{i}") for i in range(5)]
+        truncations = 0
+        for ps in problems:
             model = dnl.LinearModel(rng.normal(size=3), 0.0)
             beta_old = float(model.coefficients[0])
             spec = dnl.SearchSpec.from_parameter(beta_old)
             full = dnl.extract_full(model, ps, 0, spec, oracle)
             greedy = dnl.extract_greedy(model, ps, 0, spec, oracle, beta_old)
             tov_old = dnl.tov(model, ps, 0, beta_old, oracle)
-            full_improves = any(
-                dnl.tov(model, ps, 0, m, oracle) > tov_old + 1e-9
-                for m in full.midpoints()
-            )
-            if full_improves:
-                assert greedy.truncated
-                mid = greedy.midpoints()[0]
-                assert dnl.tov(model, ps, 0, mid, oracle) > tov_old + 1e-9
+            full_improves = any(v > tov_old + OBJECTIVE_TOL for v in piece_values(full))
+            assert greedy.truncated == full_improves
+            if greedy.truncated:
+                truncations += 1
+                ((t, _),) = greedy.intervals
+                i = [a for a, _ in full.intervals].index(t)
+                far = piece_values(full)[i if t < beta_old else i + 1]
+                assert far > tov_old + OBJECTIVE_TOL
+            else:
+                assert greedy.intervals == full.intervals
+                assert greedy.probe_count <= max(3, 2 * len(greedy.intervals) + 2)
+        assert 0 < truncations < len(problems)
 
     def test_truncation_skips_the_second_transition(self, oracle):
-        # From beta 3 the improving transition near 2 is found first, so the
-        # subtree around 0 is never refined and probes are saved.
-        ps = example1_problem()
-        spec = dnl.SearchSpec(-5.0, 5.0, min_step=0.05)
-        full = dnl.extract_full(example1_model(3.0), ps, 0, spec, oracle)
-        greedy = dnl.extract_greedy(example1_model(3.0), ps, 0, spec, oracle, 3.0)
+        # From 0.2 the improving breakpoint at 0.5 is confirmed first, so the
+        # four beyond it are never resolved and probes are saved.
+        ps = staircase_problem()
+        model = dnl.LinearModel([0.2, 1.0], 0.0)
+        spec = dnl.SearchSpec(-1.0, 6.0)
+        full = dnl.extract_full(model, ps, 0, spec, oracle)
+        greedy = dnl.extract_greedy(model, ps, 0, spec, oracle, 0.2)
+        assert [t for t, _ in full.intervals] == pytest.approx([0.5, 1.5, 2.5, 3.5, 4.5])
         assert greedy.truncated
+        assert greedy.intervals[0][0] == pytest.approx(0.5)
         assert greedy.probe_count < full.probe_count
 
     def test_greedy_probe_count_matches_oracle_calls(self, oracle):
         ps = example1_problem()
-        spec = dnl.SearchSpec(-5.0, 5.0, min_step=0.05)
+        spec = dnl.SearchSpec(-5.0, 5.0)
         before = oracle.calls
         profile = dnl.extract_greedy(example1_model(3.0), ps, 0, spec, oracle, 3.0)
         assert profile.probe_count == oracle.calls - before
@@ -195,16 +232,19 @@ class TestProfileInvariants:
         for i in range(10):
             ps = random_knapsack_problem(rng, ps_id=f"inv{i}")
             model = dnl.LinearModel(rng.normal(size=3), 0.0)
-            spec = dnl.SearchSpec(-2.0, 2.0, min_step=0.05)
+            spec = dnl.SearchSpec(-2.0, 2.0)
             profile = dnl.extract_full(model, ps, 0, spec, oracle)
             prev = spec.lower
             for a, b in profile.intervals:
-                assert spec.lower <= a < b <= spec.upper
+                assert spec.lower <= a <= b <= spec.upper
                 assert a >= prev
                 prev = b
+            assert len(profile.values) == 2 * len(profile.intervals) + 1
 
     def test_constructor_rejects_overlaps(self):
         with pytest.raises(ValueError):
             dnl.TransitionProfile(((0.0, 0.5), (0.4, 0.9)), 0, -1.0, 1.0)
         with pytest.raises(ValueError):
             dnl.TransitionProfile(((-2.0, 0.5),), 0, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            dnl.TransitionProfile(((0.0, 0.0),), 0, -1.0, 1.0, values=(1.0, 2.0))

@@ -88,12 +88,17 @@ def random_knapsack_problem(rng, n=None, ps_id="rand"):
     return dnl.ProblemSet(values, features, dnl.Knapsack(weights, capacity), ps_id)
 
 
-def sweep_solution_changes(model, problem, beta_index, lo, hi, step, solve=None):
+def sweep_solution_changes(
+    model, problem, beta_index, lo, hi, step, solve=None, key=None
+):
     """Dense sweep: intervals (between adjacent grid points) where the
     solver's selection changes. Uses direct coefficient evaluation rather
-    than the package's probing layer."""
+    than the package's probing layer. `key` maps a solution to what is
+    compared, by default its assignment."""
     if solve is None:
         solve = dnl.solve_knapsack_dp
+    if key is None:
+        key = lambda solution: solution.assignment
     rest = model.coefficients.copy()
     rest[beta_index] = 0.0
     base = problem.features @ rest + model.intercept
@@ -102,8 +107,23 @@ def sweep_solution_changes(model, problem, beta_index, lo, hi, step, solve=None)
     changes = []
     prev_assignment = None
     for b in grid:
-        assignment = solve(base + b * direction, problem.constraint).solution.assignment
+        assignment = key(solve(base + b * direction, problem.constraint).solution)
         if prev_assignment is not None and assignment != prev_assignment:
             changes.append((float(b - step), float(b)))
         prev_assignment = assignment
     return changes
+
+
+def random_scheduling_problem(rng, ps_id="sched"):
+    """Random scheduling problem set on two identical machines, so machine
+    swaps give different assignments with the same consumption vector."""
+    periods = 8
+    jobs = []
+    for _ in range(3):
+        duration = int(rng.integers(1, 4))
+        jobs.append(dnl.JobSpec(1.0, float(rng.integers(1, 4)), duration, 0, periods))
+    machines = (dnl.MachineSpec(1.0), dnl.MachineSpec(1.0))
+    constraint = dnl.Scheduling(machines, tuple(jobs), periods)
+    features = rng.uniform(-1.0, 1.0, size=(periods, 3))
+    prices = rng.uniform(1.0, 3.0, size=periods)
+    return dnl.ProblemSet(prices, features, constraint, ps_id)
