@@ -41,6 +41,7 @@ from .evaluation import (
     tov,
 )
 from .oracles import (
+    InexactOracleError,
     InfeasibleInstanceError,
     OracleResult,
     SolverOracle,

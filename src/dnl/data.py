@@ -44,6 +44,9 @@ logger = logging.getLogger(__name__)
 
 WEIGHT_CHOICES = (3.0, 5.0, 7.0)
 
+# Random scheduling loads drawn before `make_scheduling` gives up.
+MAX_LOAD_ATTEMPTS = 50
+
 
 @dataclass(frozen=True)
 class RawSeries:
@@ -97,8 +100,9 @@ class SplitSpec:
     def __post_init__(self):
         if self.folds < 1:
             raise ValueError("folds must be positive")
-        if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+        fractions = (self.train_frac, self.val_frac, self.test_frac)
+        if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
+            raise ValueError("split fractions must be nonnegative and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -217,17 +221,16 @@ def make_scheduling(
     num_machines: int = 2,
     num_jobs: int = 4,
     seed: int = 0,
-    max_attempts: int = 50,
 ) -> Dataset:
     """One scheduling problem set per day, sharing a seeded random load.
 
     The generated load is validated by actually solving it once; generation
-    retries until a feasible load appears.
+    retries, up to `MAX_LOAD_ATTEMPTS` loads, until a feasible one appears.
     """
     rng = np.random.default_rng(seed)
     periods = series.group_size
     constraint = None
-    for _ in range(max_attempts):
+    for _ in range(MAX_LOAD_ATTEMPTS):
         machines = tuple(MachineSpec(float(rng.integers(2, 5))) for _ in range(num_machines))
         max_cap = max(m.capacity for m in machines)
         jobs = []
@@ -253,7 +256,7 @@ def make_scheduling(
         break
     if constraint is None:
         raise InfeasibleInstanceError(
-            f"could not generate a feasible load in {max_attempts} attempts"
+            f"could not generate a feasible load in {MAX_LOAD_ATTEMPTS} attempts"
         )
     problem_sets = [
         ProblemSet(prices, features, constraint, f"day{g:04d}")
@@ -264,38 +267,31 @@ def make_scheduling(
     return Dataset(tuple(problem_sets), problem_sets[0].feature_dim)
 
 
-def _fold_test_bounds(n: int, folds: int) -> list[tuple[int, int]]:
-    return [(f * n // folds, (f + 1) * n // folds) for f in range(folds)]
+def _fold_test_bounds(n: int, spec: SplitSpec) -> list[tuple[int, int]]:
+    """Test block [lo, hi) of each fold: the last test_frac of the sets for a
+    single fold, else contiguous blocks that partition all n sets."""
+    if spec.folds == 1:
+        return [(n - max(1, round(spec.test_frac * n)), n)]
+    return [(f * n // spec.folds, (f + 1) * n // spec.folds) for f in range(spec.folds)]
 
 
 def split(dataset: Dataset | Sequence[ProblemSet], spec: SplitSpec = SplitSpec()) -> list[Fold]:
     """Contiguous-block fold rotation over time-ordered problem sets.
 
-    With multiple folds the test blocks partition the whole dataset; within
-    each fold the remaining sets stay in wrapped time order, train first and
-    validation after. Counts follow the configured fractions, remainders
-    going to the training split.
+    With multiple folds the test blocks partition the whole dataset; a single
+    fold tests on the last sets. Within each fold the remaining sets stay in
+    wrapped time order, train first and validation after. Counts follow the
+    configured fractions, remainders going to the training split. Raises
+    ValueError when a split would be empty.
     """
     problem_sets = list(dataset.problem_sets if isinstance(dataset, Dataset) else dataset)
     n = len(problem_sets)
     if n < 3:
         raise ValueError("need at least three problem sets to split")
+    if spec.folds > n:
+        raise ValueError(f"{spec.folds} folds need {spec.folds} problem sets, got {n}")
     folds = []
-    if spec.folds == 1:
-        test_n = max(1, round(spec.test_frac * n))
-        val_n = max(1, round(spec.val_frac * n))
-        train_n = n - test_n - val_n
-        if train_n < 1:
-            raise ValueError("split leaves no training problem sets")
-        folds.append(
-            Fold(
-                tuple(problem_sets[:train_n]),
-                tuple(problem_sets[train_n : train_n + val_n]),
-                tuple(problem_sets[train_n + val_n :]),
-            )
-        )
-        return folds
-    for lo, hi in _fold_test_bounds(n, spec.folds):
+    for lo, hi in _fold_test_bounds(n, spec):
         test = problem_sets[lo:hi]
         rest = problem_sets[hi:] + problem_sets[:lo]
         val_n = max(1, round(spec.val_frac * n))

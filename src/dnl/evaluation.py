@@ -21,7 +21,7 @@ from .core import (
     predict,
     solution_objective,
 )
-from .oracles import OracleResult, SolverOracle
+from .oracles import InexactOracleError, OracleResult, SolverOracle
 
 __all__ = [
     "RegretValue",
@@ -50,10 +50,10 @@ def _true_value(result: OracleResult, problem: ProblemSet) -> float:
 def _clamped_regret(true_optimal: float, achieved: float, problem: ProblemSet) -> float:
     """true_optimal - achieved, with rounding noise within OBJECTIVE_TOL of
     zero read as zero. A regret below -OBJECTIVE_TOL means the oracle missed
-    the optimum, which is an error."""
+    the optimum: InexactOracleError."""
     regret = true_optimal - achieved
     if regret < -OBJECTIVE_TOL:
-        raise RuntimeError(
+        raise InexactOracleError(
             f"negative regret {regret} on problem {problem.id}: oracle is not exact"
         )
     return 0.0 if regret <= OBJECTIVE_TOL else regret

@@ -19,7 +19,6 @@ DEFAULT_PENALTY_GRID = (0.0, 0.01, 0.1, 1.0, 10.0)
 @dataclass(frozen=True)
 class RidgeConfig:
     l2_penalty: float = 0.0
-    fit_intercept: bool = True
 
     def __post_init__(self):
         if self.l2_penalty < 0:
@@ -39,35 +38,29 @@ def fit_ridge(problem_sets: Sequence[ProblemSet], config: RidgeConfig = RidgeCon
     p = X.shape[1]
     if X.shape[0] < p + 1:
         raise ValueError(f"need at least {p + 1} rows to fit {p} coefficients")
-    if config.fit_intercept:
-        A = np.hstack([X, np.ones((X.shape[0], 1))])
-    else:
-        A = X
+    A = np.hstack([X, np.ones((X.shape[0], 1))])
     if config.l2_penalty == 0.0:
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     else:
         penalty = np.full(A.shape[1], config.l2_penalty)
-        if config.fit_intercept:
-            penalty[-1] = 0.0
+        penalty[-1] = 0.0
         coef = np.linalg.solve(A.T @ A + np.diag(penalty), A.T @ y)
-    if config.fit_intercept:
-        return LinearModel(coef[:p], float(coef[p]))
-    return LinearModel(coef, 0.0)
+    return LinearModel(coef[:p], float(coef[p]))
 
 
 def select_ridge(
     train_sets: Sequence[ProblemSet],
     val_sets: Sequence[ProblemSet],
     oracle: SolverOracle,
-    grid: Sequence[float] = DEFAULT_PENALTY_GRID,
     cache: Optional[TrueOptimumCache] = None,
 ) -> tuple[LinearModel, float]:
-    """Pick the penalty with the lowest validation regret (ties favor the
-    smallest penalty). Returns the refit model and the chosen penalty."""
+    """Pick the penalty from `DEFAULT_PENALTY_GRID` with the lowest validation
+    regret (ties favor the smallest penalty). Returns the refit model and the
+    chosen penalty."""
     if cache is None:
         cache = TrueOptimumCache()
     best_model, best_penalty, best_regret = None, None, np.inf
-    for penalty in sorted(grid):
+    for penalty in sorted(DEFAULT_PENALTY_GRID):
         model = fit_ridge(train_sets, RidgeConfig(l2_penalty=penalty))
         regret, _ = evaluate_model_regret(model, val_sets, oracle, cache)
         if regret < best_regret - 1e-12:

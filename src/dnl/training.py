@@ -5,8 +5,9 @@ one parameter, transition profiles are extracted per problem set, candidate
 values are taken midway between consecutive transition points, the
 batch-optimal candidate is selected by the variant's comparison rule, and
 the parameter moves a learning-rate fraction toward it (a quasi-gradient
-step). Candidates are scored from complete profiles without oracle calls;
-only truncated greedy profiles fall back to solving at the candidate.
+step). Both selectors take the batch's profiles and score candidates from
+complete ones without oracle calls; only truncated greedy profiles fall back
+to solving at the candidate.
 Validation regret drives early stopping, and the `max_seconds` budget is
 checked before each parameter update.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from .core import OBJECTIVE_TOL, LinearModel, ProblemSet
 from .evaluation import TrueOptimumCache, _clamped_regret, evaluate_model_regret, regret_of
-from .oracles import SolverOracle
+from .oracles import InexactOracleError, InfeasibleInstanceError, SolverOracle
 from .transitions import SearchSpec, TransitionProfile, extract_full, extract_greedy
 
 __all__ = [
@@ -109,38 +110,37 @@ def candidate_betas(
 
 
 def _regret_scorer(
+    profiles: Sequence[TransitionProfile],
     batch: Sequence[ProblemSet],
     model: LinearModel,
     beta_index: int,
     oracle: SolverOracle,
     cache: Optional[TrueOptimumCache],
-    profiles: Optional[Sequence[TransitionProfile]] = None,
 ) -> Callable[[int, float], float]:
-    """Memoised regret of batch member i at candidate value beta, as a
-    function regret(i, beta).
+    """Regret of batch member i at candidate value beta, as a function
+    regret(i, beta). Each set's true optimum is read once, here.
 
     A candidate inside the region of a complete profile is scored from it
-    with no oracle call: the cached true optimum minus the true value of the
-    piece (or breakpoint) the candidate lies on. Other candidates, and sets
-    whose profile is truncated or missing, go through `regret_of`. Both paths
-    clamp through the same helper, so they give the same regret bit for bit.
+    with no oracle call: that optimum minus the true value of the piece (or
+    breakpoint) the candidate lies on. Other candidates, and truncated
+    profiles, go through `regret_of`, memoised. Both paths clamp through the
+    same helper, so they give the same regret bit for bit.
     """
-    if profiles is not None and len(profiles) != len(batch):
+    if len(profiles) != len(batch):
         raise ValueError("one profile per batch problem set required")
     if cache is None:
         cache = TrueOptimumCache()
-    memo: dict[tuple[int, float], float] = {}
+    optima = [cache.true_optimal(ps, oracle) for ps in batch]
+    solved: dict[tuple[int, float], float] = {}
 
     def regret(i: int, beta: float) -> float:
-        if (i, beta) not in memo:
-            achieved = None if profiles is None else profiles[i].true_value_at(beta)
-            if achieved is None:
-                probe = model.with_coefficient(beta_index, beta)
-                memo[i, beta] = regret_of(probe, batch[i], oracle, cache).regret
-            else:
-                true_optimal = cache.true_optimal(batch[i], oracle)
-                memo[i, beta] = _clamped_regret(true_optimal, achieved, batch[i])
-        return memo[i, beta]
+        achieved = profiles[i].true_value_at(beta)
+        if achieved is not None:
+            return _clamped_regret(optima[i], achieved, batch[i])
+        if (i, beta) not in solved:
+            probe = model.with_coefficient(beta_index, beta)
+            solved[i, beta] = regret_of(probe, batch[i], oracle, cache).regret
+        return solved[i, beta]
 
     return regret
 
@@ -160,27 +160,23 @@ def _argmin_candidate(
 
 
 def select_beta_full(
-    candidates: Sequence[float],
+    profiles: Sequence[TransitionProfile],
     batch: Sequence[ProblemSet],
     model: LinearModel,
     beta_index: int,
     oracle: SolverOracle,
     cache: Optional[TrueOptimumCache] = None,
-    profiles: Optional[Sequence[TransitionProfile]] = None,
 ) -> float:
-    """Batch-mean-regret argmin over every candidate (the full comparison).
-
-    Given the batch's transition profiles, one per problem set, a set with a
-    complete profile is scored from it without an oracle call; with a warm
-    cache and complete profiles the selection makes none. Without profiles,
-    every (set, candidate) pair costs one `regret_of` solve. Ties break
-    toward the candidate nearest the current parameter value.
+    """Full comparison: the batch-mean-regret argmin over every candidate,
+    `candidate_betas(profiles, current)`, of the batch's profiles (one per
+    problem set). With a warm cache and complete profiles only, the selection
+    makes no oracle call. Ties break toward the candidate nearest the current
+    parameter value.
     """
-    if not candidates:
-        raise ValueError("at least one candidate required")
     current = float(model.coefficients[beta_index])
-    regret = _regret_scorer(batch, model, beta_index, oracle, cache, profiles)
-    scores = {float(b): _batch_regret(regret, len(batch), float(b)) for b in candidates}
+    regret = _regret_scorer(profiles, batch, model, beta_index, oracle, cache)
+    candidates = candidate_betas(profiles, current)
+    scores = {b: _batch_regret(regret, len(batch), b) for b in candidates}
     return _argmin_candidate(scores, current)
 
 
@@ -195,13 +191,13 @@ def select_beta_max(
     """Greedy comparison: each problem set nominates its own best candidate,
     then only the nominees (plus the current value) compete on the whole batch.
 
-    Sets with a complete profile are scored from it; with a warm cache and
+    Takes one transition profile per problem set. With a warm cache and
     complete profiles only, the selection makes no oracle call. Otherwise,
     with per-set candidate count at most L and batch size N, it spends at
     most (N-1)N + LN oracle calls on a warm cache.
     """
     current = float(model.coefficients[beta_index])
-    regret = _regret_scorer(batch, model, beta_index, oracle, cache, profiles)
+    regret = _regret_scorer(profiles, batch, model, beta_index, oracle, cache)
     nominees = {current}
     for i, profile in enumerate(profiles):
         own = candidate_betas([profile], current)
@@ -226,7 +222,8 @@ def train(
 
     The intercept stays at its warmstart value; only the coefficient vector
     is trained. Returns the trace with the model attaining the lowest
-    recorded validation regret.
+    recorded validation regret. An inexact oracle or an infeasible instance
+    while updating a parameter raises TrainingError; other errors propagate.
     """
     if not train_sets:
         raise ValueError("training split is empty")
@@ -234,6 +231,8 @@ def train(
         raise ValueError("warmstart dimension does not match the dataset")
     model = LinearModel(warmstart.coefficients.copy(), warmstart.intercept)
     cache = TrueOptimumCache()
+    # Looked up per call, so that a wrapper set on the module attribute applies.
+    select = select_beta_full if config.variant is Variant.DNL else select_beta_max
     rng = np.random.default_rng(config.rng_seed)
     start_time = time.perf_counter()
 
@@ -274,16 +273,8 @@ def train(
                         profiles = [
                             extract_full(model, ps, k, spec, oracle) for ps in batch
                         ]
-                    if config.variant is Variant.DNL:
-                        candidates = candidate_betas(profiles, beta_old)
-                        beta_opt = select_beta_full(
-                            candidates, batch, model, k, oracle, cache, profiles
-                        )
-                    else:
-                        beta_opt = select_beta_max(
-                            profiles, batch, model, k, oracle, cache
-                        )
-                except (ValueError, RuntimeError) as exc:
+                    beta_opt = select(profiles, batch, model, k, oracle, cache)
+                except (InexactOracleError, InfeasibleInstanceError) as exc:
                     raise TrainingError(
                         f"epoch {epoch}: oracle failure while updating "
                         f"parameter {k}: {exc}"

@@ -37,7 +37,7 @@ from typing import Optional
 
 from .core import OBJECTIVE_TOL, LinearModel, ProblemSet
 from .evaluation import _sign, _solve_at, _true_value
-from .oracles import SolverOracle
+from .oracles import InexactOracleError, SolverOracle
 
 __all__ = [
     "SearchSpec",
@@ -189,7 +189,9 @@ def _search(
             continue  # one piece, up to ties
         gap = right.slope - left.slope
         if gap <= 0:  # supporting lines of a convex function cannot cross this way
-            raise RuntimeError(f"POV not convex on problem {problem.id}: oracle is not exact")
+            raise InexactOracleError(
+                f"POV not convex on problem {problem.id}: oracle is not exact"
+            )
         t = min(max((left.intercept - right.intercept) / gap, lo), hi)
         line = probe(t)
         if line.at(t) <= max(left.at(t), right.at(t)) + OBJECTIVE_TOL:

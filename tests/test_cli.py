@@ -66,6 +66,12 @@ class TestTrain:
     def test_bad_fold_index(self, tmp_path):
         assert run(["train", *TRAIN_FLAGS, "--fold", "7", "--out", str(tmp_path)]) == 1
 
+    def test_more_folds_than_days_fails_before_training(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", *TRAIN_FLAGS, "--folds", "10", "--out", str(out)]) == 2
+        assert "10 folds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_variant_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["train", *TRAIN_FLAGS, "--variant", "sgd", "--out", str(tmp_path)])

@@ -187,6 +187,14 @@ class TestSplit:
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):
             dnl.SplitSpec(train_frac=0.5, val_frac=0.1, test_frac=0.2)
+        with pytest.raises(ValueError):
+            dnl.SplitSpec(train_frac=-0.3, val_frac=0.1, test_frac=1.2)
+
+    def test_more_folds_than_problem_sets_rejected(self):
+        # Every fold would need a nonempty test block.
+        assert len(dnl.split(self.problem_sets(5), dnl.SplitSpec(folds=5))) == 5
+        with pytest.raises(ValueError, match="6 folds"):
+            dnl.split(self.problem_sets(5), dnl.SplitSpec(folds=6))
 
 
 class TestDatasetCache:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dnl
+from dnl.evaluation import _clamped_regret
 from util import (
     enumerate_knapsack,
     example1_model,
@@ -87,6 +88,12 @@ class TestRegret:
         assert cache.true_optimal(ps, oracle) == pytest.approx(5.0)
         assert len(cache) == 2
         assert oracle.calls == 2
+
+    def test_negative_regret_means_an_inexact_oracle(self):
+        ps = example1_problem()
+        with pytest.raises(dnl.InexactOracleError, match="not exact"):
+            _clamped_regret(5.0, 5.5, ps)
+        assert _clamped_regret(5.0, 5.0 + 1e-12, ps) == 0.0
 
 
 class TestPovTov:

@@ -370,10 +370,6 @@ class TestSolverOracle:
         res = dnl.SolverOracle().solve([1.0, 1.0], constraint)
         assert res.objective == pytest.approx(2.0)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            dnl.SolverOracle("dijkstra")
-
     def test_counter_is_exact_across_threads(self):
         oracle = dnl.SolverOracle()
         ps = example1_problem()

@@ -90,14 +90,6 @@ def test_negative_penalty_rejected():
         dnl.RidgeConfig(l2_penalty=-1.0)
 
 
-def test_no_intercept_mode():
-    rng = np.random.default_rng(411)
-    sets, hidden, _ = linear_problem_sets(rng, intercept=0.0)
-    model = dnl.fit_ridge(sets, dnl.RidgeConfig(l2_penalty=0.0, fit_intercept=False))
-    assert model.intercept == 0.0
-    assert np.max(np.abs(model.coefficients - hidden)) < 1e-6
-
-
 def test_select_ridge_prefers_lower_validation_regret():
     rng = np.random.default_rng(413)
     sets, _, _ = linear_problem_sets(rng, num_sets=6, noise=0.4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dnl
-from dnl.training import _regret_scorer
+from dnl.training import TrainingError, _regret_scorer
 from util import (
     example1_model,
     example1_problem,
@@ -58,15 +58,9 @@ class TestSelectBetaFull:
         ps = example1_problem()
         model = example1_model(3.0)
         profile = profile_of([(-0.01, 0.01), (1.99, 2.01)])
-        cands = dnl.candidate_betas([profile], current_beta=3.0)
-        beta = dnl.select_beta_full(cands, [ps], model, 0, oracle)
+        beta = dnl.select_beta_full([profile], [ps], model, 0, oracle)
         assert 0.0 < beta < 2.0
         assert dnl.regret_of(model.with_coefficient(0, beta), ps, oracle).regret == 0.0
-
-    def test_only_current_candidate_returns_it(self, oracle):
-        ps = example1_problem()
-        model = example1_model(3.0)
-        assert dnl.select_beta_full([3.0], [ps], model, 0, oracle) == 3.0
 
     def test_returned_beta_minimizes_batch_regret(self, oracle):
         rng = np.random.default_rng(307)
@@ -75,7 +69,7 @@ class TestSelectBetaFull:
         spec = dnl.SearchSpec.from_parameter(float(model.coefficients[0]))
         profiles = [dnl.extract_full(model, ps, 0, spec, oracle) for ps in batch]
         cands = dnl.candidate_betas(profiles, float(model.coefficients[0]))
-        chosen = dnl.select_beta_full(cands, batch, model, 0, oracle)
+        chosen = dnl.select_beta_full(profiles, batch, model, 0, oracle)
 
         def batch_regret(beta):
             probe = model.with_coefficient(0, beta)
@@ -87,13 +81,16 @@ class TestSelectBetaFull:
 
     def test_ties_break_toward_current(self, oracle):
         # A model predicting zero everywhere keeps the same (empty) selection
-        # at every candidate, so regrets tie and the current value wins.
+        # at every candidate, so regrets tie and the current value wins over
+        # the candidates -2.0 and 3.0 of the hand-built profile.
         ps = dnl.ProblemSet(
             [1.0, 2.0], [[0.0], [0.0]], dnl.Knapsack([1.0, 1.0], 1.0), "tie"
         )
         model = dnl.LinearModel([0.5], 0.0)
-        beta = dnl.select_beta_full([-2.0, 0.5, 3.0], [ps], model, 0, oracle)
-        assert beta == 0.5
+        profile = profile_of([(1.0, 1.0)])
+        assert dnl.candidate_betas([profile], 0.5) == [-2.0, 0.5, 3.0]
+        for selector in (dnl.select_beta_full, dnl.select_beta_max):
+            assert selector([profile], [ps], model, 0, oracle) == 0.5
 
 
 class TestSelectBetaMax:
@@ -105,8 +102,7 @@ class TestSelectBetaMax:
             current = float(model.coefficients[0])
             spec = dnl.SearchSpec.from_parameter(current)
             profile = dnl.extract_full(model, ps, 0, spec, oracle)
-            cands = dnl.candidate_betas([profile], current)
-            full = dnl.select_beta_full(cands, [ps], model, 0, oracle)
+            full = dnl.select_beta_full([profile], [ps], model, 0, oracle)
             greedy = dnl.select_beta_max([profile], [ps], model, 0, oracle)
             assert greedy == pytest.approx(full)
 
@@ -123,9 +119,7 @@ class TestSelectBetaMax:
                 probe = model.with_coefficient(0, beta)
                 return np.mean([dnl.regret_of(probe, ps, oracle).regret for ps in batch])
 
-            full_choice = dnl.select_beta_full(
-                dnl.candidate_betas(profiles, current), batch, model, 0, oracle
-            )
+            full_choice = dnl.select_beta_full(profiles, batch, model, 0, oracle)
             max_choice = dnl.select_beta_max(profiles, batch, model, 0, oracle)
             assert batch_regret(full_choice) <= batch_regret(max_choice) + 1e-9
             assert batch_regret(max_choice) <= batch_regret(current) + 1e-9
@@ -173,8 +167,7 @@ class TestLookupScoring:
                 if profile.truncated:
                     continue
                 cache = dnl.TrueOptimumCache() if cached else None
-                regret = _regret_scorer([ps], model, 0, oracle, cache, [profile])
-                regret(0, current)  # the true optimum is now known
+                regret = _regret_scorer([profile], [ps], model, 0, oracle, cache)
                 points = dnl.candidate_betas([profile], current) + profile.midpoints()
                 for beta in points:
                     before = oracle.calls
@@ -185,13 +178,37 @@ class TestLookupScoring:
                     regrets.append(lookup)
         assert len(regrets) > 40 and sum(r > 0 for r in regrets) > 10
 
+    @pytest.mark.parametrize("select", [dnl.select_beta_full, dnl.select_beta_max])
+    def test_true_optimum_read_once_per_set(self, oracle, select, monkeypatch):
+        rng = np.random.default_rng(337)
+        batch = [random_knapsack_problem(rng, ps_id=f"once{j}") for j in range(4)]
+        model = dnl.LinearModel(rng.normal(size=3), 0.0)
+        spec = dnl.SearchSpec.from_parameter(float(model.coefficients[0]))
+        profiles = [dnl.extract_full(model, ps, 0, spec, oracle) for ps in batch]
+        assert not any(p.truncated for p in profiles)
+        cache = dnl.TrueOptimumCache()
+        for ps in batch:
+            cache.true_optimal(ps, oracle)
+        reads = []
+        true_optimal = dnl.TrueOptimumCache.true_optimal
+
+        def counting(self, problem, oracle):
+            reads.append(problem.id)
+            return true_optimal(self, problem, oracle)
+
+        monkeypatch.setattr(dnl.TrueOptimumCache, "true_optimal", counting)
+        before = oracle.calls
+        select(profiles, batch, model, 0, oracle, cache)
+        assert sorted(reads) == sorted(ps.id for ps in batch)
+        assert oracle.calls == before
+
     def test_truncated_profile_falls_back_to_the_oracle(self, oracle):
         ps = example1_problem()
         model = example1_model(3.0)
         profile = dnl.extract_greedy(model, ps, 0, dnl.SearchSpec(-5.0, 5.0), oracle, 3.0)
         assert profile.truncated
-        regret = _regret_scorer([ps], model, 0, oracle, None, [profile])
         before = oracle.calls
+        regret = _regret_scorer([profile], [ps], model, 0, oracle, None)
         assert regret(0, 1.0) == 0.0
         assert oracle.calls == before + 2
 
@@ -205,9 +222,9 @@ class TestTrain:
         updated = []
         select = dnl.training.select_beta_full
 
-        def recording_select(candidates, batch, model, beta_index, *args):
+        def recording_select(profiles, batch, model, beta_index, *args):
             updated.append(beta_index)
-            return select(candidates, batch, model, beta_index, *args)
+            return select(profiles, batch, model, beta_index, *args)
 
         monkeypatch.setattr(dnl.training, "select_beta_full", recording_select)
         monkeypatch.setattr(time, "perf_counter", lambda: 100.0 if updated else 0.0)
@@ -235,8 +252,7 @@ class TestTrain:
         batch = [sets[:4][i] for i in order]
         spec = dnl.SearchSpec.from_parameter(-0.8)
         profiles = [dnl.extract_full(warm, ps, 0, spec, oracle) for ps in batch]
-        cands = dnl.candidate_betas(profiles, -0.8)
-        expected = dnl.select_beta_full(cands, batch, warm, 0, oracle)
+        expected = dnl.select_beta_full(profiles, batch, warm, 0, oracle)
         assert trace.best_epoch == 1, "the single update should improve validation"
         assert float(trace.best_model.coefficients[0]) == expected
 
@@ -292,6 +308,31 @@ class TestTrain:
         trace = dnl.train(sets[:6], sets[6:], config, oracle, perturbed)
         assert trace.total_oracle_calls == oracle.calls
         assert trace.epochs[-1].oracle_calls >= trace.epochs[0].oracle_calls
+
+    @pytest.mark.parametrize(
+        "error, wrapped",
+        [
+            (dnl.InexactOracleError, True),
+            (dnl.InfeasibleInstanceError, True),
+            (ValueError, False),
+            (RuntimeError, False),
+        ],
+    )
+    def test_only_oracle_failures_become_training_errors(
+        self, oracle, monkeypatch, error, wrapped
+    ):
+        def failing_extract(*args):
+            raise error("raised during extraction")
+
+        monkeypatch.setattr(dnl.training, "extract_full", failing_extract)
+        sets, hidden = realizable_sets(4)
+        with pytest.raises((error, TrainingError)) as info:
+            dnl.train(sets[:3], sets[3:], dnl.TrainConfig(max_epochs=1), oracle, hidden)
+        if wrapped:
+            assert type(info.value) is TrainingError
+            assert type(info.value.__cause__) is error
+        else:
+            assert type(info.value) is error
 
     def test_dimension_mismatch_rejected(self, oracle):
         sets, hidden = realizable_sets(4)

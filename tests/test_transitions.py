@@ -62,6 +62,17 @@ class TestExtractFull:
         # Items {0, 1}, {0, 2} and {1, 2} hold the three pieces.
         assert piece_values(profile) == (3.0, 5.0, 4.0)
 
+    def test_non_convex_envelope_means_an_inexact_oracle(self):
+        # Answering with the worst decision makes the envelope concave: the
+        # end lines of the region cross the wrong way.
+        class WorstDecision(dnl.SolverOracle):
+            def solve(self, values, constraint):
+                return super().solve(-np.asarray(values), constraint)
+
+        spec = dnl.SearchSpec(-5.0, 5.0)
+        with pytest.raises(dnl.InexactOracleError, match="not convex"):
+            dnl.extract_full(example1_model(3.0), example1_problem(), 0, spec, WorstDecision())
+
     def test_constant_argmax_region_has_no_intervals(self, oracle):
         # Both items respond identically to the parameter and the leader stays
         # positive across the region, so the selection never changes.
