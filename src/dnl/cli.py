@@ -140,7 +140,10 @@ def _build_dataset(args, capacity=None):
 
 
 def _folds(dataset, args) -> list[Fold]:
-    return split(dataset, SplitSpec(folds=args.folds))
+    try:
+        return split(dataset, SplitSpec(folds=args.folds))
+    except ValueError as exc:  # --folds or the data size admits no split
+        raise UsageError(str(exc)) from exc
 
 
 def _variants(args) -> list[str]:

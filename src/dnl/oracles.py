@@ -8,14 +8,21 @@ capacity // w largest positive values, ties to the lower index, as the table
 DP's backtrack picks them. Other weights run the table DP, capped at
 `DP_TABLE_MAX_CELLS` cells: a larger table raises ValueError before anything
 is allocated, and `SolverOracle` then falls back to branch-and-bound.
-Scheduling is solved by depth-first branch-and-bound. All solvers are pure
-functions and safe for concurrent use.
+Scheduling is solved by depth-first branch-and-bound. Its price-independent
+plan (each job's feasible machines and starts, the job order, the capacity
+limits) is built once per `Scheduling` and memoised on the instance, so a
+call only prices and sorts the options. Options are tried in ascending cost,
+so a job's loop stops at the first option whose lower bound reaches the
+incumbent, an exact cut-off. A search that visits more than
+`SCHEDULING_MAX_NODES` nodes raises ValueError naming the budget and the job
+count. All solvers are pure functions and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +49,9 @@ __all__ = [
 
 # Largest items x (capacity + 1) boolean table the knapsack DP may allocate.
 DP_TABLE_MAX_CELLS = 20_000_000
+
+# Most nodes one scheduling branch-and-bound search may visit.
+SCHEDULING_MAX_NODES = 200_000
 
 # Largest exponent e the DP tries when scaling knapsack weights by 10**e to integers.
 MAX_SCALE_SHIFT = 6
@@ -232,75 +242,129 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
     return OracleResult(solution, solution_objective(solution, values))
 
 
-def _job_options(prices: np.ndarray, constraint: Scheduling):
-    """Per job: sorted feasible (cost, machine, start) triples, ignoring conflicts."""
-    prefix = np.concatenate(([0.0], np.cumsum(prices)))
+class _SchedulingPlan(NamedTuple):
+    """The price-independent part of a scheduling search. Positions index
+    jobs in search order; options are every feasible (machine, start) pair,
+    grouped by position, machine-major and start-ascending within a group."""
+
+    order: list[int]  # job at each position, tightest window first
+    offsets: list[int]  # options of position p are offsets[p]:offsets[p + 1]
+    group: np.ndarray  # position of each option
+    start: np.ndarray  # start period of each option
+    stop: np.ndarray  # start + duration of each option
+    power: np.ndarray  # power of each option's job
+    slots: list[tuple[int, int]]  # (machine, start) of each option
+    resource: list[float]  # per position
+    duration: list[int]  # per position
+    limits: list[float]  # machine capacity + OBJECTIVE_TOL, per machine
+
+
+def _scheduling_plan(constraint: Scheduling) -> _SchedulingPlan:
+    """The load's search plan, built on first use and memoised on the
+    immutable instance; concurrent first uses build equal plans."""
+    plan = constraint.__dict__.get("_scheduling_plan")
+    if plan is not None:
+        return plan
+    jobs = constraint.jobs
+    order = sorted(
+        range(len(jobs)),
+        key=lambda j: (jobs[j].latest_finish - jobs[j].earliest_start - jobs[j].duration, j),
+    )
     caps = [m.capacity for m in constraint.machines]
-    options = []
-    for job in constraint.jobs:
-        machines = [m for m, c in enumerate(caps) if job.resource <= c + OBJECTIVE_TOL]
+    offsets, slots, rows, power = [0], [], [], []
+    for pos, j in enumerate(order):
+        job = jobs[j]
         starts = range(job.earliest_start, job.latest_finish - job.duration + 1)
-        opts = sorted(
-            (job.power * float(prefix[t + job.duration] - prefix[t]), m, t)
-            for m in machines
-            for t in starts
-        )
-        if not opts:
-            raise InfeasibleInstanceError("a job has no feasible machine or start period")
-        options.append(opts)
-    return options
+        for m, cap in enumerate(caps):
+            if job.resource <= cap + OBJECTIVE_TOL:
+                slots += [(m, t) for t in starts]
+                rows += [(pos, t, t + job.duration) for t in starts]
+                power += [job.power] * len(starts)
+        offsets.append(len(slots))
+    group, start, stop = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    plan = _SchedulingPlan(
+        order=order,
+        offsets=offsets,
+        group=group,
+        start=start,
+        stop=stop,
+        power=np.array(power, dtype=float),
+        slots=slots,
+        resource=[jobs[j].resource for j in order],
+        duration=[jobs[j].duration for j in order],
+        limits=[cap + OBJECTIVE_TOL for cap in caps],
+    )
+    object.__setattr__(constraint, "_scheduling_plan", plan)
+    return plan
 
 
 def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     """Minimize total energy cost by depth-first branch-and-bound.
 
-    Jobs are assigned in order of window tightness. The lower bound adds each
-    unassigned job's cheapest feasible window cost, ignoring resource
-    conflicts. Raises InfeasibleInstanceError when no complete schedule exists.
+    Jobs are assigned in order of window tightness, each trying its feasible
+    (machine, start) options by ascending (cost, machine, start). The lower
+    bound adds each unassigned job's cheapest option cost, ignoring resource
+    conflicts. Options come in ascending cost and float addition is monotone,
+    so the first option whose bound reaches the incumbent ends its job's
+    loop: no later option can do better, and the cut-off is exact. The
+    price-independent plan (options, job order, capacity limits) is built
+    once per `Scheduling` and memoised on it. Raises InfeasibleInstanceError
+    when no complete schedule exists, and ValueError when the search visits
+    more than `SCHEDULING_MAX_NODES` nodes.
     """
     prices = np.asarray(prices, dtype=float)
     if prices.shape[0] != constraint.periods:
         raise ValueError("one price per period required")
-    options = _job_options(prices, constraint)
-    num_jobs = len(constraint.jobs)
-    order = sorted(
-        range(num_jobs),
-        key=lambda j: (
-            constraint.jobs[j].latest_finish
-            - constraint.jobs[j].earliest_start
-            - constraint.jobs[j].duration,
-            j,
-        ),
-    )
-    suffix_min = np.zeros(num_jobs + 1)
+    plan = _scheduling_plan(constraint)
+    prefix = np.concatenate(([0.0], np.cumsum(prices)))
+    costs = plan.power * (prefix[plan.stop] - prefix[plan.start])
+    rank = np.lexsort((costs, plan.group))
+    option_cost = costs[rank].tolist()
+    rank = rank.tolist()
+    slots, offsets, order = plan.slots, plan.offsets, plan.order
+    resource, duration, limits = plan.resource, plan.duration, plan.limits
+    num_jobs = len(order)
+    suffix_min = [0.0] * (num_jobs + 1)
     for pos in range(num_jobs - 1, -1, -1):
-        suffix_min[pos] = suffix_min[pos + 1] + options[order[pos]][0][0]
+        suffix_min[pos] = suffix_min[pos + 1] + option_cost[offsets[pos]]
 
-    caps = np.array([m.capacity for m in constraint.machines])
-    usage = np.zeros((len(caps), constraint.periods))
+    max_nodes = SCHEDULING_MAX_NODES
+    usage = [[0.0] * constraint.periods for _ in limits]
     assignment: list[tuple[int, int] | None] = [None] * num_jobs
     best_cost = np.inf
     best_assignment: list[tuple[int, int]] | None = None
+    nodes = 0
 
     def dfs(pos: int, cost: float) -> None:
-        nonlocal best_cost, best_assignment
-        if cost + suffix_min[pos] >= best_cost - 1e-12:
-            return
+        nonlocal best_cost, best_assignment, nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise ValueError(
+                f"scheduling search exceeded the {max_nodes}-node budget "
+                f"on a load of {num_jobs} jobs"
+            )
         if pos == num_jobs:
             best_cost = cost
-            best_assignment = [a for a in assignment]  # type: ignore[misc]
+            best_assignment = assignment.copy()  # type: ignore[assignment]
             return
         j = order[pos]
-        job = constraint.jobs[j]
-        for opt_cost, machine, start in options[j]:
-            window = usage[machine, start : start + job.duration]
-            if np.any(window + job.resource > caps[machine] + OBJECTIVE_TOL):
+        r = resource[pos]
+        d = duration[pos]
+        rest = suffix_min[pos + 1]
+        for k in range(offsets[pos], offsets[pos + 1]):
+            child_cost = cost + option_cost[k]
+            if child_cost + rest >= best_cost - 1e-12:
+                break  # later options cost no less, so they would be pruned too
+            slot = slots[rank[k]]
+            machine, start = slot
+            row = usage[machine]
+            window = row[start : start + d]
+            if max(window) + r > limits[machine]:
                 continue
-            window += job.resource
-            assignment[j] = (machine, start)
-            dfs(pos + 1, cost + opt_cost)
-            assignment[j] = None
-            window -= job.resource
+            row[start : start + d] = [u + r for u in window]
+            assignment[j] = slot
+            dfs(pos + 1, child_cost)
+            row[start : start + d] = window
 
     dfs(0, 0.0)
     if best_assignment is None:
@@ -315,8 +379,8 @@ class SolverOracle:
     Knapsack runs the DP, falling back to branch-and-bound when the weights
     do not integerize or the DP table exceeds its budget. Scheduling runs
     branch-and-bound. One oracle may be shared across threads: the call
-    counter is updated under a lock, and the per-`Knapsack` integer-form memo
-    the DP keeps is idempotent.
+    counter is updated under a lock, and the per-`Knapsack` integer form and
+    per-`Scheduling` plan the solvers memoise are idempotent and only read.
     """
 
     def __init__(self):

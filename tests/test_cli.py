@@ -68,7 +68,7 @@ class TestTrain:
 
     def test_more_folds_than_days_fails_before_training(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert run(["train", *TRAIN_FLAGS, "--folds", "10", "--out", str(out)]) == 2
+        assert run(["train", *TRAIN_FLAGS, "--folds", "10", "--out", str(out)]) == 1
         assert "10 folds" in capsys.readouterr().err
         assert not out.exists()
 

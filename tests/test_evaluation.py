@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 import dnl
+from dnl.core import OBJECTIVE_TOL
 from dnl.evaluation import _clamped_regret
 from util import (
     enumerate_knapsack,
+    enumerate_schedule,
     example1_model,
     example1_problem,
     random_knapsack_problem,
+    random_scheduling_problem,
 )
 
 
@@ -69,6 +72,28 @@ class TestRegret:
             value = dnl.regret_of(model, ps, oracle)
             assert value.regret >= 0.0
             assert value.true_optimal >= value.achieved - 1e-9
+
+    def test_regret_decomposes_against_enumeration(self, oracle):
+        # Random problem sets of both families under random models: regret is
+        # true_optimal - achieved (0 within OBJECTIVE_TOL), never negative,
+        # and true_optimal is the enumerator's optimum in the maximisation
+        # convention.
+        rng = np.random.default_rng(107)
+        for k in range(60):
+            if k % 2:
+                ps = random_scheduling_problem(rng)
+                true_best = -enumerate_schedule(ps.true_values, ps.constraint)[0]
+            else:
+                ps = random_knapsack_problem(rng)
+                true_best, _ = enumerate_knapsack(
+                    ps.true_values, ps.constraint.weights, ps.constraint.capacity
+                )
+            model = dnl.LinearModel(rng.normal(0.0, 2.0, size=3), rng.normal())
+            value = dnl.regret_of(model, ps, oracle)
+            assert value.regret >= 0.0
+            assert value.true_optimal == pytest.approx(true_best, abs=1e-9)
+            gap = value.true_optimal - value.achieved
+            assert value.regret == (0.0 if gap <= OBJECTIVE_TOL else gap)
 
     def test_cache_halves_oracle_calls(self, oracle):
         ps = example1_problem()

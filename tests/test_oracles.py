@@ -11,6 +11,7 @@ from util import (
     enumerate_schedule,
     example1_problem,
     random_knapsack_problem,
+    reference_schedule,
 )
 
 
@@ -153,6 +154,82 @@ class TestScheduling:
             assert res.objective == pytest.approx(expected_cost, abs=1e-9)
             dnl.validate_solution(res.solution, constraint)
             checked += 1
+
+    def test_tie_heavy_prices_match_enumeration(self, monkeypatch):
+        # Small integer prices, negatives included, make many options and
+        # schedules cost exactly the same; the solver must return the
+        # reference search's schedule and the enumerator's optimum, within a
+        # node budget of the reference search's tree.
+        rng = np.random.default_rng(37)
+        feasible = infeasible = 0
+        while feasible < 150:
+            constraint = random_schedule_constraint(
+                rng,
+                periods=int(rng.integers(3, 8)),
+                machines=int(rng.integers(1, 4)),
+                jobs=int(rng.integers(1, 5)),
+            )
+            starts = [j.latest_finish - j.duration - j.earliest_start + 1 for j in constraint.jobs]
+            if np.prod(starts) * len(constraint.machines) ** len(starts) > 4000:
+                continue
+            prices = rng.integers(-2, 3, size=constraint.periods).astype(float)
+            expected_cost, _ = enumerate_schedule(prices, constraint)
+            reference_cost, reference, nodes = reference_schedule(prices, constraint)
+            monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", nodes)
+            if not np.isfinite(expected_cost):
+                with pytest.raises(dnl.InfeasibleInstanceError):
+                    dnl.solve_scheduling(prices, constraint)
+                infeasible += 1
+                continue
+            res = dnl.solve_scheduling(prices, constraint)
+            assert res.objective == expected_cost == reference_cost
+            assert res.solution.assignment == tuple(reference)
+            dnl.validate_solution(res.solution, constraint)
+            feasible += 1
+        assert infeasible > 0
+
+    def test_plan_built_once_per_load(self, monkeypatch):
+        calls = []
+        original = oracles._SchedulingPlan
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "_SchedulingPlan", counting)
+        oracle = dnl.SolverOracle()
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            constraint = random_schedule_constraint(rng, machines=3, jobs=2)
+            before = len(calls)
+            for _ in range(5):
+                prices = rng.integers(-2, 3, size=constraint.periods).astype(float)
+                _, reference, _ = reference_schedule(prices, constraint)
+                assert oracle.solve(prices, constraint).solution.assignment == tuple(reference)
+            assert len(calls) - before == 1
+
+    def test_node_budget(self, monkeypatch):
+        constraint = dnl.Scheduling(
+            (dnl.MachineSpec(1.0), dnl.MachineSpec(1.0)),
+            tuple(dnl.JobSpec(1.0, 1.0, 2, 0, 6) for _ in range(5)),
+            6,
+        )
+        prices = [3.0, 1.0, 2.0, 2.0, 1.0, 3.0]
+        expected = dnl.solve_scheduling(prices, constraint)
+        _, reference, nodes = reference_schedule(prices, constraint)
+        assert nodes > 100
+        # A budget of exactly the search's node count changes nothing; one
+        # node fewer raises, naming the budget and the job count.
+        monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", nodes)
+        res = dnl.solve_scheduling(prices, constraint)
+        assert res.solution.assignment == expected.solution.assignment == tuple(reference)
+        assert res.objective == expected.objective == 18.0
+        monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", nodes - 1)
+        with pytest.raises(ValueError) as exc:
+            dnl.solve_scheduling(prices, constraint)
+        assert str(exc.value) == (
+            f"scheduling search exceeded the {nodes - 1}-node budget on a load of 5 jobs"
+        )
 
     def test_negative_prices_supported(self):
         constraint = dnl.Scheduling(

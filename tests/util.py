@@ -63,6 +63,61 @@ def enumerate_schedule(prices, constraint):
     return best_cost, best_assignment
 
 
+def reference_schedule(prices, constraint):
+    """Plain depth-first branch-and-bound: jobs by window tightness, options
+    by ascending (cost, machine, start), a child pruned when its cost plus
+    every later job's cheapest option reaches the incumbent. Returns
+    (cost, assignment, nodes), with (inf, None, nodes) when no schedule
+    fits; nodes counts the visits not pruned on entry. The reference for
+    which of several optimal schedules the package's solver returns and for
+    the size of its search tree."""
+    prices = np.asarray(prices, dtype=float)
+    prefix = np.concatenate(([0.0], np.cumsum(prices)))
+    jobs = constraint.jobs
+    caps = [m.capacity for m in constraint.machines]
+    options = [
+        sorted(
+            (job.power * float(prefix[t + job.duration] - prefix[t]), m, t)
+            for m, cap in enumerate(caps)
+            if job.resource <= cap + 1e-9
+            for t in range(job.earliest_start, job.latest_finish - job.duration + 1)
+        )
+        for job in jobs
+    ]
+    order = sorted(
+        range(len(jobs)),
+        key=lambda j: (jobs[j].latest_finish - jobs[j].earliest_start - jobs[j].duration, j),
+    )
+    suffix_min = np.zeros(len(jobs) + 1)
+    for pos in range(len(jobs) - 1, -1, -1):
+        suffix_min[pos] = suffix_min[pos + 1] + options[order[pos]][0][0]
+    usage = np.zeros((len(caps), constraint.periods))
+    assignment = [None] * len(jobs)
+    best = [np.inf, None]
+    nodes = [0]
+
+    def visit(pos, cost):
+        if cost + suffix_min[pos] >= best[0] - 1e-12:
+            return
+        nodes[0] += 1
+        if pos == len(jobs):
+            best[:] = [cost, list(assignment)]
+            return
+        j = order[pos]
+        job = jobs[j]
+        for opt_cost, m, t in options[j]:
+            window = usage[m, t : t + job.duration]
+            if np.any(window + job.resource > caps[m] + 1e-9):
+                continue
+            window += job.resource
+            assignment[j] = (m, t)
+            visit(pos + 1, cost + opt_cost)
+            window -= job.resource
+
+    visit(0, 0.0)
+    return best[0], best[1], nodes[0]
+
+
 def example1_problem():
     """Three-item knapsack with capacity for two items and known transitions."""
     return dnl.ProblemSet(
