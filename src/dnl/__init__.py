@@ -24,10 +24,8 @@ from .data import (
     RawSeries,
     SplitSpec,
     load_csv,
-    load_dataset,
     make_knapsack,
     make_scheduling,
-    save_dataset,
     split,
     synthesize,
     write_series_csv,
@@ -49,7 +47,7 @@ from .oracles import (
     solve_knapsack_dp,
     solve_scheduling,
 )
-from .ridge import RidgeConfig, fit_ridge, select_ridge
+from .ridge import fit_ridge, select_ridge
 from .training import (
     TrainConfig,
     TrainTrace,

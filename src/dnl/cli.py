@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from typing import Optional
 
 import numpy as np
 
@@ -146,27 +147,28 @@ def _folds(dataset, args) -> list[Fold]:
         raise UsageError(str(exc)) from exc
 
 
-def _variants(args) -> list[str]:
-    return list(dict.fromkeys(args.variant or ["dnl"]))
+def _configs(args) -> dict[str, Optional[TrainConfig]]:
+    """Each requested variant with its training config (None for ridge), built
+    before any work so that a bad training flag is a usage error."""
+    configs: dict[str, Optional[TrainConfig]] = {}
+    try:
+        for variant in dict.fromkeys(args.variant or ["dnl"]):
+            configs[variant] = None if variant == "ridge" else TrainConfig(
+                variant=Variant(variant),
+                batch_size=args.batch,
+                learning_rate=args.lr,
+                max_epochs=args.epochs,
+                max_seconds=args.max_seconds,
+                early_stop_patience=args.patience,
+                rng_seed=args.seed,
+            )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return configs
 
 
 def _ridge_warmstart(fold: Fold, oracle: SolverOracle):
     return select_ridge(fold.train, fold.val, oracle, cache=TrueOptimumCache())
-
-
-def _train_variant(fold: Fold, args, variant: str, oracle: SolverOracle, warmstart):
-    if variant == "ridge":
-        return warmstart, None
-    config = TrainConfig(
-        variant=Variant(variant),
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        max_epochs=args.epochs,
-        max_seconds=args.max_seconds,
-        early_stop_patience=args.patience,
-        rng_seed=args.seed,
-    )
-    return None, train(fold.train, fold.val, config, oracle, warmstart)
 
 
 def cmd_generate(args) -> int:
@@ -182,6 +184,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    configs = _configs(args)
     dataset = _build_dataset(args)
     folds = _folds(dataset, args)
     if not 0 <= args.fold < len(folds):
@@ -192,11 +195,12 @@ def cmd_train(args) -> int:
     warmstart, penalty = _ridge_warmstart(fold, oracle)
     save_model(warmstart, os.path.join(args.out, "ridge_model.txt"))
     print(f"ridge warmstart saved (penalty {penalty:g})")
-    for variant in _variants(args):
+    for variant, config in configs.items():
         started = time.perf_counter()
         oracle.reset()
-        model, trace = _train_variant(fold, args, variant, oracle, warmstart)
-        if trace is not None:
+        model, trace = warmstart, None
+        if config is not None:
+            trace = train(fold.train, fold.val, config, oracle, warmstart)
             model = trace.best_model
             save_model(model, os.path.join(args.out, f"{variant}_model.txt"))
             write_trace_csv(trace, os.path.join(args.out, f"{variant}_trace.csv"))
@@ -240,24 +244,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.capacities:
-        raise UsageError("at least one capacity required")
-    variants = _variants(args)
+    configs = _configs(args)
     rows = []
     for capacity in sorted(args.capacities):
         dataset = _build_dataset(args, capacity=capacity)
         folds = _folds(dataset, args)
-        per_variant: dict[str, list[float]] = {v: [] for v in variants}
+        per_variant: dict[str, list[float]] = {v: [] for v in configs}
         for fold in folds:
             oracle = SolverOracle()
             warmstart, _ = _ridge_warmstart(fold, oracle)
-            for variant in variants:
-                model, trace = _train_variant(fold, args, variant, oracle, warmstart)
-                if trace is not None:
-                    model = trace.best_model
+            for variant, config in configs.items():
+                model = warmstart
+                if config is not None:
+                    model = train(fold.train, fold.val, config, oracle, warmstart).best_model
                 mean, _ = evaluate_model_regret(model, fold.test, oracle)
                 per_variant[variant].append(mean)
-        for variant in variants:
+        for variant in configs:
             regrets = per_variant[variant]
             std = float(np.std(regrets, ddof=1)) if len(regrets) > 1 else 0.0
             rows.append((capacity, variant, float(np.mean(regrets)), std))

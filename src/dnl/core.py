@@ -170,10 +170,6 @@ class ProblemSet:
             raise TypeError(f"unsupported constraint type {type(self.constraint)}")
 
     @property
-    def num_coefficients(self) -> int:
-        return self.true_values.shape[0]
-
-    @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
@@ -207,7 +203,6 @@ class Dataset:
     """A collection of problem sets sharing feature dimension and constraint family."""
 
     problem_sets: tuple[ProblemSet, ...]
-    feature_dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "problem_sets", tuple(self.problem_sets))
@@ -219,6 +214,11 @@ class Dataset:
                 raise ValueError(f"problem set {ps.id} has feature_dim {ps.feature_dim}")
             if type(ps.constraint) is not family:
                 raise ValueError("all problem sets must share one constraint family")
+
+    @property
+    def feature_dim(self) -> int:
+        """The first problem set's feature dimension, which every set shares."""
+        return self.problem_sets[0].feature_dim
 
     def __len__(self) -> int:
         return len(self.problem_sets)

@@ -35,8 +35,6 @@ __all__ = [
     "make_knapsack",
     "make_scheduling",
     "split",
-    "save_dataset",
-    "load_dataset",
     "WEIGHT_CHOICES",
 ]
 
@@ -213,7 +211,7 @@ def make_knapsack(
         )
     if not problem_sets:
         raise ValueError("series has no complete group")
-    return Dataset(tuple(problem_sets), problem_sets[0].feature_dim)
+    return Dataset(tuple(problem_sets))
 
 
 def make_scheduling(
@@ -264,7 +262,7 @@ def make_scheduling(
     ]
     if not problem_sets:
         raise ValueError("series has no complete group")
-    return Dataset(tuple(problem_sets), problem_sets[0].feature_dim)
+    return Dataset(tuple(problem_sets))
 
 
 def _fold_test_bounds(n: int, spec: SplitSpec) -> list[tuple[int, int]]:
@@ -303,92 +301,3 @@ def split(dataset: Dataset | Sequence[ProblemSet], spec: SplitSpec = SplitSpec()
         )
     return folds
 
-
-def save_dataset(dataset: Dataset, path) -> None:
-    """Line-oriented text cache, one problem set per block."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ps in dataset.problem_sets:
-            fh.write(f"problem {ps.id}\n")
-            c = ps.constraint
-            if isinstance(c, Knapsack):
-                fh.write(f"knapsack capacity {c.capacity:.12g}\n")
-                fh.write("weights " + " ".join(f"{w:.12g}" for w in c.weights) + "\n")
-            else:
-                fh.write(f"scheduling periods {c.periods}\n")
-                for m in c.machines:
-                    fh.write(f"machine {m.capacity:.12g}\n")
-                for j in c.jobs:
-                    fh.write(
-                        f"job {j.resource:.12g} {j.power:.12g} {j.duration} "
-                        f"{j.earliest_start} {j.latest_finish}\n"
-                    )
-            for value, row in zip(ps.true_values, ps.features):
-                fh.write(
-                    "row " + f"{value:.12g} " + " ".join(f"{v:.12g}" for v in row) + "\n"
-                )
-            fh.write("\n")
-
-
-def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    problem_sets = []
-    block: list[str] = []
-
-    def flush(block_lines: list[str]) -> None:
-        if not block_lines:
-            return
-        header = block_lines[0].split()
-        if header[0] != "problem":
-            raise ValueError(f"{path}: block must start with a problem line")
-        ps_id = header[1]
-        capacity = None
-        weights = None
-        periods = None
-        machines: list[MachineSpec] = []
-        jobs: list[JobSpec] = []
-        values = []
-        rows = []
-        for ln in block_lines[1:]:
-            parts = ln.split()
-            if parts[0] == "knapsack":
-                capacity = float(parts[2])
-            elif parts[0] == "weights":
-                weights = np.array([float(v) for v in parts[1:]])
-            elif parts[0] == "scheduling":
-                periods = int(parts[2])
-            elif parts[0] == "machine":
-                machines.append(MachineSpec(float(parts[1])))
-            elif parts[0] == "job":
-                jobs.append(
-                    JobSpec(
-                        float(parts[1]),
-                        float(parts[2]),
-                        int(parts[3]),
-                        int(parts[4]),
-                        int(parts[5]),
-                    )
-                )
-            elif parts[0] == "row":
-                values.append(float(parts[1]))
-                rows.append([float(v) for v in parts[2:]])
-            else:
-                raise ValueError(f"{path}: unknown record {parts[0]!r}")
-        if capacity is not None:
-            constraint: Knapsack | Scheduling = Knapsack(weights, capacity)
-        elif periods is not None:
-            constraint = Scheduling(tuple(machines), tuple(jobs), periods)
-        else:
-            raise ValueError(f"{path}: block {ps_id} lacks constraint data")
-        problem_sets.append(ProblemSet(np.array(values), np.array(rows), constraint, ps_id))
-
-    for ln in lines:
-        if not ln.strip():
-            flush(block)
-            block = []
-        else:
-            block.append(ln)
-    flush(block)
-    if not problem_sets:
-        raise ValueError(f"{path}: no problem sets found")
-    return Dataset(tuple(problem_sets), problem_sets[0].feature_dim)

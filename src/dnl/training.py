@@ -67,6 +67,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
+        if not self.max_seconds > 0:
+            raise ValueError("max_seconds must be positive")
+        if self.early_stop_patience < 0:
+            raise ValueError("early_stop_patience must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -302,18 +306,16 @@ def train(
     return TrainTrace(stats, best_model, best_epoch, stopped)
 
 
-def write_trace_csv(trace: TrainTrace, path, include_wall_time: bool = False) -> None:
+def write_trace_csv(trace: TrainTrace, path) -> None:
     """Write the per-epoch trace as CSV.
 
-    Wall times vary between otherwise identical runs, so by default the
-    seconds column is zeroed to keep emitted artifacts reproducible; pass
-    include_wall_time=True for a faithful dump.
+    Wall times vary between otherwise identical runs, so the seconds column
+    is zeroed to keep emitted artifacts reproducible.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("epoch,train_regret,val_regret,seconds,oracle_calls\n")
         for row in trace.epochs:
-            seconds = row.seconds if include_wall_time else 0.0
             fh.write(
                 f"{row.epoch},{row.train_regret:.12g},{row.val_regret:.12g},"
-                f"{seconds:.6f},{row.oracle_calls}\n"
+                f"0.000000,{row.oracle_calls}\n"
             )

@@ -72,6 +72,16 @@ class TestTrain:
         assert "10 folds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch", "0"), ("--lr", "2"), ("--epochs", "0"),
+        ("--patience", "-1"), ("--max-seconds", "-1"),
+    ])
+    def test_bad_training_flag_fails_before_training(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        assert run(["train", *TRAIN_FLAGS, flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("dnl: error: ")
+        assert not out.exists()
+
     def test_unknown_variant_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["train", *TRAIN_FLAGS, "--variant", "sgd", "--out", str(tmp_path)])
@@ -140,3 +150,12 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--days", "4", "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 1
+
+    def test_bad_training_flag_fails_before_training(self, tmp_path, capsys):
+        table = tmp_path / "sweep.csv"
+        assert run([
+            "sweep", "--days", "6", "--features", "2", "--group-size", "8",
+            "--capacities", "2", "--batch", "0", "--out", str(table),
+        ]) == 1
+        assert capsys.readouterr().err.startswith("dnl: error: batch_size")
+        assert not table.exists()

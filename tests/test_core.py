@@ -41,12 +41,39 @@ class TestTypes:
             "b",
         )
         with pytest.raises(ValueError):
-            dnl.Dataset((knap, sched), 1)
+            dnl.Dataset((knap, sched))
+
+    def test_dataset_requires_shared_feature_dim(self):
+        a = dnl.ProblemSet([1.0], [[1.0, 2.0]], dnl.Knapsack([1.0], 1.0), "a")
+        b = dnl.ProblemSet([1.0], [[1.0]], dnl.Knapsack([1.0], 1.0), "b")
+        assert dnl.Dataset((a, a)).feature_dim == 2
+        with pytest.raises(ValueError, match="problem set b has feature_dim 1"):
+            dnl.Dataset((a, b))
 
     def test_core_arrays_are_read_only(self):
-        ps = example1_problem()
-        with pytest.raises(ValueError):
-            ps.true_values[0] = 9.0
+        # Each stored array is a copy of the caller's, and writing to it raises.
+        weights = np.array([1.0, 1.0, 1.0])
+        values = np.array([2.0, 1.0, 3.0])
+        features = np.array([[-1.0, 3.0], [0.0, 1.0], [1.0, 1.0]])
+        coefficients = np.array([1.0, 1.0])
+        knapsack = dnl.Knapsack(weights, 2.0)
+        ps = dnl.ProblemSet(values, features, knapsack, "p")
+        model = dnl.LinearModel(coefficients, 0.0)
+        result = dnl.SolverOracle().solve(values, knapsack)
+        stored = [
+            knapsack.weights,
+            ps.true_values,
+            ps.features,
+            model.coefficients,
+            result.solution.vector,
+        ]
+        before = [arr.copy() for arr in stored]
+        for source in (weights, values, features, coefficients):
+            source *= -1.0
+        for arr, expected in zip(stored, before):
+            assert np.array_equal(arr, expected)
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
 
 
 class TestPredict:

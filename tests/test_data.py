@@ -78,13 +78,13 @@ class TestSynthesize:
     def test_noise_free_ridge_recovers_hidden_map(self):
         series = dnl.synthesize(4, 3, 0.0, seed=17, group_size=12)
         dataset = dnl.make_knapsack(series, weighted=False, capacity=5.0)
-        model = dnl.fit_ridge(dataset.problem_sets, dnl.RidgeConfig(l2_penalty=0.0))
+        model = dnl.fit_ridge(dataset.problem_sets, l2_penalty=0.0)
         assert np.max(np.abs(model.coefficients - series.hidden_model.coefficients)) < 1e-6
 
     def test_residual_std_tracks_noise_sigma(self):
         series = dnl.synthesize(500, 3, 1.0, seed=19)
         dataset = dnl.make_knapsack(series, weighted=False, capacity=5.0)
-        model = dnl.fit_ridge(dataset.problem_sets, dnl.RidgeConfig(l2_penalty=0.0))
+        model = dnl.fit_ridge(dataset.problem_sets, l2_penalty=0.0)
         preds = np.concatenate(
             [dnl.predict(model, ps) for ps in dataset.problem_sets]
         )
@@ -196,30 +196,3 @@ class TestSplit:
         with pytest.raises(ValueError, match="6 folds"):
             dnl.split(self.problem_sets(5), dnl.SplitSpec(folds=6))
 
-
-class TestDatasetCache:
-    def test_knapsack_roundtrip(self, tmp_path):
-        series = dnl.synthesize(2, 3, 0.3, seed=67, group_size=8)
-        dataset = dnl.make_knapsack(series, True, 12.0, seed=71)
-        path = tmp_path / "knap.txt"
-        dnl.save_dataset(dataset, path)
-        loaded = dnl.load_dataset(path)
-        assert len(loaded) == len(dataset)
-        for a, b in zip(loaded.problem_sets, dataset.problem_sets):
-            assert a.id == b.id
-            assert np.allclose(a.true_values, b.true_values)
-            assert np.allclose(a.features, b.features)
-            assert np.allclose(a.constraint.weights, b.constraint.weights)
-            assert a.constraint.capacity == pytest.approx(b.constraint.capacity)
-
-    def test_scheduling_roundtrip(self, tmp_path):
-        series = dnl.synthesize(2, 2, 0.1, seed=73, group_size=10)
-        dataset = dnl.make_scheduling(series, 2, 2, seed=79)
-        path = tmp_path / "sched.txt"
-        dnl.save_dataset(dataset, path)
-        loaded = dnl.load_dataset(path)
-        first = loaded.problem_sets[0].constraint
-        orig = dataset.problem_sets[0].constraint
-        assert first.periods == orig.periods
-        assert first.machines == orig.machines
-        assert first.jobs == orig.jobs

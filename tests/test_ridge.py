@@ -20,7 +20,7 @@ def linear_problem_sets(rng, num_sets=4, rows=6, p=3, noise=0.0, hidden=None, in
 def test_exact_recovery_at_zero_penalty():
     rng = np.random.default_rng(401)
     sets, hidden, intercept = linear_problem_sets(rng)
-    model = dnl.fit_ridge(sets, dnl.RidgeConfig(l2_penalty=0.0))
+    model = dnl.fit_ridge(sets, l2_penalty=0.0)
     assert np.max(np.abs(model.coefficients - hidden)) < 1e-6
     assert abs(model.intercept - intercept) < 1e-6
 
@@ -28,7 +28,7 @@ def test_exact_recovery_at_zero_penalty():
 def test_huge_penalty_shrinks_to_target_mean():
     rng = np.random.default_rng(403)
     sets, _, _ = linear_problem_sets(rng)
-    model = dnl.fit_ridge(sets, dnl.RidgeConfig(l2_penalty=1e12))
+    model = dnl.fit_ridge(sets, l2_penalty=1e12)
     targets = np.concatenate([ps.true_values for ps in sets])
     assert np.max(np.abs(model.coefficients)) < 1e-6
     assert model.intercept == pytest.approx(float(np.mean(targets)), abs=1e-6)
@@ -40,7 +40,7 @@ def test_matches_hand_rolled_normal_equations():
     X = rng.normal(size=(5, 3))
     y = rng.normal(size=5)
     ps = dnl.ProblemSet(y, X, dnl.Knapsack(np.ones(5), 2.0), "hand")
-    model = dnl.fit_ridge([ps], dnl.RidgeConfig(l2_penalty=0.1))
+    model = dnl.fit_ridge([ps], l2_penalty=0.1)
 
     A = np.hstack([X, np.ones((5, 1))])
     G = A.T @ A + np.diag([0.1, 0.1, 0.1, 0.0])
@@ -53,7 +53,7 @@ def test_solution_is_a_local_optimum_of_the_ridge_objective():
     rng = np.random.default_rng(407)
     sets, _, _ = linear_problem_sets(rng, noise=0.3)
     penalty = 0.5
-    model = dnl.fit_ridge(sets, dnl.RidgeConfig(l2_penalty=penalty))
+    model = dnl.fit_ridge(sets, l2_penalty=penalty)
     X = np.vstack([ps.features for ps in sets])
     y = np.concatenate([ps.true_values for ps in sets])
 
@@ -71,8 +71,8 @@ def test_solution_is_a_local_optimum_of_the_ridge_objective():
 def test_deterministic():
     rng = np.random.default_rng(409)
     sets, _, _ = linear_problem_sets(rng, noise=0.2)
-    a = dnl.fit_ridge(sets, dnl.RidgeConfig(l2_penalty=0.01))
-    b = dnl.fit_ridge(sets, dnl.RidgeConfig(l2_penalty=0.01))
+    a = dnl.fit_ridge(sets, l2_penalty=0.01)
+    b = dnl.fit_ridge(sets, l2_penalty=0.01)
     assert np.array_equal(a.coefficients, b.coefficients)
     assert a.intercept == b.intercept
 
@@ -86,8 +86,9 @@ def test_too_few_rows_rejected():
 
 
 def test_negative_penalty_rejected():
+    sets, _, _ = linear_problem_sets(np.random.default_rng(409))
     with pytest.raises(ValueError):
-        dnl.RidgeConfig(l2_penalty=-1.0)
+        dnl.fit_ridge(sets, l2_penalty=-1.0)
 
 
 def test_select_ridge_prefers_lower_validation_regret():
@@ -98,6 +99,6 @@ def test_select_ridge_prefers_lower_validation_regret():
     assert penalty in dnl.ridge.DEFAULT_PENALTY_GRID
     chosen, _ = dnl.evaluate_model_regret(model, sets[4:], oracle)
     for lam in dnl.ridge.DEFAULT_PENALTY_GRID:
-        other = dnl.fit_ridge(sets[:4], dnl.RidgeConfig(l2_penalty=lam))
+        other = dnl.fit_ridge(sets[:4], l2_penalty=lam)
         other_regret, _ = dnl.evaluate_model_regret(other, sets[4:], oracle)
         assert chosen <= other_regret + 1e-9

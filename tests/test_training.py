@@ -353,16 +353,6 @@ class TestTraceCsv:
         assert len(lines) == len(trace.epochs) + 1
         assert all(ln.split(",")[3] == "0.000000" for ln in lines[1:])
 
-    def test_wall_time_optional(self, tmp_path, oracle):
-        sets, hidden = realizable_sets(8)
-        config = dnl.TrainConfig(variant="dnl", max_epochs=1, rng_seed=4)
-        trace = dnl.train(sets[:6], sets[6:], config, oracle, hidden)
-        path = tmp_path / "trace_wall.csv"
-        dnl.write_trace_csv(trace, path, include_wall_time=True)
-        rows = path.read_text().splitlines()[1:]
-        seconds = [float(r.split(",")[3]) for r in rows]
-        assert seconds == sorted(seconds)
-
 
 class TestConfigValidation:
     def test_bad_batch_size(self):
@@ -372,6 +362,15 @@ class TestConfigValidation:
     def test_bad_learning_rate(self):
         with pytest.raises(ValueError):
             dnl.TrainConfig(learning_rate=1.5)
+
+    def test_negative_patience(self):
+        with pytest.raises(ValueError, match="early_stop_patience"):
+            dnl.TrainConfig(early_stop_patience=-1)
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
+    def test_nonpositive_time_budget(self, seconds):
+        with pytest.raises(ValueError, match="max_seconds"):
+            dnl.TrainConfig(max_seconds=seconds)
 
     def test_variant_coercion(self):
         assert dnl.TrainConfig(variant="dnl-greedy").variant is dnl.Variant.DNL_GREEDY
