@@ -248,10 +248,15 @@ def knapsack_solution(selection) -> Solution:
 
 def scheduling_solution(assignment: Sequence[tuple[int, int]], constraint: Scheduling) -> Solution:
     """Build a scheduling solution from per-job (machine index, start period) pairs."""
-    consumption = np.zeros(constraint.periods)
-    for job, (machine, start) in zip(constraint.jobs, assignment):
-        consumption[start : start + job.duration] += job.power
-    return Solution(tuple((int(m), int(t)) for m, t in assignment), Direction.MIN, consumption)
+    consumption = [0.0] * constraint.periods
+    for job, (_, start) in zip(constraint.jobs, assignment):
+        power = job.power
+        for t in range(start, start + job.duration):
+            consumption[t] += power
+    pairs = tuple(assignment)
+    if not all(type(m) is int and type(t) is int for m, t in pairs):
+        pairs = tuple((int(m), int(t)) for m, t in pairs)
+    return Solution(pairs, Direction.MIN, consumption)
 
 
 def validate_solution(solution: Solution, constraint: ConstraintData) -> None:

@@ -1,11 +1,16 @@
 """Exact optimization oracles.
 
-Knapsack is solved by dynamic programming over integer-scaled weights, or by
-branch-and-bound with an LP-relaxation bound (real weights). The DP scales
-each `Knapsack` once and memoises the result on the immutable instance. When
-every scaled weight is the same positive w, the optimum is closed form: the
-capacity // w largest positive values, ties to the lower index, as the table
-DP's backtrack picks them. Other weights run the table DP, capped at
+Knapsack is solved over integer-scaled weights, or by branch-and-bound with
+an LP-relaxation bound (real weights). Each `Knapsack` is scaled once and its
+weight classes (the distinct weights that fit and their item counts) are
+memoised on the immutable instance. Within a class an optimal selection takes
+the highest values, so a load of few classes is solved by a max over
+per-class counts: one class holding every item is closed form (the
+capacity // w largest positive values), others run a count grid capped at
+`CLASS_GRID_MAX_CELLS` cells. Within a class the lower index wins among equal
+values; across classes the first best count vector in grid order
+(lexicographic, lightest class first) wins. Other loads run the items x
+capacity table DP, whose ties exclude the later item, capped at
 `DP_TABLE_MAX_CELLS` cells: a larger table raises ValueError before anything
 is allocated, and `SolverOracle` then falls back to branch-and-bound.
 Scheduling is solved by depth-first branch-and-bound. Its price-independent
@@ -50,6 +55,10 @@ __all__ = [
 # Largest items x (capacity + 1) boolean table the knapsack DP may allocate.
 DP_TABLE_MAX_CELLS = 20_000_000
 
+# Most cells the per-class count grid of a knapsack may have; a larger grid
+# runs the table DP. Each cell costs a few float64 temporaries.
+CLASS_GRID_MAX_CELLS = 100_000
+
 # Most nodes one scheduling branch-and-bound search may visit.
 SCHEDULING_MAX_NODES = 200_000
 
@@ -89,12 +98,32 @@ def _integerize(weights: np.ndarray, capacity: float):
     )
 
 
+def _class_plan(weights: np.ndarray, cap: int):
+    """The weight classes that fit in the capacity as `(class_weights,
+    counts)`: the distinct integer weights up to `cap`, ascending, and each
+    one's item count, as Python ints. None when the count grid over every
+    class but the heaviest would exceed `CLASS_GRID_MAX_CELLS` cells."""
+    listed = weights.tolist()
+    class_weights, counts, cells = [], [], 1
+    for w in sorted(set(listed)):
+        if w > cap:
+            break
+        if cells > CLASS_GRID_MAX_CELLS:  # the classes before this one
+            return None
+        count = listed.count(w)
+        if w:  # a zero-weight class takes all its positive items: one cell
+            cells *= min(count, cap // w) + 1
+        class_weights.append(w)
+        counts.append(count)
+    return tuple(class_weights), tuple(counts)
+
+
 def _integer_form(constraint: Knapsack):
-    """The knapsack scaled to integers as `(weights, capacity, take)`, where
-    `take` is capacity // w when every weight is the same positive w and None
-    otherwise; or the error message when the weights do not scale. Computed
-    on first use and memoised on the immutable instance; concurrent first
-    uses compute equal forms, so that race is harmless."""
+    """The knapsack scaled to integers as `(weights, capacity, classes)`,
+    with `classes` from `_class_plan`; or the error message when the weights
+    do not scale. Computed on first use and memoised on the immutable
+    instance; concurrent first uses compute equal forms, so that race is
+    harmless."""
     form = constraint.__dict__.get("_integer_form")
     if form is None:
         try:
@@ -102,8 +131,7 @@ def _integer_form(constraint: Knapsack):
         except ValueError as exc:
             form = str(exc)
         else:
-            equal = weights.size > 0 and weights[0] > 0 and bool(np.all(weights == weights[0]))
-            form = (weights, cap, cap // int(weights[0]) if equal else None)
+            form = (weights, cap, _class_plan(weights, cap))
         object.__setattr__(constraint, "_integer_form", form)
     return form
 
@@ -147,31 +175,98 @@ def _knapsack_table_dp(values: np.ndarray, weights: np.ndarray, cap: int) -> np.
     return x
 
 
+def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, cap: int, classes) -> np.ndarray:
+    """0-1 selection maximising value over the weight classes that fit.
+
+    Within a class, an optimal selection takes that class's highest positive
+    values (an exchange argument), ties to the lower index. So the optimum
+    is a max over per-class counts of sorted-value prefix sums. The counts
+    of every class but the heaviest form one grid, in which the first best
+    count vector in lexicographic order, lightest class first, wins; the
+    heaviest class takes as many items as the capacity left holds.
+    """
+    class_weights, counts = classes
+    if not counts:
+        return np.zeros(values.shape[0])
+    order = np.lexsort((-values, weights))  # class-major, value-descending
+    ranked = values[order]
+    positive = (ranked > 0).tolist()
+    grid_value = np.zeros(1)
+    grid_room = np.array([cap])
+    axes = []  # (smallest count, number of counts) per grid class
+    start = 0
+    for w, count in zip(class_weights, counts):
+        limit = sum(positive[start : start + count])
+        if w:
+            limit = min(limit, cap // w)
+        prefix = np.zeros(limit + 1)
+        np.add.accumulate(ranked[start : start + limit], out=prefix[1:])
+        start += count
+        if len(axes) == len(counts) - 1:
+            break
+        if w:
+            axes.append((0, limit + 1))
+            grid_value = np.add.outer(grid_value, prefix).ravel()
+            grid_room = np.subtract.outer(grid_room, np.arange(0, w * limit + 1, w)).ravel()
+        else:  # a zero-weight class takes all its positive items
+            axes.append((limit, 1))
+            grid_value = grid_value + prefix[limit]
+    if w:
+        last = np.minimum(np.maximum(grid_room, 0) // w, limit)
+    else:  # only the zero-weight class fits: it takes all its positive items
+        last = np.array([limit])
+    total = grid_value + prefix[last]
+    total[grid_room < 0] = -np.inf
+    best = int(total.argmax())
+    takes = [int(last[best])]
+    for low, size in reversed(axes):
+        best, i = divmod(best, size)  # row-major: the last axis varies fastest
+        takes.append(low + i)
+    chosen = np.zeros(values.shape[0])
+    start = 0
+    for count, take in zip(counts, reversed(takes)):
+        chosen[start : start + take] = 1.0
+        start += count
+    x = np.empty_like(chosen)
+    x[order] = chosen
+    return x
+
+
 def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
-    """Maximize selected value subject to the weight capacity, by dynamic programming.
+    """Maximize selected value subject to the weight capacity, exactly.
 
     Items with nonpositive value are never selected (excluding an item is
-    always feasible). Ties prefer excluding later items, so the returned
-    selection is deterministic; with equal weights, the lower index wins
-    among equal values. Raises ValueError when the weights do not scale to
-    integers or the DP table would exceed `DP_TABLE_MAX_CELLS`.
+    always feasible). When the count grid of the weight classes fits in
+    `CLASS_GRID_MAX_CELLS` cells, the optimum is read off each class's sorted
+    values: within a class the lower index wins among equal values, and
+    across classes the first best count vector in grid order wins. When one
+    class holds every item, that is the table DP's own selection. Other
+    loads run the table DP, whose ties prefer excluding the later item.
+    Raises ValueError when the weights do not scale to integers or the DP
+    table would exceed `DP_TABLE_MAX_CELLS`.
     """
     values = np.asarray(values, dtype=float)
     form = _integer_form(constraint)
     if isinstance(form, str):
         raise ValueError(form)
-    weights, cap, take = form
+    weights, cap, classes = form
     n = values.shape[0]
     if weights.shape[0] != n:
         raise ValueError("values and weights must have equal length")
 
-    if take is None:
+    if classes is None:
         x = _knapsack_table_dp(values, weights, cap)
-    else:
-        # A stable sort of -values orders by value, ties to the lower index.
-        take = min(take, int(np.count_nonzero(values > 0)))
+    elif classes[1] == (n,):
+        # One class of weight w holds every item: the top cap // w positive
+        # values. A stable sort of -values orders by value, ties to the
+        # lower index.
+        take = int(np.count_nonzero(values > 0))
+        if classes[0][0]:
+            take = min(take, cap // classes[0][0])
         x = np.zeros(n)
         x[np.argsort(-values, kind="stable")[:take]] = 1.0
+    else:
+        x = _knapsack_by_class(values, weights, cap, classes)
     solution = knapsack_solution(x)
     return OracleResult(solution, solution_objective(solution, values))
 

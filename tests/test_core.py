@@ -132,6 +132,27 @@ class TestSolutionObjective:
         assert np.allclose(sol.vector, [2.0, 2.0, 0.0])
         assert dnl.solution_objective(sol, [5.0, 3.0, 9.0]) == pytest.approx(16.0)
 
+    def test_scheduling_consumption_matches_slice_adds(self):
+        # The same float additions in job order as a numpy slice add per job;
+        # numpy integer pairs come back as Python ints.
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            periods = int(rng.integers(3, 12))
+            jobs, assignment = [], []
+            for _ in range(int(rng.integers(1, 6))):
+                duration = int(rng.integers(1, periods + 1))
+                start = rng.integers(0, periods - duration + 1)
+                jobs.append(dnl.JobSpec(1.0, float(rng.uniform(0.1, 3.0)), duration, 0, periods))
+                assignment.append((np.int64(0), start))
+            constraint = dnl.Scheduling((dnl.MachineSpec(9.0),), tuple(jobs), periods)
+            expected = np.zeros(periods)
+            for job, (_, start) in zip(jobs, assignment):
+                expected[start : start + job.duration] += job.power
+            sol = dnl.scheduling_solution(assignment, constraint)
+            assert sol.vector.tobytes() == expected.tobytes()
+            assert sol.assignment == tuple((0, int(t)) for _, t in assignment)
+            assert all(type(v) is int for pair in sol.assignment for v in pair)
+
     def test_dimension_mismatch(self):
         sol = dnl.knapsack_solution([1, 0])
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -270,7 +271,7 @@ class TestEqualWeightPath:
             )
             constraint = dnl.Knapsack(np.full(n, w), capacity)
             res = dnl.solve_knapsack_dp(values, constraint)
-            assert oracles._integer_form(constraint)[2] is not None
+            assert oracles._integer_form(constraint)[2][1] in ((n,), ())
             assert res.solution.assignment == table_dp_assignment(values, constraint)
 
     def test_equal_non_unit_weights(self):
@@ -300,21 +301,144 @@ class TestEqualWeightPath:
             dnl.validate_solution(dp.solution, constraint)
 
     def test_integerize_runs_once_per_knapsack(self, monkeypatch):
-        calls = []
-        original = oracles._integerize
+        calls = {"_integerize": [], "_class_plan": []}
 
-        def counting(weights, capacity):
-            calls.append(1)
-            return original(weights, capacity)
+        def counting(name):
+            original = getattr(oracles, name)
 
-        monkeypatch.setattr(oracles, "_integerize", counting)
+            def wrapper(*args):
+                calls[name].append(1)
+                return original(*args)
+
+            monkeypatch.setattr(oracles, name, wrapper)
+
+        counting("_integerize")
+        counting("_class_plan")
         oracle = dnl.SolverOracle()
-        for weights in ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 1.0 / 3.0, 1.0]):
+        for weights, plans in (
+            ([1.0, 1.0, 1.0], 1),
+            ([1.0, 2.0, 3.0], 1),
+            ([1.0, 1.0 / 3.0, 1.0], 0),  # not integerizable: no class plan
+        ):
             constraint = dnl.Knapsack(weights, 2.0)
-            before = len(calls)
+            before = {name: len(c) for name, c in calls.items()}
             for k in range(5):
                 oracle.solve([1.0, float(k), 2.0], constraint)
-            assert len(calls) - before == 1
+            assert len(calls["_integerize"]) - before["_integerize"] == 1
+            assert len(calls["_class_plan"]) - before["_class_plan"] == plans
+
+
+def class_counts(values, constraint, x):
+    """Items taken per weight class, and whether each class took its best
+    values with ties to the lower index; classes ascend by weight."""
+    weights, _, (class_weights, _) = oracles._integer_form(constraint)
+    takes, ranked_ok = [], True
+    for w in class_weights:
+        members = np.flatnonzero(weights == w)
+        ranked = sorted(members, key=lambda i: (-values[i], i))
+        k = int(sum(x[i] for i in members))
+        ranked_ok &= sorted(ranked[:k]) == [i for i in members if x[i]]
+        takes.append(k)
+    return tuple(takes), ranked_ok
+
+
+def first_best_counts(values, constraint):
+    """Every per-class count vector by brute force: the first one, in
+    ascending lexicographic order, with the best objective."""
+    weights, cap, (class_weights, _) = oracles._integer_form(constraint)
+    prefixes = []
+    for w in class_weights:
+        top = sorted((v for v, wi in zip(values, weights) if wi == w and v > 0), reverse=True)
+        prefixes.append(np.concatenate(([0.0], np.cumsum(top))))
+    best, best_counts = -np.inf, None
+    for counts in itertools.product(*(range(p.shape[0]) for p in prefixes)):
+        if sum(k * w for k, w in zip(counts, class_weights)) > cap:
+            continue
+        value = sum(p[k] for p, k in zip(prefixes, counts))
+        if value > best:
+            best, best_counts = value, counts
+    return best_counts
+
+
+def random_class_load(rng, max_items):
+    """1-4 weight classes, sometimes with a zero-weight class, a class heavier
+    than the capacity, capacity 0 or only nonpositive values."""
+    n = int(rng.integers(1, max_items + 1))
+    classes = rng.choice(np.arange(1, 9), size=int(rng.integers(1, 5)), replace=False)
+    if rng.random() < 0.2:
+        classes[0] = 0
+    weights = rng.choice(classes, size=n).astype(float)
+    capacity = float(rng.integers(0, int(weights.sum()) + 2))
+    if rng.random() < 0.1:
+        capacity = 0.0
+    elif rng.random() < 0.2:
+        weights[rng.integers(0, n)] = capacity + float(rng.integers(1, 4))
+    if rng.random() < 0.5:
+        values = rng.integers(-3, 4, size=n).astype(float)
+    else:
+        values = rng.uniform(-1.0, 5.0, size=n)
+    if rng.random() < 0.1:
+        values = -np.abs(values)
+    return values, dnl.Knapsack(weights, capacity)
+
+
+class TestClassSolver:
+    """Few distinct weights run the per-class grid solver."""
+
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(83)
+        multi = 0
+        for _ in range(400):
+            values, constraint = random_class_load(rng, max_items=11)
+            res = dnl.solve_knapsack_dp(values, constraint)
+            multi += oracles._integer_form(constraint)[2][1] != (len(values),)
+            best_val, _ = enumerate_knapsack(values, constraint.weights, constraint.capacity)
+            assert res.objective == pytest.approx(best_val, abs=1e-9)
+            dnl.validate_solution(res.solution, constraint)
+        assert multi > 300
+
+    def test_matches_table_dp_on_continuous_values(self):
+        rng = np.random.default_rng(89)
+        for _ in range(300):
+            weights = rng.choice([3.0, 5.0, 7.0], size=48)
+            constraint = dnl.Knapsack(weights, 122.0)
+            values = rng.normal(2.0, 3.0, size=48)
+            res = dnl.solve_knapsack_dp(values, constraint)
+            assert len(oracles._integer_form(constraint)[2][0]) == 3
+            assert res.solution.assignment == table_dp_assignment(values, constraint)
+
+    def test_tie_rule(self):
+        # Within a class the lower index wins among equal values; across
+        # classes the first best count vector in grid order wins. The table
+        # DP may pick another optimum, never a better one.
+        rng = np.random.default_rng(97)
+        differ = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            weights = rng.choice([1.0, 2.0, 3.0], size=n)
+            values = rng.integers(-1, 4, size=n).astype(float)
+            constraint = dnl.Knapsack(weights, float(rng.integers(0, int(weights.sum()) + 1)))
+            res = dnl.solve_knapsack_dp(values, constraint)
+            x = res.solution.assignment
+            takes, ranked_ok = class_counts(values, constraint, x)
+            assert ranked_ok
+            assert takes == first_best_counts(values, constraint)
+            table = table_dp_assignment(values, constraint)
+            assert res.objective == float(np.dot(table, values))
+            differ += x != table
+        assert differ > 0
+
+    def test_grid_budget_falls_back_to_table_dp(self, monkeypatch):
+        monkeypatch.setattr(oracles, "CLASS_GRID_MAX_CELLS", 4)
+        rng = np.random.default_rng(101)
+        for _ in range(20):
+            values = rng.uniform(-1.0, 5.0, size=12)
+            constraint = dnl.Knapsack(rng.choice([3.0, 5.0, 7.0], size=12), 20.0)
+            res = dnl.solve_knapsack_dp(values, constraint)
+            assert oracles._integer_form(constraint)[2] is None
+            assert res.solution.assignment == table_dp_assignment(values, constraint)
+            best_val, _ = enumerate_knapsack(values, constraint.weights, 20.0)
+            assert res.objective == pytest.approx(best_val, abs=1e-9)
 
 
 class TestDPTableBudget:
