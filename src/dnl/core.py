@@ -253,9 +253,7 @@ def scheduling_solution(assignment: Sequence[tuple[int, int]], constraint: Sched
         power = job.power
         for t in range(start, start + job.duration):
             consumption[t] += power
-    pairs = tuple(assignment)
-    if not all(type(m) is int and type(t) is int for m, t in pairs):
-        pairs = tuple((int(m), int(t)) for m, t in pairs)
+    pairs = tuple((int(m), int(t)) for m, t in assignment)
     return Solution(pairs, Direction.MIN, consumption)
 
 

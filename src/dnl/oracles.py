@@ -5,12 +5,13 @@ an LP-relaxation bound (real weights). Each `Knapsack` is scaled once and its
 weight classes (the distinct weights that fit and their item counts) are
 memoised on the immutable instance. Within a class an optimal selection takes
 the highest values, so a load of few classes is solved by a max over
-per-class counts: one class holding every item is closed form (the
-capacity // w largest positive values), others run a count grid capped at
-`CLASS_GRID_MAX_CELLS` cells. Within a class the lower index wins among equal
-values; across classes the first best count vector in grid order
-(lexicographic, lightest class first) wins. Other loads run the items x
-capacity table DP, whose ties exclude the later item, capped at
+per-class counts: a grid over every class but the heaviest, which takes what
+the capacity left holds. One class is a grid of one cell, the capacity // w
+largest positive values. The grid runs when it has no more cells than the
+items x (capacity + 1) table, nor than `CLASS_GRID_MAX_CELLS`. Within a
+class the lower index wins among equal values; across classes the first best
+count vector in grid order (lexicographic, lightest class first) wins. Other
+loads run the table DP, whose ties exclude the later item, capped at
 `DP_TABLE_MAX_CELLS` cells: a larger table raises ValueError before anything
 is allocated, and `SolverOracle` then falls back to branch-and-bound.
 Scheduling is solved by depth-first branch-and-bound. Its price-independent
@@ -25,6 +26,7 @@ count. All solvers are pure functions and safe for concurrent use.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -102,13 +104,16 @@ def _class_plan(weights: np.ndarray, cap: int):
     """The weight classes that fit in the capacity as `(class_weights,
     counts)`: the distinct integer weights up to `cap`, ascending, and each
     one's item count, as Python ints. None when the count grid over every
-    class but the heaviest would exceed `CLASS_GRID_MAX_CELLS` cells."""
+    class but the heaviest would have more cells than the items x (capacity
+    + 1) table the DP fills, or than `CLASS_GRID_MAX_CELLS`: a grid cell
+    costs more than a table cell, so such loads run the table DP."""
     listed = weights.tolist()
+    budget = min(CLASS_GRID_MAX_CELLS, len(listed) * (cap + 1))
     class_weights, counts, cells = [], [], 1
     for w in sorted(set(listed)):
         if w > cap:
             break
-        if cells > CLASS_GRID_MAX_CELLS:  # the classes before this one
+        if cells > budget:  # the classes before this one
             return None
         count = listed.count(w)
         if w:  # a zero-weight class takes all its positive items: one cell
@@ -180,64 +185,66 @@ def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, cap: int, classe
 
     Within a class, an optimal selection takes that class's highest positive
     values (an exchange argument), ties to the lower index. So the optimum
-    is a max over per-class counts of sorted-value prefix sums. The counts
-    of every class but the heaviest form one grid, in which the first best
-    count vector in lexicographic order, lightest class first, wins; the
-    heaviest class takes as many items as the capacity left holds.
+    is a max over per-class counts of sorted-value prefix sums, found by
+    `_best_class_counts` when more than one class fits.
     """
     class_weights, counts = classes
-    if not counts:
-        return np.zeros(values.shape[0])
-    order = np.lexsort((-values, weights))  # class-major, value-descending
-    ranked = values[order]
-    positive = (ranked > 0).tolist()
-    grid_value = np.zeros(1)
-    grid_room = np.array([cap])
-    axes = []  # (smallest count, number of counts) per grid class
-    start = 0
+    keys = -values
+    order = np.lexsort((keys, weights))  # class-major, value-descending
+    sorted_keys = keys[order].tolist()
+    takes, lo = [], 0  # per class: its positive values (keys below 0), at most cap // w
     for w, count in zip(class_weights, counts):
-        limit = sum(positive[start : start + count])
+        positive = bisect.bisect_left(sorted_keys, 0.0, lo, lo + count) - lo
+        takes.append(min(positive, cap // w) if w else positive)
+        lo += count
+    if len(counts) > 1:
+        takes = _best_class_counts(values[order], cap, classes, takes)
+    x = np.zeros(values.shape[0])
+    lo = 0
+    for count, take in zip(counts, takes):
+        x[order[lo : lo + take]] = 1.0
+        lo += count
+    return x
+
+
+def _best_class_counts(ranked: np.ndarray, cap: int, classes, limits: list[int]) -> list[int]:
+    """The optimal count per class, given each class's values sorted
+    descending in `ranked`, class after class, and its most useful count in
+    `limits`. The counts of every class but the heaviest form one grid, in
+    which the first best count vector in lexicographic order, lightest class
+    first, wins; the heaviest class, of weight above 0, takes as many items
+    as the capacity left holds."""
+    class_weights, counts = classes
+    prefixes, lo = [], 0  # sums of each class's top 0..limit values
+    for count, limit in zip(counts, limits):
+        prefixes.append(np.zeros(limit + 1))
+        np.add.accumulate(ranked[lo : lo + limit], out=prefixes[-1][1:])
+        lo += count
+    grid_value, grid_room = np.zeros(1), np.array([cap])
+    for w, limit, prefix in zip(class_weights[:-1], limits, prefixes):
         if w:
-            limit = min(limit, cap // w)
-        prefix = np.zeros(limit + 1)
-        np.add.accumulate(ranked[start : start + limit], out=prefix[1:])
-        start += count
-        if len(axes) == len(counts) - 1:
-            break
-        if w:
-            axes.append((0, limit + 1))
             grid_value = np.add.outer(grid_value, prefix).ravel()
             grid_room = np.subtract.outer(grid_room, np.arange(0, w * limit + 1, w)).ravel()
         else:  # a zero-weight class takes all its positive items
-            axes.append((limit, 1))
             grid_value = grid_value + prefix[limit]
-    if w:
-        last = np.minimum(np.maximum(grid_room, 0) // w, limit)
-    else:  # only the zero-weight class fits: it takes all its positive items
-        last = np.array([limit])
-    total = grid_value + prefix[last]
+    fill = np.minimum(np.maximum(grid_room, 0) // class_weights[-1], limits[-1])
+    total = grid_value + prefixes[-1][fill]
     total[grid_room < 0] = -np.inf
     best = int(total.argmax())
-    takes = [int(last[best])]
-    for low, size in reversed(axes):
-        best, i = divmod(best, size)  # row-major: the last axis varies fastest
-        takes.append(low + i)
-    chosen = np.zeros(values.shape[0])
-    start = 0
-    for count, take in zip(counts, reversed(takes)):
-        chosen[start : start + take] = 1.0
-        start += count
-    x = np.empty_like(chosen)
-    x[order] = chosen
-    return x
+    takes = list(limits)
+    takes[-1] = int(fill[best])
+    for c in range(len(counts) - 2, -1, -1):
+        if class_weights[c]:  # row-major: the last axis varies fastest
+            best, takes[c] = divmod(best, limits[c] + 1)
+    return takes
 
 
 def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     """Maximize selected value subject to the weight capacity, exactly.
 
     Items with nonpositive value are never selected (excluding an item is
-    always feasible). When the count grid of the weight classes fits in
-    `CLASS_GRID_MAX_CELLS` cells, the optimum is read off each class's sorted
+    always feasible). When the count grid of the weight classes is small
+    enough (see `_class_plan`), the optimum is read off each class's sorted
     values: within a class the lower index wins among equal values, and
     across classes the first best count vector in grid order wins. When one
     class holds every item, that is the table DP's own selection. Other
@@ -256,15 +263,6 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
 
     if classes is None:
         x = _knapsack_table_dp(values, weights, cap)
-    elif classes[1] == (n,):
-        # One class of weight w holds every item: the top cap // w positive
-        # values. A stable sort of -values orders by value, ties to the
-        # lower index.
-        take = int(np.count_nonzero(values > 0))
-        if classes[0][0]:
-            take = min(take, cap // classes[0][0])
-        x = np.zeros(n)
-        x[np.argsort(-values, kind="stable")[:take]] = 1.0
     else:
         x = _knapsack_by_class(values, weights, cap, classes)
     solution = knapsack_solution(x)

@@ -134,7 +134,7 @@ class TestSolutionObjective:
 
     def test_scheduling_consumption_matches_slice_adds(self):
         # The same float additions in job order as a numpy slice add per job;
-        # numpy integer pairs come back as Python ints.
+        # the pairs come back as tuples of Python ints.
         rng = np.random.default_rng(5)
         for _ in range(50):
             periods = int(rng.integers(3, 12))
@@ -152,6 +152,14 @@ class TestSolutionObjective:
             assert sol.vector.tobytes() == expected.tobytes()
             assert sol.assignment == tuple((0, int(t)) for _, t in assignment)
             assert all(type(v) is int for pair in sol.assignment for v in pair)
+        # Python-int pairs given as lists come back as tuples too.
+        constraint = dnl.Scheduling(
+            (dnl.MachineSpec(9.0),), (dnl.JobSpec(1.0, 2.0, 1, 0, 3),), 3
+        )
+        sol = dnl.scheduling_solution([[0, 1]], constraint)
+        assert sol.vector.tolist() == [0.0, 2.0, 0.0]
+        assert sol.assignment == ((0, 1),)
+        hash(sol.assignment)
 
     def test_dimension_mismatch(self):
         sol = dnl.knapsack_solution([1, 0])

@@ -257,8 +257,8 @@ def table_dp_assignment(values, constraint):
 
 
 class TestEqualWeightPath:
-    """Equal weights take the closed-form top-k path; it must return the
-    table DP's selection, ties included."""
+    """Equal weights form one class, a one-cell grid: the top cap // w
+    positive values. That must be the table DP's selection, ties included."""
 
     def test_tie_heavy_inputs_match_table_dp(self):
         rng = np.random.default_rng(71)
@@ -427,6 +427,23 @@ class TestClassSolver:
             assert res.objective == float(np.dot(table, values))
             differ += x != table
         assert differ > 0
+
+    def test_grid_larger_than_table_runs_table_dp(self):
+        # 17 singleton classes at capacity 200: the grid over all but the
+        # heaviest has 2^16 cells, the table 17 x 201.
+        rng = np.random.default_rng(103)
+        constraint = dnl.Knapsack(np.arange(1.0, 18.0), 200.0)
+        for _ in range(5):
+            values = rng.uniform(-1.0, 5.0, size=17)
+            res = dnl.solve_knapsack_dp(values, constraint)
+            assert oracles._integer_form(constraint)[2] is None
+            assert res.solution.assignment == table_dp_assignment(values, constraint)
+        # The same weights at capacity 5 fit five classes: a 2^4-cell grid.
+        small = dnl.Knapsack(np.arange(1.0, 18.0), 5.0)
+        res = dnl.solve_knapsack_dp(values, small)
+        assert oracles._integer_form(small)[2] == ((1, 2, 3, 4, 5), (1,) * 5)
+        best_val, _ = enumerate_knapsack(values, small.weights, 5.0)
+        assert res.objective == pytest.approx(best_val, abs=1e-9)
 
     def test_grid_budget_falls_back_to_table_dp(self, monkeypatch):
         monkeypatch.setattr(oracles, "CLASS_GRID_MAX_CELLS", 4)
