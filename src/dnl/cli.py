@@ -167,10 +167,6 @@ def _configs(args) -> dict[str, Optional[TrainConfig]]:
     return configs
 
 
-def _ridge_warmstart(fold: Fold, oracle: SolverOracle):
-    return select_ridge(fold.train, fold.val, oracle, cache=TrueOptimumCache())
-
-
 def cmd_generate(args) -> int:
     if args.days < 1:
         raise UsageError("--days must be at least 1")
@@ -192,7 +188,7 @@ def cmd_train(args) -> int:
     fold = folds[args.fold]
     os.makedirs(args.out, exist_ok=True)
     oracle = SolverOracle()
-    warmstart, penalty = _ridge_warmstart(fold, oracle)
+    warmstart, penalty = select_ridge(fold.train, fold.val, oracle)
     save_model(warmstart, os.path.join(args.out, "ridge_model.txt"))
     print(f"ridge warmstart saved (penalty {penalty:g})")
     for variant, config in configs.items():
@@ -252,7 +248,7 @@ def cmd_sweep(args) -> int:
         per_variant: dict[str, list[float]] = {v: [] for v in configs}
         for fold in folds:
             oracle = SolverOracle()
-            warmstart, _ = _ridge_warmstart(fold, oracle)
+            warmstart, _ = select_ridge(fold.train, fold.val, oracle)
             for variant, config in configs.items():
                 model = warmstart
                 if config is not None:

@@ -295,12 +295,16 @@ def validate_solution(solution: Solution, constraint: ConstraintData) -> None:
 
 def predict(model: LinearModel, problem: ProblemSet) -> np.ndarray:
     """Predicted coefficient vector, one entry per item or period."""
-    if model.num_parameters != problem.feature_dim:
+    return _predict_with(model.coefficients, model.intercept, problem)
+
+
+def _predict_with(coefficients: np.ndarray, intercept: float, problem: ProblemSet) -> np.ndarray:
+    if coefficients.shape[0] != problem.feature_dim:
         raise ValueError(
-            f"model has {model.num_parameters} parameters but problem features "
+            f"model has {coefficients.shape[0]} parameters but problem features "
             f"have dimension {problem.feature_dim}"
         )
-    return problem.features @ model.coefficients + model.intercept
+    return problem.features @ coefficients + intercept
 
 
 def solution_objective(solution: Solution, values) -> float:

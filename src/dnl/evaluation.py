@@ -7,6 +7,7 @@ regret is always nonnegative.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -18,6 +19,7 @@ from .core import (
     Direction,
     LinearModel,
     ProblemSet,
+    _predict_with,
     predict,
     solution_objective,
 )
@@ -66,9 +68,16 @@ def _solve_at(
     beta_value: float,
     oracle: SolverOracle,
 ) -> OracleResult:
-    """The oracle's answer under the predictions at one probed parameter value."""
-    probe = model.with_coefficient(beta_index, beta_value)
-    return oracle.solve(predict(probe, problem), problem.constraint)
+    """The oracle's answer with parameter `beta_index` set to `beta_value`:
+    the operands of `predict(model.with_coefficient(beta_index, beta_value),
+    problem)`, with no model built. Like that route, it raises ValueError on
+    a non-finite value or a model/feature dimension mismatch."""
+    if not math.isfinite(beta_value):
+        raise ValueError(f"probed parameter value {beta_value} is not finite")
+    coefficients = model.coefficients.copy()
+    coefficients[beta_index] = beta_value
+    predicted = _predict_with(coefficients, model.intercept, problem)
+    return oracle.solve(predicted, problem.constraint)
 
 
 @dataclass(frozen=True)
@@ -115,14 +124,13 @@ def regret_of(
 ) -> RegretValue:
     """Regret of deciding with the model's predictions on one problem set.
 
-    Solves once under the true coefficients (memoized when a cache is given)
-    and once under the predicted coefficients, then scores the predicted
-    solution against the true coefficients.
+    Solves once under the true coefficients (memoized in `cache`; without
+    one, in a throwaway cache) and once under the predicted coefficients,
+    then scores the predicted solution against the true coefficients.
     """
-    if cache is not None:
-        true_optimal = cache.true_optimal(problem, oracle)
-    else:
-        true_optimal = _signed_objective(oracle.solve(problem.true_values, problem.constraint))
+    if cache is None:
+        cache = TrueOptimumCache()
+    true_optimal = cache.true_optimal(problem, oracle)
     result = oracle.solve(predict(model, problem), problem.constraint)
     achieved = _true_value(result, problem)
     regret = _clamped_regret(true_optimal, achieved, problem)

@@ -7,7 +7,8 @@ batch-optimal candidate is selected by the variant's comparison rule, and
 the parameter moves a learning-rate fraction toward it (a quasi-gradient
 step). Both selectors take the batch's profiles and score candidates from
 complete ones without oracle calls; only truncated greedy profiles fall back
-to solving at the candidate.
+to solving at the candidate, through the same probe route as the search
+(`evaluation._solve_at`), so no model is built per candidate.
 Validation regret drives early stopping, and the `max_seconds` budget is
 checked before each parameter update.
 """
@@ -22,7 +23,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import OBJECTIVE_TOL, LinearModel, ProblemSet
-from .evaluation import TrueOptimumCache, _clamped_regret, evaluate_model_regret, regret_of
+from .evaluation import (
+    TrueOptimumCache, _clamped_regret, _solve_at, _true_value, evaluate_model_regret,
+)
 from .oracles import InexactOracleError, InfeasibleInstanceError, SolverOracle
 from .transitions import SearchSpec, TransitionProfile, extract_full, extract_greedy
 
@@ -124,11 +127,12 @@ def _regret_scorer(
     """Regret of batch member i at candidate value beta, as a function
     regret(i, beta). Each set's true optimum is read once, here.
 
-    A candidate inside the region of a complete profile is scored from it
-    with no oracle call: that optimum minus the true value of the piece (or
-    breakpoint) the candidate lies on. Other candidates, and truncated
-    profiles, go through `regret_of`, memoised. Both paths clamp through the
-    same helper, so they give the same regret bit for bit.
+    A candidate inside the region of a complete profile takes the true value
+    of the piece (or breakpoint) it lies on, with no oracle call. Other
+    candidates, and truncated profiles, take the true value of the oracle's
+    answer at the candidate (`_solve_at`), memoised. Both then clamp that
+    optimum minus this value through one `_clamped_regret`, the same
+    operands `regret_of` uses, so they match it bit for bit.
     """
     if len(profiles) != len(batch):
         raise ValueError("one profile per batch problem set required")
@@ -139,12 +143,12 @@ def _regret_scorer(
 
     def regret(i: int, beta: float) -> float:
         achieved = profiles[i].true_value_at(beta)
-        if achieved is not None:
-            return _clamped_regret(optima[i], achieved, batch[i])
-        if (i, beta) not in solved:
-            probe = model.with_coefficient(beta_index, beta)
-            solved[i, beta] = regret_of(probe, batch[i], oracle, cache).regret
-        return solved[i, beta]
+        if achieved is None:
+            if (i, beta) not in solved:
+                result = _solve_at(model, batch[i], beta_index, beta, oracle)
+                solved[i, beta] = _true_value(result, batch[i])
+            achieved = solved[i, beta]
+        return _clamped_regret(optima[i], achieved, batch[i])
 
     return regret
 

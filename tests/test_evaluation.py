@@ -3,7 +3,8 @@ import pytest
 
 import dnl
 from dnl.core import OBJECTIVE_TOL
-from dnl.evaluation import _clamped_regret
+from dnl.evaluation import _clamped_regret, _solve_at
+from dnl.training import _regret_scorer
 from util import (
     enumerate_knapsack,
     enumerate_schedule,
@@ -192,6 +193,80 @@ class TestPovTov:
         (x1, x2, x3) = xs
         y1, y2, y3 = [dnl.pov(model, ps, 0, x, oracle) for x in xs]
         assert (y2 - y1) * (x3 - x2) == pytest.approx((y3 - y2) * (x2 - x1), abs=1e-12)
+
+
+class RecordingOracle(dnl.SolverOracle):
+    """Records the bytes of every coefficient vector it is asked to solve."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def solve(self, values, constraint):
+        self.seen.append(np.asarray(values).tobytes())
+        return super().solve(values, constraint)
+
+
+class TestProbeRoute:
+    @pytest.mark.parametrize(
+        "make", [random_knapsack_problem, random_scheduling_problem],
+        ids=["knapsack", "scheduling"],
+    )
+    def test_same_operands_as_a_probe_model(self, make):
+        rng = np.random.default_rng(127)
+        oracle = RecordingOracle()
+        for i in range(6):
+            ps = make(rng, ps_id=f"route{i}")
+            model = dnl.LinearModel(rng.normal(size=3), float(rng.normal()))
+            for k in range(3):
+                spec = dnl.SearchSpec.from_parameter(float(model.coefficients[k]))
+                for beta in (0.0, spec.lower, spec.upper, float(rng.uniform(-2, 2))):
+                    result = _solve_at(model, ps, k, beta, oracle)
+                    expected = dnl.predict(model.with_coefficient(k, beta), ps)
+                    assert oracle.seen[-1] == expected.tobytes()
+                    solved = oracle.solve(expected, ps.constraint)
+                    assert result.solution.assignment == solved.solution.assignment
+                    assert result.objective == solved.objective
+
+    def test_no_model_built_per_probe(self, oracle, monkeypatch):
+        rng = np.random.default_rng(131)
+        ps = random_knapsack_problem(rng, ps_id="builds")
+        model = dnl.LinearModel(rng.normal(size=3), 0.0)
+        current = float(model.coefficients[0])
+        spec = dnl.SearchSpec.from_parameter(current)
+        truncated = dnl.extract_greedy(
+            example1_model(3.0), example1_problem(), 0, dnl.SearchSpec(-5.0, 5.0), oracle, 3.0
+        )
+        assert truncated.truncated
+        scorer = _regret_scorer(
+            [truncated], [example1_problem()], example1_model(3.0), 0, oracle, None
+        )
+        builds = []
+        post_init = dnl.LinearModel.__post_init__
+
+        def counting(self):
+            builds.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(dnl.LinearModel, "__post_init__", counting)
+        before = oracle.calls
+        dnl.extract_full(model, ps, 0, spec, oracle)
+        dnl.extract_greedy(model, ps, 0, spec, oracle, current)
+        dnl.pov(model, ps, 1, 0.5, oracle)
+        dnl.tov(model, ps, 2, -0.5, oracle)
+        assert scorer(0, 1.0) == 0.0
+        assert oracle.calls - before > 6
+        assert builds == []
+
+    def test_invalid_probes_raise(self, oracle):
+        ps = example1_problem()
+        model = example1_model(1.0)
+        for beta in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                _solve_at(model, ps, 0, beta, oracle)
+        with pytest.raises(ValueError, match="parameters but problem features"):
+            _solve_at(dnl.LinearModel([1.0, 2.0, 3.0], 0.0), ps, 0, 1.0, oracle)
+        assert oracle.calls == 0
 
 
 class TestEvaluateModelRegret:

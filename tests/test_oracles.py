@@ -12,6 +12,7 @@ from util import (
     enumerate_schedule,
     example1_problem,
     random_knapsack_problem,
+    reference_knapsack_bb,
     reference_schedule,
 )
 
@@ -118,6 +119,55 @@ class TestKnapsackBB:
         res = dnl.solve_knapsack_bb([3.0, -1.0, 4.0], constraint)
         assert res.solution.assignment == (1, 0, 1)
         assert res.objective == pytest.approx(7.0)
+
+    def test_matches_recursive_reference(self):
+        # Same tree in the same order: the same selection, ties included.
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            n = int(rng.integers(1, 16))
+            if rng.random() < 0.5:
+                values = rng.integers(-2, 5, size=n).astype(float)
+                weights = rng.integers(0, 6, size=n).astype(float)
+            else:
+                values = rng.uniform(-1.0, 5.0, size=n)
+                weights = rng.uniform(0.0, 3.0, size=n)
+            capacity = float(rng.choice([0.0, rng.uniform(0.0, weights.sum() + 1.0)]))
+            res = dnl.solve_knapsack_bb(values, dnl.Knapsack(weights, capacity))
+            reference, _ = reference_knapsack_bb(values, weights, capacity)
+            assert res.solution.assignment == reference
+
+    def test_thousand_items_of_real_weight(self):
+        # Weights in thirds do not scale to integers, so the oracle routes
+        # the load to branch-and-bound; a recursion per item overflowed the
+        # interpreter stack here. Its integer twin, every weight and the
+        # capacity times three, has the same optimum.
+        rng = np.random.default_rng(31)
+        thirds = rng.integers(1, 6, size=1200).astype(float)
+        values = rng.uniform(0.5, 3.0, size=1200)
+        capacity = float(thirds.sum() // 2)
+        constraint = dnl.Knapsack(thirds / 3.0, capacity / 3.0)
+        res = dnl.SolverOracle().solve(values, constraint)
+        twin = dnl.solve_knapsack_dp(values, dnl.Knapsack(thirds, capacity))
+        assert res.objective == pytest.approx(twin.objective, abs=1e-9)
+        dnl.validate_solution(res.solution, constraint)
+
+    def test_node_budget(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        weights = rng.uniform(1.0, 10.0, size=14)  # subset sum: values = weights
+        constraint = dnl.Knapsack(weights, float(weights.sum()) / 2.0)
+        reference, nodes = reference_knapsack_bb(weights, weights, constraint.capacity)
+        assert nodes > 100
+        # A budget of exactly the search's node count changes nothing; one
+        # node fewer raises, naming the budget and the item count.
+        monkeypatch.setattr(oracles, "KNAPSACK_BB_MAX_NODES", nodes)
+        assert dnl.solve_knapsack_bb(weights, constraint).solution.assignment == reference
+        monkeypatch.setattr(oracles, "KNAPSACK_BB_MAX_NODES", nodes - 1)
+        with pytest.raises(ValueError) as exc:
+            dnl.solve_knapsack_bb(weights, constraint)
+        assert str(exc.value) == (
+            f"knapsack branch-and-bound exceeded the {nodes - 1}-node budget "
+            "on a load of 14 items"
+        )
 
 
 class TestScheduling:
@@ -491,6 +541,27 @@ class TestDPTableBudget:
         assert res.objective == dnl.solve_knapsack_bb(values, constraint).objective
         dnl.validate_solution(res.solution, constraint)
 
+    def test_oracle_routes_to_bb_without_entering_the_dp(self, oversized, monkeypatch):
+        values, constraint = oversized
+        entered = []
+
+        def recording(name):
+            original = getattr(oracles, name)
+
+            def wrapper(*args):
+                entered.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(oracles, name, wrapper)
+
+        recording("solve_knapsack_dp")
+        recording("solve_knapsack_bb")
+        oracle = dnl.SolverOracle()
+        for _ in range(3):
+            oracle.solve(values, constraint)
+        assert entered == ["solve_knapsack_bb"] * 3
+        assert "budget" in oracles._integer_form(constraint)[2]
+
 
 class TestBruteForce:
     """The exhaustive enumerators in util.py are the ground truth the
@@ -587,6 +658,17 @@ class TestSolverOracle:
         constraint = dnl.Knapsack([1.0, 1.0 / 3.0], 2.0)
         res = dnl.SolverOracle().solve([1.0, 1.0], constraint)
         assert res.objective == pytest.approx(2.0)
+
+    def test_solver_errors_are_not_rerouted(self, monkeypatch):
+        # The route is chosen per load, not by catching errors: a fault in
+        # the DP propagates instead of silently running branch-and-bound.
+        def failing(*args):
+            raise ValueError("shape mismatch inside the class solver")
+
+        monkeypatch.setattr(oracles, "_knapsack_by_class", failing)
+        constraint = dnl.Knapsack([1.0, 2.0, 2.0], 3.0)
+        with pytest.raises(ValueError, match="inside the class solver"):
+            dnl.SolverOracle().solve([1.0, 2.0, 3.0], constraint)
 
     def test_counter_is_exact_across_threads(self):
         oracle = dnl.SolverOracle()

@@ -31,6 +31,61 @@ def enumerate_knapsack(values, weights, capacity):
     return best_val, best_x
 
 
+def reference_knapsack_bb(values, weights, capacity):
+    """Recursive branch-and-bound with the fractional relaxation bound: items
+    of positive value that fit by value/weight ratio, descending (zero
+    weights taken outright), each node visiting its include child before its
+    exclude child and pruning on entry when its bound cannot beat the
+    incumbent. Returns (selection, nodes), nodes counting every visit. The
+    reference for which optimum the package's branch-and-bound returns and
+    for the size of its search tree; it recurses once per item, so it is
+    limited to small loads."""
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    x = [0] * len(values)
+    base, candidates = 0.0, []
+    for i in range(len(values)):
+        if values[i] <= 0 or weights[i] > capacity + 1e-9:
+            continue
+        if weights[i] == 0:
+            x[i] = 1
+            base += values[i]
+        else:
+            candidates.append(i)
+    order = sorted(candidates, key=lambda i: values[i] / weights[i], reverse=True)
+    vv, ww = values[order], weights[order]
+    best = [base, []]
+    chosen = []
+    nodes = [0]
+
+    def bound(level, value, weight):
+        room = capacity - weight
+        for j in range(level, len(order)):
+            if ww[j] <= room:
+                value += vv[j]
+                room -= ww[j]
+            else:
+                return value + vv[j] * room / ww[j]
+        return value
+
+    def visit(level, value, weight):
+        nodes[0] += 1
+        if value > best[0]:
+            best[:] = [value, chosen.copy()]
+        if level == len(order) or bound(level, value, weight) <= best[0] + 1e-12:
+            return
+        if weight + ww[level] <= capacity + 1e-9:
+            chosen.append(level)
+            visit(level + 1, value + vv[level], weight + ww[level])
+            chosen.pop()
+        visit(level + 1, value, weight)
+
+    visit(0, base, 0.0)
+    for level in best[1]:
+        x[order[level]] = 1
+    return tuple(x), nodes[0]
+
+
 def enumerate_schedule(prices, constraint):
     """Exhaustive scheduling by iterating every (machine, start) combination."""
     prices = np.asarray(prices, dtype=float)
