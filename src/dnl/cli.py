@@ -118,14 +118,8 @@ def _load_series(args):
     if args.data:
         if not os.path.exists(args.data):
             raise UsageError(f"data file not found: {args.data}")
-        p = args.features
-        return load_csv(
-            args.data,
-            [f"f{i}" for i in range(p)],
-            "price",
-            timestamp_column="timestamp",
-            group_size=args.group_size,
-        )
+        columns = [f"f{i}" for i in range(args.features)]
+        return load_csv(args.data, columns, "price", args.group_size)
     return synthesize(args.days, args.features, args.noise, args.seed, args.group_size)
 
 
@@ -188,7 +182,8 @@ def cmd_train(args) -> int:
     fold = folds[args.fold]
     os.makedirs(args.out, exist_ok=True)
     oracle = SolverOracle()
-    warmstart, penalty = select_ridge(fold.train, fold.val, oracle)
+    cache = TrueOptimumCache()  # `train` keeps its own, so its call counts stay comparable
+    warmstart, penalty = select_ridge(fold.train, fold.val, oracle, cache)
     save_model(warmstart, os.path.join(args.out, "ridge_model.txt"))
     print(f"ridge warmstart saved (penalty {penalty:g})")
     for variant, config in configs.items():
@@ -200,7 +195,7 @@ def cmd_train(args) -> int:
             model = trace.best_model
             save_model(model, os.path.join(args.out, f"{variant}_model.txt"))
             write_trace_csv(trace, os.path.join(args.out, f"{variant}_trace.csv"))
-        test_regret, test_std = evaluate_model_regret(model, fold.test, oracle)
+        test_regret, test_std = evaluate_model_regret(model, fold.test, oracle, cache)
         line = f"{variant}: test regret {test_regret:.6g} (std {test_std:.6g})"
         if trace is not None:
             line += (
@@ -248,12 +243,13 @@ def cmd_sweep(args) -> int:
         per_variant: dict[str, list[float]] = {v: [] for v in configs}
         for fold in folds:
             oracle = SolverOracle()
-            warmstart, _ = select_ridge(fold.train, fold.val, oracle)
+            cache = TrueOptimumCache()
+            warmstart, _ = select_ridge(fold.train, fold.val, oracle, cache)
             for variant, config in configs.items():
                 model = warmstart
                 if config is not None:
                     model = train(fold.train, fold.val, config, oracle, warmstart).best_model
-                mean, _ = evaluate_model_regret(model, fold.test, oracle)
+                mean, _ = evaluate_model_regret(model, fold.test, oracle, cache)
                 per_variant[variant].append(mean)
         for variant in configs:
             regrets = per_variant[variant]

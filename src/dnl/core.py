@@ -51,7 +51,8 @@ def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Knapsack:
-    """0-1 knapsack constraint: item weights and a capacity limit."""
+    """0-1 knapsack constraint: finite item weights and a capacity limit,
+    which may be infinite (no limit)."""
 
     weights: np.ndarray
     capacity: float
@@ -59,10 +60,10 @@ class Knapsack:
     def __post_init__(self):
         object.__setattr__(self, "weights", _frozen_array(self.weights))
         object.__setattr__(self, "capacity", float(self.capacity))
-        if np.any(self.weights < 0):
-            raise ValueError("knapsack weights must be nonnegative")
-        if self.capacity < 0:
-            raise ValueError("knapsack capacity must be nonnegative")
+        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
+            raise ValueError("knapsack weights must be finite and nonnegative")
+        if np.isnan(self.capacity) or self.capacity < 0:  # inf means no limit
+            raise ValueError("knapsack capacity must be a nonnegative number")
 
     @property
     def num_items(self) -> int:
@@ -76,8 +77,8 @@ class MachineSpec:
     capacity: float
 
     def __post_init__(self):
-        if self.capacity < 0:
-            raise ValueError("machine capacity must be nonnegative")
+        if not 0 <= self.capacity < np.inf:
+            raise ValueError("machine capacity must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,8 @@ class JobSpec:
     latest_finish: int
 
     def __post_init__(self):
-        if self.resource < 0 or self.power < 0:
-            raise ValueError("job resource and power must be nonnegative")
+        if not (0 <= self.resource < np.inf and 0 <= self.power < np.inf):
+            raise ValueError("job resource and power must be finite and nonnegative")
         if self.duration <= 0:
             raise ValueError("job duration must be positive")
         if self.earliest_start < 0:
@@ -143,8 +144,8 @@ ConstraintData = Union[Knapsack, Scheduling]
 
 @dataclass(frozen=True)
 class ProblemSet:
-    """One optimization instance: true coefficients, per-coefficient features,
-    and the shared constraint data."""
+    """One optimization instance: true coefficients, per-coefficient features
+    (both finite), and the shared constraint data."""
 
     true_values: np.ndarray
     features: np.ndarray
@@ -154,6 +155,8 @@ class ProblemSet:
     def __post_init__(self):
         object.__setattr__(self, "true_values", _frozen_array(self.true_values))
         object.__setattr__(self, "features", _frozen_array(self.features, ndim=2))
+        if not (np.isfinite(self.true_values).all() and np.isfinite(self.features).all()):
+            raise ValueError(f"problem set {self.id}: true values and features must be finite")
         n = self.true_values.shape[0]
         if self.features.shape[0] != n:
             raise ValueError(

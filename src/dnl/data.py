@@ -1,8 +1,9 @@
 """Dataset ingestion, synthesis, problem construction, and fold splitting.
 
-Series rows are half-hourly observations; every `group_size` consecutive
-rows (a day) become one problem set. Folds rotate contiguous time-ordered
-blocks so adjacent rows never leak across splits.
+Series rows are half-hourly observations, kept in time order with no
+per-row timestamp; every `group_size` consecutive rows (a day) become one
+problem set. Folds rotate contiguous time-ordered blocks so adjacent rows
+never leak across splits.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ MAX_LOAD_ATTEMPTS = 50
 
 @dataclass(frozen=True)
 class RawSeries:
-    """Time-ordered rows of (timestamp, feature vector, true price)."""
+    """Time-ordered rows of (feature vector, true price); row order is time
+    order and every `group_size` consecutive rows form one day."""
 
-    timestamps: tuple[str, ...]
     features: np.ndarray
     prices: np.ndarray
     group_size: int = 48
@@ -59,8 +60,8 @@ class RawSeries:
     def __post_init__(self):
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d array")
-        if not (len(self.timestamps) == self.features.shape[0] == self.prices.shape[0]):
-            raise ValueError("timestamps, features, and prices must align")
+        if self.features.shape[0] != self.prices.shape[0]:
+            raise ValueError("features and prices must align")
         if self.group_size < 1:
             raise ValueError("group_size must be positive")
 
@@ -114,12 +115,13 @@ def load_csv(
     path,
     feature_columns: Sequence[str],
     price_column: str,
-    timestamp_column: Optional[str] = None,
     group_size: int = 48,
 ) -> RawSeries:
-    """Read a series from CSV with a header row.
+    """Read a series from CSV with a header row, in file row order.
 
-    Rows with unparseable numerics are rejected with their file line number.
+    Only the named columns are read; any other column (a timestamp, say) is
+    ignored. Rows with a non-numeric or non-finite value are rejected with
+    their file line number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -128,7 +130,6 @@ def load_csv(
         missing = [c for c in [*feature_columns, price_column] if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        timestamps = []
         features = []
         prices = []
         for line_no, row in enumerate(reader, start=2):
@@ -137,23 +138,24 @@ def load_csv(
                 prices.append(float(row[price_column]))
             except (TypeError, ValueError):
                 raise ValueError(f"{path}: non-numeric value on line {line_no}") from None
-            if timestamp_column is not None:
-                timestamps.append(row.get(timestamp_column, str(line_no - 2)))
-            else:
-                timestamps.append(str(line_no - 2))
     if not prices:
         raise ValueError(f"{path}: no data rows")
-    return RawSeries(
-        tuple(timestamps), np.array(features), np.array(prices), group_size
-    )
+    features, prices = np.array(features), np.array(prices)
+    bad = ~(np.isfinite(prices) & np.isfinite(features).all(axis=1))
+    if bad.any():
+        raise ValueError(f"{path}: non-finite value on line {int(np.argmax(bad)) + 2}")
+    return RawSeries(features, prices, group_size)
 
 
 def write_series_csv(series: RawSeries, path) -> None:
+    """Write a series as CSV: a `timestamp` label per row (`d<day>-t<slot>`,
+    from the row index and the group size), the features `f0..`, and `price`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         cols = ["timestamp"] + [f"f{i}" for i in range(series.feature_dim)] + ["price"]
         fh.write(",".join(cols) + "\n")
-        for ts, row, price in zip(series.timestamps, series.features, series.prices):
-            cells = [ts] + [f"{v:.12g}" for v in row] + [f"{price:.12g}"]
+        for r, (row, price) in enumerate(zip(series.features, series.prices)):
+            day, slot = divmod(r, series.group_size)
+            cells = [f"d{day:04d}-t{slot:02d}", *(f"{v:.12g}" for v in row), f"{price:.12g}"]
             fh.write(",".join(cells) + "\n")
 
 
@@ -172,8 +174,8 @@ def synthesize(
         raise ValueError("num_days must be positive")
     if p < 1:
         raise ValueError("p must be positive")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError("noise_sigma must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     hidden = LinearModel(rng.uniform(1.0, 5.0, size=p), 5.0)
     rows = num_days * group_size
@@ -181,8 +183,7 @@ def synthesize(
     prices = features @ hidden.coefficients + hidden.intercept
     if noise_sigma > 0:
         prices = prices + rng.normal(0.0, noise_sigma, size=rows)
-    timestamps = tuple(f"d{r // group_size:04d}-t{r % group_size:02d}" for r in range(rows))
-    return RawSeries(timestamps, features, prices, group_size, hidden)
+    return RawSeries(features, prices, group_size, hidden)
 
 
 def make_knapsack(

@@ -97,14 +97,17 @@ class OracleResult:
 
 
 def _integerize(weights: np.ndarray, capacity: float):
-    """Scale weights by the smallest power of ten that makes them integral."""
+    """Scale weights by the smallest power of ten that makes them integral.
+    The scaled capacity is clamped to the total scaled weight, which is exact
+    (every subset fits either way) and keeps an infinite capacity finite."""
     for shift in range(MAX_SCALE_SHIFT + 1):
         scale = 10**shift
         scaled = weights * scale
         rounded = np.rint(scaled)
         tol = 1e-9 * np.maximum(1.0, np.abs(scaled))
         if np.all(np.abs(scaled - rounded) <= tol):
-            return rounded.astype(np.int64), int(np.floor(capacity * scale + OBJECTIVE_TOL))
+            cap = min(capacity * scale + OBJECTIVE_TOL, rounded.sum())
+            return rounded.astype(np.int64), int(np.floor(cap))
     raise ValueError(
         f"weights are not integerizable within 10^{MAX_SCALE_SHIFT} scaling; "
         "use the branch-and-bound solver for real-valued weights"

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import dnl
+from dnl import cli
 from dnl.cli import main
 
 
@@ -81,6 +84,39 @@ class TestTrain:
         assert run(["train", *TRAIN_FLAGS, flag, value, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("dnl: error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("capacity", ["1e20", "inf"])
+    def test_capacity_above_total_weight(self, tmp_path, capacity):
+        argv = ["train", *TRAIN_FLAGS, "--problem", "weighted-knapsack",
+                "--capacity", capacity, "--epochs", "1", "--out", str(tmp_path)]
+        assert run(argv) == 0
+
+    @pytest.mark.parametrize("flag", ["--capacity", "--noise"])
+    def test_nan_data_flag_fails(self, tmp_path, capsys, flag):
+        assert run(["train", *TRAIN_FLAGS, flag, "nan", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("dnl: failed: ")
+
+    def test_each_test_set_solved_once(self, tmp_path, monkeypatch):
+        # One cache serves the warm start and every variant's test regret.
+        solved = Counter()
+        original = dnl.SolverOracle.solve
+
+        def counting(self, values, constraint):
+            solved[np.asarray(values, dtype=float).tobytes()] += 1
+            return original(self, values, constraint)
+
+        monkeypatch.setattr(dnl.SolverOracle, "solve", counting)
+        argv = ["train", *TRAIN_FLAGS, "--days", "12", "--epochs", "1",
+                "--variant", "dnl", "--variant", "dnl-max", "--variant", "ridge",
+                "--out", str(tmp_path)]
+        assert run(argv) == 0
+        args = cli.build_parser().parse_args(argv)
+        fold = cli._folds(cli._build_dataset(args), args)[0]
+        assert len(fold.test) == 2
+        assert [solved[ps.true_values.tobytes()] for ps in fold.test] == [1, 1]
+        # `train` keeps its own cache: the ridge warm start and both trainings
+        # each solve every validation set once.
+        assert [solved[ps.true_values.tobytes()] for ps in fold.val] == [3]
 
     def test_unknown_variant_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

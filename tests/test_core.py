@@ -18,6 +18,45 @@ class TestTypes:
         with pytest.raises(ValueError):
             dnl.Knapsack([1, 1], -1.0)
 
+    @pytest.mark.parametrize(
+        "weights, capacity",
+        [
+            ([1.0, np.nan], 2.0),
+            ([1.0, np.inf], 2.0),
+            ([1.0, -np.inf], 2.0),
+            ([1.0, 1.0], np.nan),
+        ],
+    )
+    def test_knapsack_rejects_non_finite(self, weights, capacity):
+        # An infinite capacity is allowed: TestCapacityAtOrAboveTotalWeight.
+        with pytest.raises(ValueError, match="knapsack"):
+            dnl.Knapsack(weights, capacity)
+
+    @pytest.mark.parametrize("capacity", [np.nan, np.inf, -np.inf])
+    def test_machine_rejects_non_finite_capacity(self, capacity):
+        with pytest.raises(ValueError, match="machine capacity"):
+            dnl.MachineSpec(capacity)
+
+    @pytest.mark.parametrize(
+        "resource, power", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)]
+    )
+    def test_job_rejects_non_finite_resource_or_power(self, resource, power):
+        with pytest.raises(ValueError, match="resource and power"):
+            dnl.JobSpec(resource, power, 1, 0, 2)
+
+    @pytest.mark.parametrize(
+        "values, features",
+        [
+            ([1.0, np.nan], [[1.0], [2.0]]),
+            ([1.0, np.inf], [[1.0], [2.0]]),
+            ([1.0, 2.0], [[1.0], [np.nan]]),
+            ([1.0, 2.0], [[-np.inf], [2.0]]),
+        ],
+    )
+    def test_problem_set_rejects_non_finite(self, values, features):
+        with pytest.raises(ValueError, match="problem set bad: .* must be finite"):
+            dnl.ProblemSet(values, features, dnl.Knapsack([1.0, 1.0], 1.0), "bad")
+
     def test_model_rejects_nan(self):
         with pytest.raises(ValueError):
             dnl.LinearModel([np.nan], 0.0)

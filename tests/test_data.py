@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 import dnl
+from dnl.cli import main
 
 
 def write_csv(path, rows, header="timestamp,f0,f1,price"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
-def make_rows(n, broken_line=None):
+def make_rows(n, broken_line=None, bad="oops", column=3):
+    """n rows of timestamp,f0,f1,price; `bad` replaces cell `column` on file
+    line `broken_line`."""
     rows = []
     for i in range(n):
-        price = "oops" if broken_line == i + 2 else f"{1.0 + 0.01 * i:.4f}"
-        rows.append(f"t{i},{0.1 * i:.3f},{0.2 * i:.3f},{price}")
+        cells = [f"t{i}", f"{0.1 * i:.3f}", f"{0.2 * i:.3f}", f"{1.0 + 0.01 * i:.4f}"]
+        if broken_line == i + 2:
+            cells[column] = bad
+        rows.append(",".join(cells))
     return rows
 
 
@@ -20,7 +25,7 @@ class TestLoadCsv:
     def test_96_rows_two_groups(self, tmp_path):
         path = tmp_path / "series.csv"
         write_csv(path, make_rows(96))
-        series = dnl.load_csv(path, ["f0", "f1"], "price", "timestamp", group_size=48)
+        series = dnl.load_csv(path, ["f0", "f1"], "price", group_size=48)
         assert series.num_groups == 2
         assert series.feature_dim == 2
 
@@ -55,11 +60,50 @@ class TestLoadCsv:
         series = dnl.synthesize(2, 3, 0.1, seed=5, group_size=8)
         path = tmp_path / "series.csv"
         dnl.write_series_csv(series, path)
-        loaded = dnl.load_csv(
-            path, ["f0", "f1", "f2"], "price", "timestamp", group_size=8
-        )
+        loaded = dnl.load_csv(path, ["f0", "f1", "f2"], "price", group_size=8)
         assert loaded.num_rows == series.num_rows
         assert np.allclose(loaded.prices, series.prices, atol=1e-10)
+
+    def test_no_timestamp_column(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_csv(path, ["0.5,1.5,2.5", "0.25,1.25,3.5"], header="f0,f1,price")
+        series = dnl.load_csv(path, ["f0", "f1"], "price", group_size=2)
+        assert np.array_equal(series.features, [[0.5, 1.5], [0.25, 1.25]])
+        assert np.array_equal(series.prices, [2.5, 3.5])
+        assert series.num_groups == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("column", [1, 3])  # a feature, the price
+    def test_non_finite_value_names_line(self, tmp_path, cell, column):
+        path = tmp_path / "series.csv"
+        write_csv(path, make_rows(10, broken_line=6, bad=cell, column=column))
+        with pytest.raises(ValueError, match="non-finite value on line 6"):
+            dnl.load_csv(path, ["f0", "f1"], "price")
+
+
+class TestWriteSeriesCsv:
+    def test_generated_bytes_are_pinned(self, tmp_path):
+        # `dnl generate --days 1 --features 2 --group-size 4 --seed 0`
+        path = tmp_path / "series.csv"
+        assert main(
+            ["generate", "--days", "1", "--features", "2", "--group-size", "4",
+             "--seed", "0", "--out", str(path)]
+        ) == 0
+        assert path.read_text() == (
+            "timestamp,f0,f1,price\n"
+            "d0000-t00,0.0409735239362,0.0165276355285,4.86809393387\n"
+            "d0000-t01,0.8132702392,0.912755577278,9.80377405204\n"
+            "d0000-t02,0.606635775767,0.729496560984,7.50646585828\n"
+            "d0000-t03,0.543624991465,0.935072423788,8.763455216\n"
+        )
+
+    def test_labels_count_days_and_slots(self, tmp_path):
+        series = dnl.synthesize(2, 1, 0.0, seed=3, group_size=3)
+        path = tmp_path / "series.csv"
+        dnl.write_series_csv(series, path)
+        labels = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+        assert labels == ["d0000-t00", "d0000-t01", "d0000-t02",
+                          "d0001-t00", "d0001-t01", "d0001-t02"]
 
 
 class TestSynthesize:
@@ -95,6 +139,11 @@ class TestSynthesize:
     def test_zero_days_rejected(self):
         with pytest.raises(ValueError):
             dnl.synthesize(0, 3, 0.5, seed=0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.5])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            dnl.synthesize(2, 3, sigma, seed=0)
 
 
 class TestMakeKnapsack:

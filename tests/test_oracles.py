@@ -644,6 +644,37 @@ class TestOracleProperties:
             )
 
 
+class TestCapacityAtOrAboveTotalWeight:
+    """Every subset fits, so every solver takes exactly the positive items."""
+
+    LOADS = {
+        "integer classes": (
+            [3.0, 5.0, 7.0, 3.0, 5.0, 7.0, 3.0],
+            [2.0, -1.0, 0.5, 0.0, 4.0, 3.0, -2.0],
+        ),
+        "six decimals": (
+            [1.234567, 2.5, 0.000001, 3.141593, 2.5, 4.0],
+            [1.0, 0.25, -0.5, 2.0, 0.0, 3.5],
+        ),
+    }
+
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    @pytest.mark.parametrize("capacity", ["total", 1e20, np.inf])
+    @pytest.mark.parametrize(
+        "solve",
+        [dnl.solve_knapsack_dp, dnl.solve_knapsack_bb, dnl.SolverOracle().solve],
+        ids=["dp", "bb", "oracle"],
+    )
+    def test_takes_every_positive_item(self, load, capacity, solve):
+        weights, values = self.LOADS[load]
+        if capacity == "total":
+            capacity = sum(weights)
+        constraint = dnl.Knapsack(weights, capacity)
+        res = solve(values, constraint)
+        assert np.array_equal(res.solution.vector, np.greater(values, 0))
+        assert res.objective == pytest.approx(sum(v for v in values if v > 0), abs=1e-9)
+
+
 class TestSolverOracle:
     def test_counts_calls(self):
         oracle = dnl.SolverOracle()
