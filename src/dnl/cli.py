@@ -10,6 +10,7 @@ are deterministic for a fixed seed. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -48,17 +49,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _number(text: str) -> float:
+    """A float flag value; nan is a usage error, inf passes (no capacity limit)."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a number")
+    return value
+
+
+def _finite(text: str) -> float:
+    """A float flag value; nan and inf are usage errors."""
+    value = _number(text)
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
+
+
 def _add_data_flags(sub):
     sub.add_argument("--data", help="series CSV to load (omit to synthesize)")
     sub.add_argument("--days", type=int, default=20, help="synthetic days")
     sub.add_argument("--features", type=int, default=4, help="synthetic feature count")
-    sub.add_argument("--noise", type=float, default=0.5, help="synthetic noise sigma")
+    sub.add_argument("--noise", type=_finite, default=0.5, help="synthetic noise sigma")
     sub.add_argument("--group-size", type=int, default=48, help="rows per problem set")
 
 
 def _add_problem_flags(sub):
     sub.add_argument("--problem", choices=PROBLEMS, default="unit-knapsack")
-    sub.add_argument("--capacity", type=float, help="knapsack capacity")
+    sub.add_argument("--capacity", type=_number, help="knapsack capacity")
     sub.add_argument("--machines", type=int, default=2, help="scheduling machines")
     sub.add_argument("--jobs", type=int, default=4, help="scheduling jobs")
 
@@ -81,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = subs.add_parser("generate", help="write a synthetic series CSV")
     gen.add_argument("--days", type=int, required=True)
     gen.add_argument("--features", type=int, default=4)
-    gen.add_argument("--noise", type=float, default=0.5)
+    gen.add_argument("--noise", type=_finite, default=0.5)
     gen.add_argument("--group-size", type=int, default=48)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
@@ -106,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = subs.add_parser("sweep", help="train and evaluate across capacities")
     _add_data_flags(sw)
     sw.add_argument("--problem", choices=PROBLEMS[:2], default="unit-knapsack")
-    sw.add_argument("--capacities", type=float, nargs="+", required=True)
+    sw.add_argument("--capacities", type=_number, nargs="+", required=True)
     _add_train_flags(sw)
     sw.add_argument("--folds", type=int, default=1)
     sw.add_argument("--seed", type=int, default=0)

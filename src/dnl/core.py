@@ -42,7 +42,13 @@ class Direction(str, Enum):
 
 
 def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """A read-only copy of `values`, or `values` itself when it already is a
+    read-only array of this dtype that owns its data (not a view of memory
+    that another array may write)."""
+    arr = values
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+            and arr.base is None and not arr.flags.writeable):
+        arr = np.array(values, dtype=dtype)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -245,6 +251,8 @@ class Solution:
 
 
 def knapsack_solution(selection) -> Solution:
+    """A knapsack solution from its 0-1 selection; a solver's fresh vector,
+    handed over read-only, becomes the solution's vector without a copy."""
     x = np.asarray(selection, dtype=float)
     return Solution(tuple(x.astype(int).tolist()), Direction.MAX, x)
 

@@ -7,14 +7,16 @@ distinct weights that fit and their item counts) are memoised on the
 immutable instance. Within a class an optimal selection takes
 the highest values, so a load of few classes is solved by a max over
 per-class counts: a grid over every class but the heaviest, which takes what
-the capacity left holds. One class is a grid of one cell, the capacity // w
+the capacity left holds. What the grid's cells leave that class depends
+only on the load's shape and the per-class limits, so it is memoised across
+loads (`_class_fill`). One class is a grid of one cell, the capacity // w
 largest positive values. The grid runs when it has no more cells than the
 items x (capacity + 1) table, nor than `CLASS_GRID_MAX_CELLS`. Within a
 class the lower index wins among equal values; across classes the first best
 count vector in grid order (lexicographic, lightest class first) wins. Other
 loads run the table DP, whose ties exclude the later item, capped at
 `DP_TABLE_MAX_CELLS` cells. A load whose table would be larger, or whose
-weights do not scale, goes to branch-and-bound; `solve_knapsack_dp` refuses
+weights do not scale to integers within int64, goes to branch-and-bound; `solve_knapsack_dp` refuses
 it with ValueError before anything is allocated. Branch-and-bound searches
 depth first on an explicit stack, so no item count overflows the interpreter
 stack, and a search that visits more than `KNAPSACK_BB_MAX_NODES` nodes
@@ -32,6 +34,7 @@ count. All solvers are pure functions and safe for concurrent use.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import threading
 from dataclasses import dataclass
@@ -47,7 +50,6 @@ from .core import (
     Solution,
     knapsack_solution,
     scheduling_solution,
-    solution_objective,
 )
 
 __all__ = [
@@ -99,14 +101,22 @@ class OracleResult:
 def _integerize(weights: np.ndarray, capacity: float):
     """Scale weights by the smallest power of ten that makes them integral.
     The scaled capacity is clamped to the total scaled weight, which is exact
-    (every subset fits either way) and keeps an infinite capacity finite."""
+    (every subset fits either way) and keeps an infinite capacity finite.
+    Raises ValueError when no shift up to `MAX_SCALE_SHIFT` makes the weights
+    integral, or when their scaled total does not fit int64."""
     for shift in range(MAX_SCALE_SHIFT + 1):
         scale = 10**shift
         scaled = weights * scale
         rounded = np.rint(scaled)
         tol = 1e-9 * np.maximum(1.0, np.abs(scaled))
         if np.all(np.abs(scaled - rounded) <= tol):
-            cap = min(capacity * scale + OBJECTIVE_TOL, rounded.sum())
+            total = rounded.sum()
+            if total >= 2.0**63:  # a larger shift only scales it up
+                raise ValueError(
+                    f"scaled knapsack weights sum to {total:g}, beyond the int64 range; "
+                    "use the branch-and-bound solver"
+                )
+            cap = min(capacity * scale + OBJECTIVE_TOL, total)
             return rounded.astype(np.int64), int(np.floor(cap))
     raise ValueError(
         f"weights are not integerizable within 10^{MAX_SCALE_SHIFT} scaling; "
@@ -231,30 +241,48 @@ def _best_class_counts(ranked: np.ndarray, cap: int, classes, limits: list[int])
     `limits`. The counts of every class but the heaviest form one grid, in
     which the first best count vector in lexicographic order, lightest class
     first, wins; the heaviest class, of weight above 0, takes as many items
-    as the capacity left holds."""
+    as the capacity left holds (`_class_fill`)."""
     class_weights, counts = classes
-    prefixes, lo = [], 0  # sums of each class's top 0..limit values
-    for count, limit in zip(counts, limits):
-        prefixes.append(np.zeros(limit + 1))
-        np.add.accumulate(ranked[lo : lo + limit], out=prefixes[-1][1:])
-        lo += count
-    grid_value, grid_room = np.zeros(1), np.array([cap])
-    for w, limit, prefix in zip(class_weights[:-1], limits, prefixes):
+    grid_value, lo = np.zeros(1), 0
+    for w, count, limit in zip(class_weights[:-1], counts, limits):
+        prefix = np.zeros(limit + 1)  # sums of the class's top 0..limit values
+        np.add.accumulate(ranked[lo : lo + limit], out=prefix[1:])
         if w:
             grid_value = np.add.outer(grid_value, prefix).ravel()
-            grid_room = np.subtract.outer(grid_room, np.arange(0, w * limit + 1, w)).ravel()
         else:  # a zero-weight class takes all its positive items
             grid_value = grid_value + prefix[limit]
-    fill = np.minimum(np.maximum(grid_room, 0) // class_weights[-1], limits[-1])
-    total = grid_value + prefixes[-1][fill]
-    total[grid_room < 0] = -np.inf
-    best = int(total.argmax())
+        lo += count
+    last = np.zeros(limits[-1] + 2)  # the heaviest class's sums, then -inf
+    np.add.accumulate(ranked[lo : lo + limits[-1]], out=last[1:-1])
+    last[-1] = -np.inf
+    fill = _class_fill(cap, class_weights, tuple(limits))
+    best = int((grid_value + last[fill]).argmax())
     takes = list(limits)
     takes[-1] = int(fill[best])
     for c in range(len(counts) - 2, -1, -1):
         if class_weights[c]:  # row-major: the last axis varies fastest
             best, takes[c] = divmod(best, limits[c] + 1)
     return takes
+
+
+# Loads of one shape seldom differ in more than a few hundred limit vectors
+# over a training: 256 entries served 91% of the weighted benchmark's calls.
+@functools.lru_cache(maxsize=256)
+def _class_fill(cap: int, class_weights: tuple, limits: tuple) -> np.ndarray:
+    """The price-independent part of `_best_class_counts`: per cell of the
+    count grid, the heaviest class's count that the room left holds, capped
+    at its limit, or limit + 1 (the index of -inf) where the grid's counts
+    alone overrun the capacity. Loads of one shape share the entry, stored
+    read-only in the smallest unsigned dtype that holds limit + 1."""
+    room = np.array([cap])
+    for w, limit in zip(class_weights[:-1], limits):
+        if w:
+            room = np.subtract.outer(room, np.arange(0, w * limit + 1, w)).ravel()
+    fill = np.minimum(np.maximum(room, 0) // class_weights[-1], limits[-1])
+    fill[room < 0] = limits[-1] + 1
+    fill = fill.astype(np.min_scalar_type(limits[-1] + 1))
+    fill.setflags(write=False)
+    return fill
 
 
 def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
@@ -281,8 +309,8 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
         x = _knapsack_table_dp(values, weights, cap)
     else:
         x = _knapsack_by_class(values, weights, cap, route)
-    solution = knapsack_solution(x)
-    return OracleResult(solution, solution_objective(solution, values))
+    x.setflags(write=False)  # handed to the solution without a copy
+    return OracleResult(knapsack_solution(x), float(x @ values))
 
 
 def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
@@ -359,8 +387,8 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
             stack.append((level + 1, value + vv[level], weight + ww[level], True))
     for level in best_chosen:
         x[order[level]] = 1.0
-    solution = knapsack_solution(x)
-    return OracleResult(solution, solution_objective(solution, values))
+    x.setflags(write=False)  # handed to the solution without a copy
+    return OracleResult(knapsack_solution(x), float(x @ values))
 
 
 class _SchedulingPlan(NamedTuple):
@@ -437,7 +465,8 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     if prices.shape[0] != constraint.periods:
         raise ValueError("one price per period required")
     plan = _scheduling_plan(constraint)
-    prefix = np.concatenate(([0.0], np.cumsum(prices)))
+    prefix = np.zeros(prices.shape[0] + 1)
+    prices.cumsum(out=prefix[1:])
     costs = plan.power * (prefix[plan.stop] - prefix[plan.start])
     rank = np.lexsort((costs, plan.group))
     option_cost = costs[rank].tolist()
@@ -491,7 +520,7 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     if best_assignment is None:
         raise InfeasibleInstanceError("no feasible schedule exists for this instance")
     solution = scheduling_solution(best_assignment, constraint)
-    return OracleResult(solution, solution_objective(solution, prices))
+    return OracleResult(solution, float(solution.vector @ prices))
 
 
 class SolverOracle:

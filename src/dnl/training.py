@@ -15,6 +15,7 @@ checked before each parameter update.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -123,15 +124,15 @@ def _regret_scorer(
     beta_index: int,
     oracle: SolverOracle,
     cache: Optional[TrueOptimumCache],
-) -> Callable[[int, float], float]:
-    """Regret of batch member i at candidate value beta, as a function
-    regret(i, beta). Each set's true optimum is read once, here.
+) -> Callable[[int, np.ndarray], np.ndarray]:
+    """Regrets of batch member i at an array of candidate values, as a
+    function regret(i, betas). Each set's true optimum is read once, here.
 
     A candidate inside the region of a complete profile takes the true value
     of the piece (or breakpoint) it lies on, with no oracle call. Other
     candidates, and truncated profiles, take the true value of the oracle's
-    answer at the candidate (`_solve_at`), memoised. Both then clamp that
-    optimum minus this value through one `_clamped_regret`, the same
+    answer at the candidate (`_solve_at`), memoised per set and value. Both
+    then take the optimum minus this value by `_clamped_regret`'s rule, the
     operands `regret_of` uses, so they match it bit for bit.
     """
     if len(profiles) != len(batch):
@@ -139,24 +140,66 @@ def _regret_scorer(
     if cache is None:
         cache = TrueOptimumCache()
     optima = [cache.true_optimal(ps, oracle) for ps in batch]
+    # Per set, a row of edges: the float below the region's lower end, the
+    # float below each distinct breakpoint t and t itself, the upper end, and
+    # +inf to one width. A candidate b passes k = #(edges < b) of them, as
+    # `searchsorted` counts, and lands at k in the rows of true values and
+    # regrets: below the region, piece 0, breakpoint 0, piece 1, ..., piece
+    # m, above the region. A repeated breakpoint keeps its first value and
+    # the piece after its last copy, as `bisect_left` over the breakpoints
+    # reads them. Rows hold nan out of the region, without values, and where
+    # the regret is below -`OBJECTIVE_TOL` (it raises when scored).
+    width = 2 * max(len(p.intervals) for p in profiles) + 3
+    inf, nan = float("inf"), float("nan")
+    edges, true_values = [], []
+    for p in profiles:
+        row, values = [], []
+        if p.values:
+            row, values = [math.nextafter(p.lower, -inf)], [nan, p.values[0]]
+            for i, (t, _) in enumerate(p.intervals):
+                if t != row[-1]:
+                    row += [math.nextafter(t, -inf), t]
+                    values += p.values[2 * i + 1 : 2 * i + 3]
+                else:
+                    values[-1] = p.values[2 * i + 2]
+            row.append(p.upper)
+            values.append(nan)
+        edges.append(row + [inf] * (width - len(row)))
+        true_values.append(values + [nan] * (width - len(values)))
+    edges, true_values = np.array(edges), np.array(true_values)
+    regrets = np.array(optima)[:, None] - true_values  # `_clamped_regret`'s rule,
+    regrets[regrets < -OBJECTIVE_TOL] = nan  # with nan where it raises
+    regrets[regrets <= OBJECTIVE_TOL] = 0.0
     solved: dict[tuple[int, float], float] = {}
 
-    def regret(i: int, beta: float) -> float:
-        achieved = profiles[i].true_value_at(beta)
-        if achieved is None:
+    def solved_regret(i: int, beta: float, achieved: float = nan) -> float:
+        if achieved != achieved:  # no value to look up: solve at beta
             if (i, beta) not in solved:
                 result = _solve_at(model, batch[i], beta_index, beta, oracle)
                 solved[i, beta] = _true_value(result, batch[i])
             achieved = solved[i, beta]
         return _clamped_regret(optima[i], achieved, batch[i])
 
+    def regret(i: int, betas: np.ndarray) -> np.ndarray:
+        if not profiles[i].values:
+            return np.array([solved_regret(i, beta) for beta in betas.tolist()])
+        at = edges[i].searchsorted(betas)
+        row = regrets[i, at]
+        if not np.minimum.reduce(row) >= 0.0:  # nan: solve or raise
+            for j in np.flatnonzero(np.isnan(row)).tolist():
+                row[j] = solved_regret(i, float(betas[j]), float(true_values[i, at[j]]))
+        return row
+
     return regret
 
 
 def _batch_regret(
-    regret: Callable[[int, float], float], batch_size: int, beta: float
-) -> float:
-    return sum(regret(i, beta) for i in range(batch_size)) / batch_size
+    regret: Callable[[int, np.ndarray], np.ndarray], batch_size: int, betas: list[float]
+) -> dict[float, float]:
+    """Mean batch regret per candidate, the sets summed in batch order."""
+    array = np.array(betas)
+    total = sum(regret(i, array) for i in range(batch_size)) / batch_size
+    return dict(zip(betas, total.tolist()))
 
 
 def _argmin_candidate(
@@ -183,8 +226,7 @@ def select_beta_full(
     """
     current = float(model.coefficients[beta_index])
     regret = _regret_scorer(profiles, batch, model, beta_index, oracle, cache)
-    candidates = candidate_betas(profiles, current)
-    scores = {b: _batch_regret(regret, len(batch), b) for b in candidates}
+    scores = _batch_regret(regret, len(batch), candidate_betas(profiles, current))
     return _argmin_candidate(scores, current)
 
 
@@ -209,8 +251,9 @@ def select_beta_max(
     nominees = {current}
     for i, profile in enumerate(profiles):
         own = candidate_betas([profile], current)
-        nominees.add(_argmin_candidate({b: regret(i, b) for b in own}, current))
-    batch_scores = {b: _batch_regret(regret, len(batch), b) for b in sorted(nominees)}
+        scores = regret(i, np.array(own)).tolist()
+        nominees.add(_argmin_candidate(dict(zip(own, scores)), current))
+    batch_scores = _batch_regret(regret, len(batch), sorted(nominees))
     return _argmin_candidate(batch_scores, current)
 
 

@@ -29,14 +29,13 @@ breakpoint is complete; the old-value probe raises its bound by one, to
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import OBJECTIVE_TOL, LinearModel, ProblemSet
-from .evaluation import _sign, _solve_at, _true_value
+from .evaluation import _sign, _solve_at
 from .oracles import InexactOracleError, SolverOracle
 
 __all__ = [
@@ -110,29 +109,6 @@ class TransitionProfile:
     def midpoints(self) -> list[float]:
         return [(low + high) / 2.0 for low, high in self.intervals]
 
-    def true_value_at(self, beta: float) -> Optional[float]:
-        """True value of the oracle's decision at `beta`, read off a complete
-        profile; None when the profile carries no values or `beta` lies
-        outside its region."""
-        if not self.values or not self.lower <= beta <= self.upper:
-            return None
-        i = bisect.bisect_left(self.intervals, (beta, beta))
-        if i < len(self.intervals) and self.intervals[i][0] == beta:
-            return self.values[2 * i + 1]
-        return self.values[2 * i]
-
-
-@dataclass(frozen=True)
-class _Line:
-    """One probe's decision as a line in the free parameter."""
-
-    intercept: float
-    slope: float
-    true_value: float
-
-    def at(self, beta: float) -> float:
-        return self.intercept + self.slope * beta
-
 
 def _search(
     model: LinearModel,
@@ -147,18 +123,19 @@ def _search(
     rest[beta_index] = 0.0
     base = problem.features @ rest + model.intercept
     direction = problem.features[:, beta_index]
+    true_values = problem.true_values
 
-    def probe(beta: float) -> _Line:
+    def probe(beta: float) -> tuple[float, float, float]:
+        """The oracle's decision at beta as a line (intercept, slope,
+        true value): `intercept + slope * b` is its predicted value at b."""
         result = _solve_at(model, problem, beta_index, beta, oracle)
         sign = _sign(result.solution.objective_direction)
         x = result.solution.vector
-        return _Line(
-            sign * float(x @ base), sign * float(x @ direction), _true_value(result, problem)
-        )
+        return sign * float(x @ base), sign * float(x @ direction), sign * float(x @ true_values)
 
     points = sorted({spec.lower, spec.upper} | ({beta_old} if beta_old is not None else set()))
     lines = [probe(b) for b in points]
-    reference = lines[points.index(beta_old)].true_value if beta_old is not None else None
+    reference = lines[points.index(beta_old)][2] if beta_old is not None else None
 
     # Entries are (distance to beta_old, tie order, lo, hi, left, right, at):
     # a span to resolve when `at` is None, else a confirmed breakpoint lo == hi.
@@ -178,32 +155,34 @@ def _search(
             # Every span nearer beta_old is resolved, so no nearer breakpoint is left.
             if reference is not None:
                 far = ([left] if lo <= beta_old else []) + ([right] if lo >= beta_old else [])
-                if any(line.true_value > reference + OBJECTIVE_TOL for line in far):
+                if any(line[2] > reference + OBJECTIVE_TOL for line in far):
                     return TransitionProfile(
                         ((lo, lo),), oracle.calls - calls_before,
                         spec.lower, spec.upper, truncated=True,
                     )
             found.append((lo, left, at, right))
             continue
-        if all(abs(left.at(b) - right.at(b)) <= OBJECTIVE_TOL for b in (lo, hi)):
+        (a0, s0, _), (a1, s1, _) = left, right
+        if abs(a0 + s0 * lo - (a1 + s1 * lo)) <= OBJECTIVE_TOL \
+                and abs(a0 + s0 * hi - (a1 + s1 * hi)) <= OBJECTIVE_TOL:
             continue  # one piece, up to ties
-        gap = right.slope - left.slope
+        gap = s1 - s0
         if gap <= 0:  # supporting lines of a convex function cannot cross this way
             raise InexactOracleError(
                 f"POV not convex on problem {problem.id}: oracle is not exact"
             )
-        t = min(max((left.intercept - right.intercept) / gap, lo), hi)
+        t = min(max((a0 - a1) / gap, lo), hi)
         line = probe(t)
-        if line.at(t) <= max(left.at(t), right.at(t)) + OBJECTIVE_TOL:
+        if line[0] + line[1] * t <= max(a0 + s0 * t, a1 + s1 * t) + OBJECTIVE_TOL:
             push(t, t, left, right, line)
         else:
             push(lo, t, left, line)
             push(t, hi, line, right)
 
     found.sort(key=lambda b: b[0])
-    values = [found[0][1].true_value if found else lines[0].true_value]
+    values = [found[0][1][2] if found else lines[0][2]]
     for _, _, at, right in found:
-        values += [at.true_value, right.true_value]
+        values += [at[2], right[2]]
     return TransitionProfile(
         tuple((t, t) for t, *_ in found),
         oracle.calls - calls_before,

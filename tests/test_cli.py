@@ -33,6 +33,13 @@ class TestGenerate:
         assert run(["generate", "--days", "0", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_non_finite_noise_is_usage_error(self, tmp_path):
+        out = tmp_path / "series.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--days", "2", "--noise", "inf", "--out", str(out)])
+        assert exc.value.code == 1
+        assert not out.exists()
+
 
 DATA_FLAGS = [
     "--days", "6", "--features", "2", "--noise", "0.4", "--group-size", "8",
@@ -92,9 +99,19 @@ class TestTrain:
         assert run(argv) == 0
 
     @pytest.mark.parametrize("flag", ["--capacity", "--noise"])
-    def test_nan_data_flag_fails(self, tmp_path, capsys, flag):
-        assert run(["train", *TRAIN_FLAGS, flag, "nan", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("dnl: failed: ")
+    def test_nan_data_flag_fails(self, tmp_path, capsys, flag, monkeypatch):
+        # A usage error, raised while parsing: nothing is synthesised. An
+        # infinite noise is refused too; an infinite capacity means no limit.
+        monkeypatch.setattr(cli, "synthesize", None)
+        refused = {"nan": "not a number"}
+        if flag == "--noise":
+            refused["inf"] = "not a finite number"
+        for value, reason in refused.items():
+            with pytest.raises(SystemExit) as exc:
+                run(["train", *TRAIN_FLAGS, flag, value, "--out", str(tmp_path / "out")])
+            assert exc.value.code == 1
+            assert f"{flag}: {value} is {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_each_test_set_solved_once(self, tmp_path, monkeypatch):
         # One cache serves the warm start and every variant's test regret.
@@ -195,3 +212,11 @@ class TestSweep:
         ]) == 1
         assert capsys.readouterr().err.startswith("dnl: error: batch_size")
         assert not table.exists()
+
+    def test_non_finite_capacity_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--days", "4", "--capacities", "2", "nan",
+                 "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 1
+        assert "nan is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()

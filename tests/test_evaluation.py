@@ -254,7 +254,7 @@ class TestProbeRoute:
         dnl.extract_greedy(model, ps, 0, spec, oracle, current)
         dnl.pov(model, ps, 1, 0.5, oracle)
         dnl.tov(model, ps, 2, -0.5, oracle)
-        assert scorer(0, 1.0) == 0.0
+        assert scorer(0, np.array([1.0])).tolist() == [0.0]
         assert oracle.calls - before > 6
         assert builds == []
 

@@ -82,6 +82,17 @@ class TestKnapsackDP:
             assert res.objective == pytest.approx(best_val, abs=1e-9)
             dnl.validate_solution(res.solution, constraint)
 
+    def test_weights_beyond_int64_go_to_branch_and_bound(self):
+        constraint = dnl.Knapsack([1e19, 1.0], 1e19)
+        route = oracles._integer_form(constraint)[2]
+        assert isinstance(route, str) and "int64" in route
+        with pytest.raises(ValueError, match="int64"):
+            dnl.solve_knapsack_dp([1.0, 1.0], constraint)
+        res = dnl.SolverOracle().solve([1.0, 1.0], constraint)
+        expected = dnl.solve_knapsack_bb([1.0, 1.0], constraint)
+        assert res.solution.assignment == expected.solution.assignment
+        assert res.objective == expected.objective
+
 
 class TestKnapsackBB:
     def test_matches_dp_on_random_integer_instances(self):
@@ -506,6 +517,61 @@ class TestClassSolver:
             assert res.solution.assignment == table_dp_assignment(values, constraint)
             best_val, _ = enumerate_knapsack(values, constraint.weights, 20.0)
             assert res.objective == pytest.approx(best_val, abs=1e-9)
+
+
+class TestClassGridMemo:
+    """The price-independent part of the count grid is memoised per (scaled
+    capacity, class weights, limits), across loads."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        oracles._class_fill.cache_clear()
+        yield
+        oracles._class_fill.cache_clear()
+
+    def test_loads_of_one_shape_share_an_entry(self):
+        weights = [3.0, 5.0, 3.0, 7.0, 5.0, 7.0]
+        values = [4.0, 3.0, 2.0, 6.0, 1.0, 5.0]
+        first = dnl.Knapsack(weights, 12.0)
+        second = dnl.Knapsack(weights[::-1], 12.0)
+        dnl.solve_knapsack_dp(values, first)
+        dnl.solve_knapsack_dp(values[::-1], second)
+        dnl.solve_knapsack_dp([v + 1.0 for v in values], first)
+        info = oracles._class_fill.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+    def test_smaller_limits_get_their_own_entry(self):
+        constraint = dnl.Knapsack([3.0, 5.0, 3.0, 7.0, 5.0, 7.0], 12.0)
+        dnl.solve_knapsack_dp([4.0, 3.0, 2.0, 6.0, 1.0, 5.0], constraint)
+        # Item 2 is worth nothing, so weight class 3 takes at most one item.
+        res = dnl.solve_knapsack_dp([4.0, 3.0, -2.0, 6.0, 1.0, 5.0], constraint)
+        assert oracles._class_fill.cache_info().currsize == 2
+        assert res.solution.assignment == table_dp_assignment(
+            [4.0, 3.0, -2.0, 6.0, 1.0, 5.0], constraint
+        )
+
+    def test_memoised_answers_equal_table_dp(self):
+        rng = np.random.default_rng(107)
+        loads = [
+            dnl.Knapsack(rng.choice([1.0, 2.0, 3.0, 5.0], size=12), float(rng.integers(0, 25)))
+            for _ in range(8)
+        ]
+        for _ in range(60):
+            constraint = loads[int(rng.integers(len(loads)))]
+            values = rng.normal(4.0, 2.0, size=12)
+            res = dnl.solve_knapsack_dp(values, constraint)
+            assert res.solution.assignment == table_dp_assignment(values, constraint)
+        info = oracles._class_fill.cache_info()
+        assert info.hits > info.misses >= 8
+
+    def test_entries_are_read_only(self):
+        dnl.solve_knapsack_dp([4.0, 3.0, 2.0], dnl.Knapsack([1.0, 2.0, 3.0], 4.0))
+        fill = oracles._class_fill(4, (1, 2, 3), (1, 1, 1))
+        assert not fill.flags.writeable
+        assert fill.dtype == np.uint8
+        with pytest.raises(ValueError):
+            fill[0] = 0
+        assert oracles._class_fill.cache_info().hits == 1
 
 
 class TestDPTableBudget:

@@ -171,7 +171,7 @@ class TestLookupScoring:
                 points = dnl.candidate_betas([profile], current) + profile.midpoints()
                 for beta in points:
                     before = oracle.calls
-                    lookup = regret(0, beta)
+                    lookup = regret(0, np.array([beta]))[0]
                     assert oracle.calls == before
                     probe = model.with_coefficient(0, beta)
                     assert lookup == dnl.regret_of(probe, ps, oracle, cache).regret
@@ -202,6 +202,65 @@ class TestLookupScoring:
         assert sorted(reads) == sorted(ps.id for ps in batch)
         assert oracle.calls == before
 
+    @pytest.mark.parametrize(
+        "make", [random_knapsack_problem, random_scheduling_problem],
+        ids=["knapsack", "scheduling"],
+    )
+    def test_table_equals_regret_of_everywhere(self, oracle, make):
+        # On a breakpoint, inside a piece, at the region ends and outside the
+        # region (solved at the candidate), in one call per set.
+        rng = np.random.default_rng(347)
+        checked = outside = 0
+        for i in range(8):
+            ps = make(rng, ps_id=f"table{i}")
+            model = dnl.LinearModel(rng.normal(size=3), 0.0)
+            spec = dnl.SearchSpec.from_parameter(float(model.coefficients[1]))
+            profile = dnl.extract_full(model, ps, 1, spec, oracle)
+            width = spec.upper - spec.lower
+            breakpoints = profile.midpoints()
+            knots = [spec.lower, *breakpoints, spec.upper]
+            inside = [(a + b) / 2.0 for a, b in zip(knots, knots[1:])]
+            beyond = [spec.lower - 0.25 * width, spec.upper + 0.5 * width]
+            betas = breakpoints + inside + [spec.lower, spec.upper] + beyond
+            cache = dnl.TrueOptimumCache()
+            regret = _regret_scorer([profile], [ps], model, 1, oracle, cache)
+            before = oracle.calls
+            table = regret(0, np.array(betas))
+            assert oracle.calls - before == len(beyond)
+            for beta, value in zip(betas, table.tolist()):
+                probe = model.with_coefficient(1, beta)
+                expected = dnl.regret_of(probe, ps, oracle, cache).regret
+                assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+            checked += len(betas)
+            outside += sum(value > 0 for value in table[-2:].tolist())
+        assert checked > 60 and outside > 0
+
+    def test_repeated_breakpoint_reads_as_one(self, oracle):
+        # A candidate at a repeated breakpoint takes the first copy's value,
+        # one past it the piece after the last copy.
+        ps = example1_problem()
+        optimum = dnl.TrueOptimumCache().true_optimal(ps, oracle)
+        values = tuple(optimum - r for r in (1.0, 2.0, 3.0, 4.0, 5.0))
+        profile = dnl.TransitionProfile(((0.0, 0.0), (0.0, 0.0)), 3, -1.0, 1.0, values=values)
+        regret = _regret_scorer([profile], [ps], example1_model(0.0), 0, oracle, None)
+        before = oracle.calls
+        assert regret(0, np.array([-0.5, 0.0, 0.5])).tolist() == [1.0, 2.0, 5.0]
+        assert oracle.calls == before
+
+    def test_negative_regret_names_the_set(self, oracle):
+        ps = example1_problem()
+        optimum = dnl.TrueOptimumCache().true_optimal(ps, oracle)
+        beyond = dnl.TransitionProfile(((0.0, 0.0),), 3, -1.0, 1.0, values=(
+            optimum, optimum, optimum + 1.0,
+        ))
+        regret = _regret_scorer([beyond], [ps], example1_model(0.0), 0, oracle, None)
+        assert regret(0, np.array([-0.5, 0.0])).tolist() == [0.0, 0.0]
+        with pytest.raises(dnl.InexactOracleError, match="on problem example1"):
+            regret(0, np.array([-0.5, 0.5]))
+        for select in (dnl.select_beta_full, dnl.select_beta_max):
+            with pytest.raises(dnl.InexactOracleError, match="negative regret -1.0 "):
+                select([beyond], [ps], example1_model(0.0), 0, oracle)
+
     def test_truncated_profile_falls_back_to_the_oracle(self, oracle):
         ps = example1_problem()
         model = example1_model(3.0)
@@ -209,7 +268,7 @@ class TestLookupScoring:
         assert profile.truncated
         before = oracle.calls
         regret = _regret_scorer([profile], [ps], model, 0, oracle, None)
-        assert regret(0, 1.0) == 0.0
+        assert regret(0, np.array([1.0])).tolist() == [0.0]
         assert oracle.calls == before + 2
 
 

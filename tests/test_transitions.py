@@ -8,6 +8,7 @@ from util import (
     example1_problem,
     random_knapsack_problem,
     random_scheduling_problem,
+    reference_search,
     sweep_solution_changes,
 )
 
@@ -259,3 +260,53 @@ class TestProfileInvariants:
             dnl.TransitionProfile(((-2.0, 0.5),), 0, -1.0, 1.0)
         with pytest.raises(ValueError):
             dnl.TransitionProfile(((0.0, 0.0),), 0, -1.0, 1.0, values=(1.0, 2.0))
+
+
+def random_unit_knapsack_problem(rng, ps_id="unit"):
+    """Unit weights, with features on a coarse grid so that ties occur."""
+    n = int(rng.integers(4, 13))
+    features = rng.integers(-4, 5, size=(n, 3)) / 4.0
+    values = rng.integers(1, 9, size=n) / 2.0
+    return dnl.ProblemSet(
+        values, features, dnl.Knapsack(np.ones(n), float(rng.integers(1, n + 1))), ps_id
+    )
+
+
+def bitwise(numbers):
+    return np.array(numbers, dtype=float).tobytes()
+
+
+class TestMatchesReferenceSearch:
+    """The search on plain tuples gives what the search on line objects gave,
+    bit for bit, on every problem family and for both extractors."""
+
+    @pytest.mark.parametrize(
+        "make", [random_unit_knapsack_problem, random_knapsack_problem, random_scheduling_problem],
+        ids=["unit-knapsack", "weighted-knapsack", "scheduling"],
+    )
+    def test_profiles_equal_reference(self, make):
+        rng = np.random.default_rng(401)
+        oracle, reference_oracle = dnl.SolverOracle(), dnl.SolverOracle()
+        truncated = breakpoints = 0
+        for i in range(40):
+            ps = make(rng, ps_id=f"ref{i}")
+            model = dnl.LinearModel(rng.normal(size=3), float(rng.normal()))
+            k = int(rng.integers(3))
+            current = float(model.coefficients[k])
+            spec = dnl.SearchSpec.from_parameter(current)
+            for profile, beta_old in (
+                (dnl.extract_full(model, ps, k, spec, oracle), None),
+                (dnl.extract_greedy(model, ps, k, spec, oracle, current), current),
+            ):
+                expected = reference_search(model, ps, k, spec, reference_oracle, beta_old)
+                assert bitwise(profile.intervals) == bitwise(expected.intervals)
+                assert bitwise(profile.values) == bitwise(expected.values)
+                assert profile.probe_count == expected.probe_count
+                assert profile.truncated == expected.truncated
+                truncated += profile.truncated
+                breakpoints += len(profile.intervals)
+        assert oracle.calls == reference_oracle.calls
+        assert breakpoints > 40
+        if make is not random_scheduling_problem:
+            assert truncated > 0
+

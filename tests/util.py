@@ -4,11 +4,18 @@ These deliberately avoid the package's solver code paths so that agreement
 checks are meaningful.
 """
 
+import heapq
 import itertools
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 import dnl
+from dnl.core import OBJECTIVE_TOL, LinearModel, ProblemSet
+from dnl.evaluation import _sign, _solve_at, _true_value
+from dnl.oracles import InexactOracleError, SolverOracle
+from dnl.transitions import SearchSpec, TransitionProfile
 
 ENUMERATE_MAX_ITEMS = 22
 
@@ -237,3 +244,98 @@ def random_scheduling_problem(rng, ps_id="sched"):
     features = rng.uniform(-1.0, 1.0, size=(periods, 3))
     prices = rng.uniform(1.0, 3.0, size=periods)
     return dnl.ProblemSet(prices, features, constraint, ps_id)
+
+
+# The supporting-line search as it stood before its lines became plain
+# tuples, kept verbatim (apart from its name) as the reference that
+# `dnl.transitions._search` must match bit for bit: same breakpoints, values,
+# probe counts and truncation.
+@dataclass(frozen=True)
+class _Line:
+    """One probe's decision as a line in the free parameter."""
+
+    intercept: float
+    slope: float
+    true_value: float
+
+    def at(self, beta: float) -> float:
+        return self.intercept + self.slope * beta
+
+
+def reference_search(
+    model: LinearModel,
+    problem: ProblemSet,
+    beta_index: int,
+    spec: SearchSpec,
+    oracle: SolverOracle,
+    beta_old: Optional[float],
+) -> TransitionProfile:
+    calls_before = oracle.calls
+    rest = model.coefficients.copy()
+    rest[beta_index] = 0.0
+    base = problem.features @ rest + model.intercept
+    direction = problem.features[:, beta_index]
+
+    def probe(beta: float) -> _Line:
+        result = _solve_at(model, problem, beta_index, beta, oracle)
+        sign = _sign(result.solution.objective_direction)
+        x = result.solution.vector
+        return _Line(
+            sign * float(x @ base), sign * float(x @ direction), _true_value(result, problem)
+        )
+
+    points = sorted({spec.lower, spec.upper} | ({beta_old} if beta_old is not None else set()))
+    lines = [probe(b) for b in points]
+    reference = lines[points.index(beta_old)].true_value if beta_old is not None else None
+
+    # Entries are (distance to beta_old, tie order, lo, hi, left, right, at):
+    # a span to resolve when `at` is None, else a confirmed breakpoint lo == hi.
+    pending: list = []
+    order = itertools.count()
+
+    def push(lo, hi, left, right, at=None):
+        distance = 0.0 if beta_old is None else max(lo - beta_old, beta_old - hi, 0.0)
+        heapq.heappush(pending, (distance, next(order), lo, hi, left, right, at))
+
+    for lo, hi, left, right in zip(points, points[1:], lines, lines[1:]):
+        push(lo, hi, left, right)
+    found = []
+    while pending:
+        _, _, lo, hi, left, right, at = heapq.heappop(pending)
+        if at is not None:
+            # Every span nearer beta_old is resolved, so no nearer breakpoint is left.
+            if reference is not None:
+                far = ([left] if lo <= beta_old else []) + ([right] if lo >= beta_old else [])
+                if any(line.true_value > reference + OBJECTIVE_TOL for line in far):
+                    return TransitionProfile(
+                        ((lo, lo),), oracle.calls - calls_before,
+                        spec.lower, spec.upper, truncated=True,
+                    )
+            found.append((lo, left, at, right))
+            continue
+        if all(abs(left.at(b) - right.at(b)) <= OBJECTIVE_TOL for b in (lo, hi)):
+            continue  # one piece, up to ties
+        gap = right.slope - left.slope
+        if gap <= 0:  # supporting lines of a convex function cannot cross this way
+            raise InexactOracleError(
+                f"POV not convex on problem {problem.id}: oracle is not exact"
+            )
+        t = min(max((left.intercept - right.intercept) / gap, lo), hi)
+        line = probe(t)
+        if line.at(t) <= max(left.at(t), right.at(t)) + OBJECTIVE_TOL:
+            push(t, t, left, right, line)
+        else:
+            push(lo, t, left, line)
+            push(t, hi, line, right)
+
+    found.sort(key=lambda b: b[0])
+    values = [found[0][1].true_value if found else lines[0].true_value]
+    for _, _, at, right in found:
+        values += [at.true_value, right.true_value]
+    return TransitionProfile(
+        tuple((t, t) for t, *_ in found),
+        oracle.calls - calls_before,
+        spec.lower,
+        spec.upper,
+        values=tuple(values),
+    )
