@@ -178,9 +178,22 @@ def _configs(args) -> dict[str, Optional[TrainConfig]]:
     return configs
 
 
+def _check_flags(args) -> None:
+    """Reject out-of-range data and problem flags before any work."""
+    for flag in ("days", "features", "group_size", "machines"):
+        if getattr(args, flag, 1) < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be at least 1")
+    if getattr(args, "jobs", 0) < 0:
+        raise UsageError("--jobs must be nonnegative")
+    if args.noise < 0:
+        raise UsageError("--noise must be nonnegative")
+    if getattr(args, "capacity", None) is not None and not args.capacity > 0:
+        raise UsageError("--capacity must be positive")
+    if not all(c > 0 for c in getattr(args, "capacities", [])):
+        raise UsageError("--capacities must be positive")
+
+
 def cmd_generate(args) -> int:
-    if args.days < 1:
-        raise UsageError("--days must be at least 1")
     series = synthesize(args.days, args.features, args.noise, args.seed, args.group_size)
     write_series_csv(series, args.out)
     print(
@@ -292,6 +305,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"dnl: error: {exc}", file=sys.stderr)

@@ -226,6 +226,10 @@ def make_scheduling(
     The generated load is validated by actually solving it once; generation
     retries, up to `MAX_LOAD_ATTEMPTS` loads, until a feasible one appears.
     """
+    if num_machines < 1:
+        raise ValueError("num_machines must be at least 1")
+    if num_jobs < 0:
+        raise ValueError("num_jobs must be nonnegative")
     rng = np.random.default_rng(seed)
     periods = series.group_size
     constraint = None

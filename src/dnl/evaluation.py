@@ -61,6 +61,24 @@ def _clamped_regret(true_optimal: float, achieved: float, problem: ProblemSet) -
     return 0.0 if regret <= OBJECTIVE_TOL else regret
 
 
+def _same_float(a: float, b: float) -> bool:
+    """Whether two finite floats are bitwise equal: equal, and of one sign at zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _own_answer(model: LinearModel, problem: ProblemSet, oracle: SolverOracle) -> OracleResult:
+    """The oracle's answer at the model's own predictions. A model that
+    `training.train` works with carries a memo of these answers (`_answers`,
+    keyed on problem set identity, each entry holding its set), so that it
+    solves each set once; any other model solves on every call."""
+    answers = model.__dict__.get("_answers")
+    if answers is None:
+        return oracle.solve(predict(model, problem), problem.constraint)
+    if id(problem) not in answers:
+        answers[id(problem)] = (problem, oracle.solve(predict(model, problem), problem.constraint))
+    return answers[id(problem)][1]
+
+
 def _solve_at(
     model: LinearModel,
     problem: ProblemSet,
@@ -71,9 +89,13 @@ def _solve_at(
     """The oracle's answer with parameter `beta_index` set to `beta_value`:
     the operands of `predict(model.with_coefficient(beta_index, beta_value),
     problem)`, with no model built. Like that route, it raises ValueError on
-    a non-finite value or a model/feature dimension mismatch."""
+    a non-finite value or a model/feature dimension mismatch. At the model's
+    own value, bit for bit, it answers through `_own_answer`."""
     if not math.isfinite(beta_value):
         raise ValueError(f"probed parameter value {beta_value} is not finite")
+    current = model.coefficients[beta_index]
+    if beta_value == current and "_answers" in model.__dict__ and _same_float(beta_value, current):
+        return _own_answer(model, problem, oracle)
     coefficients = model.coefficients.copy()
     coefficients[beta_index] = beta_value
     predicted = _predict_with(coefficients, model.intercept, problem)
@@ -126,12 +148,15 @@ def regret_of(
 
     Solves once under the true coefficients (memoized in `cache`; without
     one, in a throwaway cache) and once under the predicted coefficients,
-    then scores the predicted solution against the true coefficients.
+    then scores the predicted solution against the true coefficients. A
+    model that `training.train` works with already holds its answer on a set
+    it has solved, which costs no oracle call; any other model, such as the
+    returned `TrainTrace.best_model`, makes both calls.
     """
     if cache is None:
         cache = TrueOptimumCache()
     true_optimal = cache.true_optimal(problem, oracle)
-    result = oracle.solve(predict(model, problem), problem.constraint)
+    result = _own_answer(model, problem, oracle)
     achieved = _true_value(result, problem)
     regret = _clamped_regret(true_optimal, achieved, problem)
     return RegretValue(regret, true_optimal, achieved)

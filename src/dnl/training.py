@@ -25,7 +25,8 @@ import numpy as np
 
 from .core import OBJECTIVE_TOL, LinearModel, ProblemSet
 from .evaluation import (
-    TrueOptimumCache, _clamped_regret, _solve_at, _true_value, evaluate_model_regret,
+    TrueOptimumCache, _clamped_regret, _same_float, _solve_at, _true_value,
+    evaluate_model_regret,
 )
 from .oracles import InexactOracleError, InfeasibleInstanceError, SolverOracle
 from .transitions import SearchSpec, TransitionProfile, extract_full, extract_greedy
@@ -79,6 +80,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One trace row. `oracle_calls` is the oracle's `calls` counter when the
+    row was recorded; answers the training model already held cost no call."""
+
     epoch: int
     train_regret: float
     val_regret: float
@@ -262,6 +266,13 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size]
 
 
+def _memoised(model: LinearModel) -> LinearModel:
+    """The model, given an empty memo of its own oracle answers (read by
+    `evaluation._own_answer`), stored on the immutable instance."""
+    object.__setattr__(model, "_answers", {})
+    return model
+
+
 def train(
     train_sets: Sequence[ProblemSet],
     val_sets: Sequence[ProblemSet],
@@ -273,14 +284,23 @@ def train(
 
     The intercept stays at its warmstart value; only the coefficient vector
     is trained. Returns the trace with the model attaining the lowest
-    recorded validation regret. An inexact oracle or an infeasible instance
-    while updating a parameter raises TrainingError; other errors propagate.
+    recorded validation regret, which carries no memo. An inexact oracle or
+    an infeasible instance while updating a parameter raises TrainingError;
+    other errors propagate.
+
+    Each decision is solved once per model: the model in training keeps the
+    oracle's answer at its own coefficients for every set it has solved, so
+    an epoch snapshot of an unmoved model, or a greedy probe or selector
+    fallback at the current value, costs no oracle call. An update that
+    leaves the coefficient bitwise unchanged keeps the model and its memo.
     """
     if not train_sets:
         raise ValueError("training split is empty")
+    if not val_sets:
+        raise ValueError("validation split is empty")
     if warmstart.num_parameters != train_sets[0].feature_dim:
         raise ValueError("warmstart dimension does not match the dataset")
-    model = LinearModel(warmstart.coefficients.copy(), warmstart.intercept)
+    model = _memoised(LinearModel(warmstart.coefficients.copy(), warmstart.intercept))
     cache = TrueOptimumCache()
     # Looked up per call, so that a wrapper set on the module attribute applies.
     select = select_beta_full if config.variant is Variant.DNL else select_beta_max
@@ -334,7 +354,8 @@ def train(
                     beta_new = beta_opt
                 else:
                     beta_new = beta_old + config.learning_rate * (beta_opt - beta_old)
-                model = model.with_coefficient(k, beta_new)
+                if not _same_float(beta_new, beta_old):
+                    model = _memoised(model.with_coefficient(k, beta_new))
             if timed_out:
                 break
         stats.append(snapshot(epoch))
@@ -350,6 +371,8 @@ def train(
             stopped = "patience"
             break
 
+    # A fresh model drops the memo, which would pin every set it solved.
+    best_model = LinearModel(best_model.coefficients, best_model.intercept)
     return TrainTrace(stats, best_model, best_epoch, stopped)
 
 

@@ -85,7 +85,9 @@ class TransitionProfile:
     profile also carries `values`: the true value (maximisation convention)
     of the oracle's decision on each piece and at each breakpoint, in order
     piece 0, breakpoint 0, piece 1, ..., piece m. Truncated greedy profiles,
-    and profiles built by hand, carry none.
+    and profiles built by hand, carry none. `probe_count` counts the search's
+    oracle calls: a probe at the value of a model that `training.train`
+    works with, answered from that model's memo, costs none.
     """
 
     intervals: tuple[tuple[float, float], ...]

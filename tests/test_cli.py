@@ -33,6 +33,12 @@ class TestGenerate:
         assert run(["generate", "--days", "0", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_zero_group_size_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "series.csv"
+        assert run(["generate", "--days", "3", "--group-size", "0", "--out", str(out)]) == 1
+        assert "--group-size must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_noise_is_usage_error(self, tmp_path):
         out = tmp_path / "series.csv"
         with pytest.raises(SystemExit) as exc:
@@ -90,6 +96,19 @@ class TestTrain:
         out = tmp_path / "run"
         assert run(["train", *TRAIN_FLAGS, flag, value, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("dnl: error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--days", "0"), ("--features", "0"), ("--group-size", "0"), ("--noise", "-1"),
+        ("--capacity", "-3"), ("--capacity", "0"), ("--machines", "0"), ("--jobs", "-2"),
+    ])
+    def test_bad_data_flag_fails_before_work(self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "synthesize", None)
+        out = tmp_path / "run"
+        argv = ["train", *TRAIN_FLAGS, "--problem", "scheduling", flag, value, "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dnl: error: ") and flag in err
         assert not out.exists()
 
     @pytest.mark.parametrize("capacity", ["1e20", "inf"])
@@ -211,6 +230,12 @@ class TestSweep:
             "--capacities", "2", "--batch", "0", "--out", str(table),
         ]) == 1
         assert capsys.readouterr().err.startswith("dnl: error: batch_size")
+        assert not table.exists()
+
+    def test_zero_capacity_is_usage_error(self, tmp_path, capsys):
+        table = tmp_path / "s.csv"
+        assert run(["sweep", "--days", "4", "--capacities", "2", "0", "--out", str(table)]) == 1
+        assert "--capacities must be positive" in capsys.readouterr().err
         assert not table.exists()
 
     def test_non_finite_capacity_is_usage_error(self, tmp_path, capsys):

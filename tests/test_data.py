@@ -193,6 +193,14 @@ class TestMakeScheduling:
         res = dnl.solve_scheduling(dataset.problem_sets[0].true_values, first)
         dnl.validate_solution(res.solution, first)
 
+    @pytest.mark.parametrize("machines, jobs, named", [
+        (0, 3, "num_machines"), (-1, 3, "num_machines"), (2, -2, "num_jobs"),
+    ])
+    def test_bad_counts_name_the_argument(self, machines, jobs, named):
+        series = dnl.synthesize(2, 2, 0.1, seed=59, group_size=12)
+        with pytest.raises(ValueError, match=named):
+            dnl.make_scheduling(series, machines, jobs, seed=61)
+
     def test_deterministic(self):
         series = dnl.synthesize(2, 2, 0.1, seed=59, group_size=12)
         a = dnl.make_scheduling(series, 2, 3, seed=61)

@@ -399,6 +399,71 @@ class TestTrain:
         with pytest.raises(ValueError):
             dnl.train(sets[:3], sets[3:], dnl.TrainConfig(), oracle, bad)
 
+    def test_empty_validation_split_rejected_before_solving(self, oracle):
+        sets, hidden = realizable_sets(4)
+        with pytest.raises(ValueError, match="validation split is empty"):
+            dnl.train(sets, [], dnl.TrainConfig(), oracle, hidden)
+        assert oracle.calls == 0
+
+
+class RepeatCountingOracle(dnl.SolverOracle):
+    """Counts solves of a (constraint, coefficient vector) pair it has
+    already solved."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = set()
+        self.repeats = 0
+
+    def solve(self, values, constraint):
+        key = (id(constraint), np.asarray(values, dtype=float).tobytes())
+        self.repeats += key in self.seen
+        self.seen.add(key)
+        return super().solve(values, constraint)
+
+
+def moving_training(variant, oracle):
+    """Three epochs on eight seeded knapsack sets, split 5 / 3, from a random
+    warm start that the updates move."""
+    rng = np.random.default_rng(11)
+    sets = [random_knapsack_problem(rng, ps_id=f"s{i}") for i in range(8)]
+    warm = dnl.LinearModel(rng.normal(size=3), 1.0)
+    config = dnl.TrainConfig(variant=variant, batch_size=3, max_epochs=3, rng_seed=1)
+    return dnl.train(sets[:5], sets[5:], config, oracle, warm), sets[:5], sets[5:]
+
+
+def unmoved_training(variant, oracle):
+    """One epoch from exactly twice the hidden map: it predicts the same
+    decisions as the truth, with zero regret, so no update moves it."""
+    sets, hidden = realizable_sets(8)
+    warm = dnl.LinearModel(hidden.coefficients * 2, hidden.intercept * 2)
+    config = dnl.TrainConfig(variant=variant, max_epochs=1, rng_seed=1)
+    return dnl.train(sets[:6], sets[6:], config, oracle, warm), sets[:6], sets[6:]
+
+
+@pytest.mark.parametrize("run", [moving_training, unmoved_training])
+@pytest.mark.parametrize("variant", list(dnl.Variant))
+class TestOwnAnswerMemo:
+    def test_no_decision_solved_twice(self, run, variant):
+        # Without the memo, the snapshot of an unmoved model and probes at
+        # the current value solve decisions already solved.
+        oracle = RepeatCountingOracle()
+        trace, _, _ = run(variant, oracle)
+        assert oracle.calls > 0 and oracle.repeats == 0
+        assert trace.total_oracle_calls == oracle.calls
+
+    def test_best_model_carries_no_memo(self, run, variant):
+        trace, train_sets, val_sets = run(variant, dnl.SolverOracle())
+        for ps in [*train_sets, *val_sets]:
+            oracle = dnl.SolverOracle()
+            dnl.regret_of(trace.best_model, ps, oracle, dnl.TrueOptimumCache())
+            assert oracle.calls == 2
+
+    def test_rescored_best_model_gives_best_val_regret(self, run, variant):
+        trace, _, val_sets = run(variant, dnl.SolverOracle())
+        regret, _ = dnl.evaluate_model_regret(trace.best_model, val_sets, dnl.SolverOracle())
+        assert regret == trace.best_val_regret
+
 
 class TestTraceCsv:
     def test_schema_and_determinism(self, tmp_path, oracle):
