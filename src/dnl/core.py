@@ -49,9 +49,9 @@ def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
     if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
             and arr.base is None and not arr.flags.writeable):
         arr = np.array(values, dtype=dtype)
+        arr.setflags(write=False)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -240,6 +240,11 @@ class Solution:
     For knapsack, `vector` is the 0-1 selection itself. For scheduling,
     `vector` is the per-period total power consumption, so that
     objective = vector . prices in both families.
+
+    A knapsack solution from `knapsack_solution` builds its `assignment`,
+    the selection as a tuple of Python ints, from `vector` on first read and
+    caches it on the instance. Concurrent first reads build equal tuples, so
+    that race is harmless.
     """
 
     assignment: tuple
@@ -249,12 +254,24 @@ class Solution:
     def __post_init__(self):
         object.__setattr__(self, "vector", _frozen_array(self.vector))
 
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance lacks: the assignment
+        # that `knapsack_solution` leaves to its first read.
+        if name != "assignment":
+            raise AttributeError(name)
+        assignment = tuple(self.vector.astype(int).tolist())
+        object.__setattr__(self, "assignment", assignment)
+        return assignment
+
 
 def knapsack_solution(selection) -> Solution:
     """A knapsack solution from its 0-1 selection; a solver's fresh vector,
-    handed over read-only, becomes the solution's vector without a copy."""
-    x = np.asarray(selection, dtype=float)
-    return Solution(tuple(x.astype(int).tolist()), Direction.MAX, x)
+    handed over read-only, becomes the solution's vector without a copy.
+    The solution stores its direction and vector; `assignment` is built from
+    the vector on first read."""
+    solution = object.__new__(Solution)
+    solution.__dict__.update(objective_direction=Direction.MAX, vector=_frozen_array(selection))
+    return solution
 
 
 def scheduling_solution(assignment: Sequence[tuple[int, int]], constraint: Scheduling) -> Solution:

@@ -92,10 +92,34 @@ class InexactOracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """An optimal solution and its objective under the queried coefficients."""
+    """An optimal solution and its objective under the queried coefficients.
+
+    The solvers return results from `_answer`, which computes `objective`,
+    float(solution.vector @ values), on first read and caches it on the
+    instance. `values` is the solver's own contiguous copy of the
+    coefficients, so a caller that later writes to the array it passed does
+    not change the answer. Concurrent first reads compute equal floats.
+    """
 
     solution: Solution
     objective: float
+
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance lacks: the objective
+        # that `_answer` leaves to its first read.
+        if name != "objective":
+            raise AttributeError(name)
+        objective = float(self.solution.vector @ self._values)
+        object.__setattr__(self, "objective", objective)
+        return objective
+
+
+def _answer(solution: Solution, values: np.ndarray) -> OracleResult:
+    """A result whose objective is computed from `values`, which the caller
+    must not write to, on first read."""
+    result = object.__new__(OracleResult)
+    result.__dict__.update(solution=solution, _values=values)
+    return result
 
 
 def _integerize(weights: np.ndarray, capacity: float):
@@ -298,7 +322,7 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     Raises ValueError on the loads `SolverOracle` routes to branch-and-bound:
     weights that do not scale to integers, or a table over `DP_TABLE_MAX_CELLS`.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float)  # the answer's own copy
     weights, cap, route = _integer_form(constraint)
     if isinstance(route, str):
         raise ValueError(route)
@@ -310,7 +334,7 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     else:
         x = _knapsack_by_class(values, weights, cap, route)
     x.setflags(write=False)  # handed to the solution without a copy
-    return OracleResult(knapsack_solution(x), float(x @ values))
+    return _answer(knapsack_solution(x), values)
 
 
 def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
@@ -323,7 +347,7 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
     beat the incumbent. Raises ValueError when the search visits more than
     `KNAPSACK_BB_MAX_NODES` nodes.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float)  # the answer's own copy
     weights = np.asarray(constraint.weights, dtype=float)
     cap = float(constraint.capacity)
     n = values.shape[0]
@@ -388,7 +412,7 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
     for level in best_chosen:
         x[order[level]] = 1.0
     x.setflags(write=False)  # handed to the solution without a copy
-    return OracleResult(knapsack_solution(x), float(x @ values))
+    return _answer(knapsack_solution(x), values)
 
 
 class _SchedulingPlan(NamedTuple):
@@ -461,7 +485,7 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     when no complete schedule exists, and ValueError when the search visits
     more than `SCHEDULING_MAX_NODES` nodes.
     """
-    prices = np.asarray(prices, dtype=float)
+    prices = np.array(prices, dtype=float)  # the answer's own copy
     if prices.shape[0] != constraint.periods:
         raise ValueError("one price per period required")
     plan = _scheduling_plan(constraint)
@@ -519,8 +543,7 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     dfs(0, 0.0)
     if best_assignment is None:
         raise InfeasibleInstanceError("no feasible schedule exists for this instance")
-    solution = scheduling_solution(best_assignment, constraint)
-    return OracleResult(solution, float(solution.vector @ prices))
+    return _answer(scheduling_solution(best_assignment, constraint), prices)
 
 
 class SolverOracle:

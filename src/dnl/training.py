@@ -141,6 +141,8 @@ def _regret_scorer(
     """
     if len(profiles) != len(batch):
         raise ValueError("one profile per batch problem set required")
+    if not batch:
+        raise ValueError("an empty batch has no regret to compare")
     if cache is None:
         cache = TrueOptimumCache()
     optima = [cache.true_optimal(ps, oracle) for ps in batch]
@@ -226,7 +228,7 @@ def select_beta_full(
     `candidate_betas(profiles, current)`, of the batch's profiles (one per
     problem set). With a warm cache and complete profiles only, the selection
     makes no oracle call. Ties break toward the candidate nearest the current
-    parameter value.
+    parameter value. Raises ValueError on an empty batch.
     """
     current = float(model.coefficients[beta_index])
     regret = _regret_scorer(profiles, batch, model, beta_index, oracle, cache)
@@ -248,7 +250,8 @@ def select_beta_max(
     Takes one transition profile per problem set. With a warm cache and
     complete profiles only, the selection makes no oracle call. Otherwise,
     with per-set candidate count at most L and batch size N, it spends at
-    most (N-1)N + LN oracle calls on a warm cache.
+    most (N-1)N + LN oracle calls on a warm cache. Raises ValueError on an
+    empty batch.
     """
     current = float(model.coefficients[beta_index])
     regret = _regret_scorer(profiles, batch, model, beta_index, oracle, cache)

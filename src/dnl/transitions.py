@@ -18,6 +18,12 @@ when m = 0). Several decisions optimal at a breakpoint are a tie the oracle
 resolves by its own rule; the profile keeps the true value of the decision it
 returned at the confirming probe, which sits exactly on the breakpoint.
 
+A search scores each distinct decision once. Its sign is fixed by the
+constraint family, and it memoises the line (intercept, slope, true value)
+of every decision it has scored, keyed on the bytes of the decision's
+vector. A confirming probe mostly returns a decision the search has already
+scored: it still costs its oracle call, but no dot product.
+
 The greedy search also probes the old parameter value, takes its decision's
 true objective value (TOV) as the reference, and resolves spans nearest the
 old value first. It stops at the nearest breakpoint whose far-side piece
@@ -31,11 +37,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import OBJECTIVE_TOL, LinearModel, ProblemSet
-from .evaluation import _sign, _solve_at
+from .core import OBJECTIVE_TOL, Knapsack, LinearModel, ProblemSet
+from .evaluation import _solve_at
 from .oracles import InexactOracleError, SolverOracle
 
 __all__ = [
@@ -57,12 +64,16 @@ ZERO_PARAM_BOUNDS = (-1.0, 1.0)
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """One-parameter search region for transition extraction."""
+    """One-parameter search region for transition extraction: finite
+    bounds, lower strictly below upper."""
 
     lower: float
     upper: float
 
     def __post_init__(self):
+        for name, bound in (("lower", self.lower), ("upper", self.upper)):
+            if not math.isfinite(bound):
+                raise ValueError(f"search region {name} bound {bound} is not finite")
         if not self.lower < self.upper:
             raise ValueError("lower must be strictly below upper")
 
@@ -70,7 +81,8 @@ class SearchSpec:
     def from_parameter(cls, beta: float) -> "SearchSpec":
         """Region centered on the current parameter, with half-width 1.5
         times its magnitude. Near zero the relative rule degenerates, so a
-        fixed symmetric region is substituted."""
+        fixed symmetric region is substituted. Raises ValueError when a
+        bound overflows to infinity."""
         if abs(beta) < ZERO_PARAM_THRESHOLD:
             return cls(*ZERO_PARAM_BOUNDS)
         lo, hi = sorted((beta - RELATIVE_SPAN * beta, beta + RELATIVE_SPAN * beta))
@@ -126,14 +138,20 @@ def _search(
     base = problem.features @ rest + model.intercept
     direction = problem.features[:, beta_index]
     true_values = problem.true_values
+    sign = 1.0 if isinstance(problem.constraint, Knapsack) else -1.0  # scheduling minimises
+    scored: dict[bytes, tuple[float, float, float]] = {}  # decision vector -> its line
 
     def probe(beta: float) -> tuple[float, float, float]:
         """The oracle's decision at beta as a line (intercept, slope,
         true value): `intercept + slope * b` is its predicted value at b."""
-        result = _solve_at(model, problem, beta_index, beta, oracle)
-        sign = _sign(result.solution.objective_direction)
-        x = result.solution.vector
-        return sign * float(x @ base), sign * float(x @ direction), sign * float(x @ true_values)
+        x = _solve_at(model, problem, beta_index, beta, oracle).solution.vector
+        key = x.tobytes()
+        line = scored.get(key)
+        if line is None:
+            line = scored[key] = (
+                sign * float(x @ base), sign * float(x @ direction), sign * float(x @ true_values),
+            )
+        return line
 
     points = sorted({spec.lower, spec.upper} | ({beta_old} if beta_old is not None else set()))
     lines = [probe(b) for b in points]

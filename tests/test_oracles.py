@@ -787,3 +787,54 @@ class TestSolverOracle:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert oracle.calls == 2000
+
+
+class TestAnswersBuiltOnFirstRead:
+    """A solver answer builds its knapsack assignment and its objective on
+    first read, with the values and types an eager build gives."""
+
+    def test_knapsack_assignment_is_the_vector_as_python_ints(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            ps = random_knapsack_problem(rng, n=int(rng.integers(1, 12)))
+            values = rng.normal(size=ps.true_values.shape[0])
+            for solve in (dnl.solve_knapsack_dp, dnl.solve_knapsack_bb):
+                solution = solve(values, ps.constraint).solution
+                expected = tuple(int(v) for v in solution.vector)
+                assert solution.assignment == expected
+                assert all(type(v) is int for v in solution.assignment)
+                assert solution.assignment is solution.assignment  # cached
+
+    def test_lazy_solution_reads_like_an_eager_one(self):
+        constraint = dnl.Knapsack([3.0, 5.0, 7.0], 8.0)
+        solution = dnl.solve_knapsack_dp([4.0, 5.0, 6.0], constraint).solution
+        eager = dnl.Solution((1, 1, 0), dnl.Direction.MAX, [1.0, 1.0, 0.0])
+        assert repr(solution) == repr(eager)
+        assert solution.objective_direction is dnl.Direction.MAX
+        assert not solution.vector.flags.writeable
+        with pytest.raises(AttributeError):
+            solution.missing
+
+    def test_objective_is_the_eager_dot_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            ps = random_knapsack_problem(rng, n=int(rng.integers(1, 12)))
+            values = rng.normal(size=ps.true_values.shape[0])
+            res = dnl.solve_knapsack_dp(values, ps.constraint)
+            eager = float(res.solution.vector @ values)
+            assert res.objective.hex() == eager.hex()
+            assert type(res.objective) is float
+
+    @pytest.mark.parametrize("family", ["dp", "bb", "scheduling"])
+    def test_objective_ignores_later_writes_to_the_input(self, family):
+        if family == "scheduling":
+            constraint = random_schedule_constraint(np.random.default_rng(53))
+            values, solve = np.arange(1.0, 7.0), dnl.solve_scheduling
+        else:
+            constraint = dnl.Knapsack([3.0, 5.0, 7.0, 2.0], 10.0)
+            values = np.array([4.0, 5.0, 6.0, 1.5])
+            solve = dnl.solve_knapsack_dp if family == "dp" else dnl.solve_knapsack_bb
+        res = solve(values, constraint)
+        expected = float(res.solution.vector @ values)
+        values[:] = 1e6
+        assert res.objective == expected

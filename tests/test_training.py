@@ -92,6 +92,11 @@ class TestSelectBetaFull:
         for selector in (dnl.select_beta_full, dnl.select_beta_max):
             assert selector([profile], [ps], model, 0, oracle) == 0.5
 
+    @pytest.mark.parametrize("select", [dnl.select_beta_full, dnl.select_beta_max])
+    def test_empty_batch_rejected(self, oracle, select):
+        with pytest.raises(ValueError, match="empty batch"):
+            select([], [], example1_model(1.0), 0, oracle)
+
 
 class TestSelectBetaMax:
     def test_single_problem_set_matches_full(self, oracle):

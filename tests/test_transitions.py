@@ -53,6 +53,21 @@ class TestSearchSpec:
         spec = dnl.SearchSpec.from_parameter(0.0)
         assert (spec.lower, spec.upper) == (-1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "lower, upper, named",
+        [(-np.inf, 1.0, "lower"), (0.0, np.inf, "upper"), (np.nan, 1.0, "lower"),
+         (0.0, np.nan, "upper")],
+    )
+    def test_non_finite_bounds_rejected(self, lower, upper, named):
+        with pytest.raises(ValueError, match=f"{named} bound .* not finite"):
+            dnl.SearchSpec(lower, upper)
+
+    def test_overflowing_parameter_rejected(self):
+        with pytest.raises(ValueError, match="upper bound inf is not finite"):
+            dnl.SearchSpec.from_parameter(1e308)
+        with pytest.raises(ValueError, match="lower bound -inf is not finite"):
+            dnl.SearchSpec.from_parameter(-1e308)
+
 
 class TestExtractFull:
     def test_example1_two_intervals(self, oracle):
