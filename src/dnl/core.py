@@ -233,7 +233,7 @@ class Dataset:
         return len(self.problem_sets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """A feasible assignment plus the dot-product vector it induces.
 
@@ -245,6 +245,10 @@ class Solution:
     the selection as a tuple of Python ints, from `vector` on first read and
     caches it on the instance. Concurrent first reads build equal tuples, so
     that race is harmless.
+
+    Solutions compare by value: equal direction, vector elements and
+    assignment. Like the arrays they hold, they are not hashable
+    (TypeError).
     """
 
     assignment: tuple
@@ -262,6 +266,17 @@ class Solution:
         assignment = tuple(self.vector.astype(int).tolist())
         object.__setattr__(self, "assignment", assignment)
         return assignment
+
+    def __eq__(self, other):
+        if not isinstance(other, Solution):
+            return NotImplemented
+        return (
+            self.objective_direction == other.objective_direction
+            and np.array_equal(self.vector, other.vector)
+            and self.assignment == other.assignment
+        )
+
+    __hash__ = None
 
 
 def knapsack_solution(selection) -> Solution:

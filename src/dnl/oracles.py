@@ -21,14 +21,19 @@ it with ValueError before anything is allocated. Branch-and-bound searches
 depth first on an explicit stack, so no item count overflows the interpreter
 stack, and a search that visits more than `KNAPSACK_BB_MAX_NODES` nodes
 raises ValueError naming the budget and the item count.
-Scheduling is solved by depth-first branch-and-bound. Its price-independent
-plan (each job's feasible machines and starts, the job order, the capacity
-limits) is built once per `Scheduling` and memoised on the instance, so a
-call only prices and sorts the options. Options are tried in ascending cost,
-so a job's loop stops at the first option whose lower bound reaches the
-incumbent, an exact cut-off. A search that visits more than
-`SCHEDULING_MAX_NODES` nodes raises ValueError naming the budget and the job
-count. All solvers are pure functions and safe for concurrent use.
+Scheduling is solved by depth-first branch-and-bound on an explicit stack.
+Its price-independent plan (each job's feasible machines and starts, the job
+order, the capacity limits) is built once per distinct load: equal loads
+share one plan (`_shared_plan`), and each `Scheduling` memoises it on the
+instance, so a call only prices and sorts the options. The plan also keeps a
+bounded memo from each optimal assignment to its `Solution`, so a schedule's
+consumption vector is built once per load. Unlike the plan, that memo grows
+after first use; concurrent calls store equal entries, so their writes are
+harmless. Options are tried in ascending cost, so a job's loop stops at the
+first option whose lower bound reaches the incumbent, an exact cut-off. A
+search that visits more than `SCHEDULING_MAX_NODES` nodes raises ValueError
+naming the budget and the job count. All solvers are pure functions of their
+inputs and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,6 +77,10 @@ CLASS_GRID_MAX_CELLS = 100_000
 
 # Most nodes one scheduling branch-and-bound search may visit.
 SCHEDULING_MAX_NODES = 200_000
+
+# Most schedules a scheduling plan keeps built; past it answers are built but
+# not stored. A seed-0 scheduling-max round of 8,132 calls met 66 schedules.
+SCHEDULING_MEMO_MAX = 256
 
 # Most nodes one knapsack branch-and-bound search may visit. Subset-sum loads
 # of 25 to 1,200 real-valued items ran out of it in 1.4-2.0 s (500,000-
@@ -418,7 +428,9 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
 class _SchedulingPlan(NamedTuple):
     """The price-independent part of a scheduling search. Positions index
     jobs in search order; options are every feasible (machine, start) pair,
-    grouped by position, machine-major and start-ascending within a group."""
+    grouped by position, machine-major and start-ascending within a group.
+    `answers` is the one part written after the build: the schedules the
+    load's searches have returned, built once each."""
 
     order: list[int]  # job at each position, tightest window first
     offsets: list[int]  # options of position p are offsets[p]:offsets[p + 1]
@@ -430,20 +442,33 @@ class _SchedulingPlan(NamedTuple):
     resource: list[float]  # per position
     duration: list[int]  # per position
     limits: list[float]  # machine capacity + OBJECTIVE_TOL, per machine
+    answers: dict  # assignment -> its Solution, up to SCHEDULING_MEMO_MAX entries
 
 
 def _scheduling_plan(constraint: Scheduling) -> _SchedulingPlan:
-    """The load's search plan, built on first use and memoised on the
-    immutable instance; concurrent first uses build equal plans."""
+    """The load's search plan, taken from `_shared_plan` on first use and
+    memoised on the immutable instance, so equal loads share one plan. Solves
+    write the plan's `answers`; a concurrent write stores an assignment and
+    the `Solution` built from it, equal to what any other call stores."""
     plan = constraint.__dict__.get("_scheduling_plan")
-    if plan is not None:
-        return plan
-    jobs = constraint.jobs
+    if plan is None:
+        plan = _shared_plan(constraint.machines, constraint.jobs, constraint.periods)
+        object.__setattr__(constraint, "_scheduling_plan", plan)
+    return plan
+
+
+# The days of a scheduling series share one load, so a training meets few;
+# the bound caps what a long process of many loads keeps.
+@functools.lru_cache(maxsize=64)
+def _shared_plan(machines: tuple, jobs: tuple, periods: int) -> _SchedulingPlan:
+    """The plan of the load (machines, jobs, periods), shared by every equal
+    load however it was built. Concurrent first uses may build two equal
+    plans, and instances may then memoise different ones; both are exact."""
     order = sorted(
         range(len(jobs)),
         key=lambda j: (jobs[j].latest_finish - jobs[j].earliest_start - jobs[j].duration, j),
     )
-    caps = [m.capacity for m in constraint.machines]
+    caps = [m.capacity for m in machines]
     offsets, slots, rows, power = [0], [], [], []
     for pos, j in enumerate(order):
         job = jobs[j]
@@ -455,7 +480,7 @@ def _scheduling_plan(constraint: Scheduling) -> _SchedulingPlan:
                 power += [job.power] * len(starts)
         offsets.append(len(slots))
     group, start, stop = np.array(rows, dtype=np.intp).reshape(-1, 3).T
-    plan = _SchedulingPlan(
+    return _SchedulingPlan(
         order=order,
         offsets=offsets,
         group=group,
@@ -466,9 +491,14 @@ def _scheduling_plan(constraint: Scheduling) -> _SchedulingPlan:
         resource=[jobs[j].resource for j in order],
         duration=[jobs[j].duration for j in order],
         limits=[cap + OBJECTIVE_TOL for cap in caps],
+        answers={},
     )
-    object.__setattr__(constraint, "_scheduling_plan", plan)
-    return plan
+
+
+def _node_budget_error(max_nodes: int, num_jobs: int) -> ValueError:
+    return ValueError(
+        f"scheduling search exceeded the {max_nodes}-node budget on a load of {num_jobs} jobs"
+    )
 
 
 def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
@@ -480,10 +510,13 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     conflicts. Options come in ascending cost and float addition is monotone,
     so the first option whose bound reaches the incumbent ends its job's
     loop: no later option can do better, and the cut-off is exact. The
-    price-independent plan (options, job order, capacity limits) is built
-    once per `Scheduling` and memoised on it. Raises InfeasibleInstanceError
-    when no complete schedule exists, and ValueError when the search visits
-    more than `SCHEDULING_MAX_NODES` nodes.
+    search keeps one option cursor per job on an explicit stack. The
+    price-independent plan (options, job order, capacity limits) is shared by
+    equal loads and memoised on each `Scheduling`, and an optimal schedule
+    met before on the load returns its stored `Solution`; the objective is
+    always this call's. Raises ValueError on a non-finite price,
+    InfeasibleInstanceError when no complete schedule exists, and ValueError
+    when the search visits more than `SCHEDULING_MAX_NODES` nodes.
     """
     prices = np.array(prices, dtype=float)  # the answer's own copy
     if prices.shape[0] != constraint.periods:
@@ -491,6 +524,8 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     plan = _scheduling_plan(constraint)
     prefix = np.zeros(prices.shape[0] + 1)
     prices.cumsum(out=prefix[1:])
+    if not math.isfinite(prefix[-1]):  # a NaN or infinite price reaches the total
+        raise ValueError("scheduling prices must be finite and have a finite sum")
     costs = plan.power * (prefix[plan.stop] - prefix[plan.start])
     rank = np.lexsort((costs, plan.group))
     option_cost = costs[rank].tolist()
@@ -503,29 +538,23 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
         suffix_min[pos] = suffix_min[pos + 1] + option_cost[offsets[pos]]
 
     max_nodes = SCHEDULING_MAX_NODES
+    nodes = 1  # the root, which places no job
+    if nodes > max_nodes:
+        raise _node_budget_error(max_nodes, num_jobs)
     usage = [[0.0] * constraint.periods for _ in limits]
     assignment: list[tuple[int, int] | None] = [None] * num_jobs
     best_cost = np.inf
-    best_assignment: list[tuple[int, int]] | None = None
-    nodes = 0
-
-    def dfs(pos: int, cost: float) -> None:
-        nonlocal best_cost, best_assignment, nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise ValueError(
-                f"scheduling search exceeded the {max_nodes}-node budget "
-                f"on a load of {num_jobs} jobs"
-            )
-        if pos == num_jobs:
-            best_cost = cost
-            best_assignment = assignment.copy()  # type: ignore[assignment]
-            return
-        j = order[pos]
-        r = resource[pos]
-        d = duration[pos]
-        rest = suffix_min[pos + 1]
-        for k in range(offsets[pos], offsets[pos + 1]):
+    best = None if num_jobs else ()  # with no jobs the root is the schedule
+    last = num_jobs - 1
+    cursor = [0] * num_jobs  # per position, its next option
+    cost_at = [0.0] * num_jobs  # per position, the cost of the jobs placed before it
+    undo = [None] * num_jobs  # per position, (row, start, window) its placed option overwrote
+    pos = 0 if num_jobs else -1
+    while pos >= 0:
+        at = pos
+        cost, rest = cost_at[at], suffix_min[at + 1]
+        r, d = resource[at], duration[at]
+        for k in range(cursor[at], offsets[at + 1]):
             child_cost = cost + option_cost[k]
             if child_cost + rest >= best_cost - 1e-12:
                 break  # later options cost no less, so they would be pruned too
@@ -535,15 +564,33 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
             window = row[start : start + d]
             if max(window) + r > limits[machine]:
                 continue
+            nodes += 1
+            if nodes > max_nodes:
+                raise _node_budget_error(max_nodes, num_jobs)
+            assignment[order[at]] = slot
+            if at == last:  # a complete schedule below the incumbent's cost
+                best_cost, best = child_cost, tuple(assignment)
+                continue
             row[start : start + d] = [u + r for u in window]
-            assignment[j] = slot
-            dfs(pos + 1, child_cost)
-            row[start : start + d] = window
-
-    dfs(0, 0.0)
-    if best_assignment is None:
+            undo[at] = (row, start, window)
+            cursor[at] = k + 1
+            pos = at + 1
+            cursor[pos], cost_at[pos] = offsets[pos], child_cost
+            break
+        if pos == at:  # no option left here can beat the incumbent: back up
+            pos -= 1
+            if pos >= 0:
+                row, start, window = undo[pos]
+                row[start : start + len(window)] = window
+    if best is None:
         raise InfeasibleInstanceError("no feasible schedule exists for this instance")
-    return _answer(scheduling_solution(best_assignment, constraint), prices)
+    answers = plan.answers
+    solution = answers.get(best)
+    if solution is None:
+        solution = scheduling_solution(best, constraint)
+        if len(answers) < SCHEDULING_MEMO_MAX:
+            answers[best] = solution
+    return _answer(solution, prices)
 
 
 class SolverOracle:
@@ -554,7 +601,11 @@ class SolverOracle:
     integerize or the DP table would exceed its budget. Scheduling runs
     branch-and-bound. One oracle may be shared across threads: the call
     counter is updated under a lock, and the per-`Knapsack` integer form and
-    per-`Scheduling` plan the solvers memoise are idempotent and only read.
+    the scheduling plan, shared by equal loads, are idempotent and only read
+    once built. The one memo written afterwards, a plan's stored schedules,
+    takes only entries equal to any a concurrent call would store: an
+    assignment and the `Solution` built from it. A race can only replace an
+    entry with an equal one, or pass the bound by one entry per racing call.
     """
 
     def __init__(self):

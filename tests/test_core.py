@@ -152,6 +152,37 @@ class TestPredict:
             assert np.max(np.abs(mixed - combo)) <= 1e-9
 
 
+class TestSolutionEquality:
+    def test_solver_answer_equals_a_hand_built_solution(self):
+        constraint = dnl.Scheduling(
+            (dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 2.0, 2, 0, 4),), 4
+        )
+        solution = dnl.solve_scheduling([5.0, 1.0, 2.0, 7.0], constraint).solution
+        built = dnl.Solution(((0, 1),), dnl.Direction.MIN, [0.0, 2.0, 2.0, 0.0])
+        assert solution.vector is not built.vector
+        assert (solution == built) is True
+        assert (solution != built) is False
+        assert solution != dnl.Solution(((0, 1),), dnl.Direction.MIN, [0.0, 2.0, 2.0, 1.0])
+        assert solution != dnl.Solution(((0, 2),), dnl.Direction.MIN, [0.0, 2.0, 2.0, 0.0])
+        assert solution != dnl.Solution(((0, 1),), dnl.Direction.MAX, [0.0, 2.0, 2.0, 0.0])
+        assert solution != dnl.Solution(((0, 1),), dnl.Direction.MIN, [0.0, 2.0, 2.0])
+        assert solution != ((0, 1),)
+
+    def test_knapsack_answers_compare_by_value(self):
+        constraint = dnl.Knapsack([3.0, 5.0, 7.0], 8.0)
+        a = dnl.solve_knapsack_dp([4.0, 5.0, 6.0], constraint)
+        b = dnl.solve_knapsack_bb([4.0, 5.0, 6.0], constraint)
+        assert a.solution.vector is not b.solution.vector
+        assert a.solution == b.solution == dnl.knapsack_solution([1, 1, 0])
+        assert a == b
+
+    def test_solutions_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(dnl.knapsack_solution([1, 0]))
+        with pytest.raises(TypeError):
+            hash(dnl.Solution(((0, 0),), dnl.Direction.MIN, [1.0]))
+
+
 class TestSolutionObjective:
     def test_knapsack_dot(self):
         sol = dnl.knapsack_solution([1, 0, 1])

@@ -223,7 +223,7 @@ class TestScheduling:
         # reference search's schedule and the enumerator's optimum, within a
         # node budget of the reference search's tree.
         rng = np.random.default_rng(37)
-        feasible = infeasible = 0
+        feasible = infeasible = deep = 0
         while feasible < 150:
             constraint = random_schedule_constraint(
                 rng,
@@ -237,6 +237,11 @@ class TestScheduling:
             prices = rng.integers(-2, 3, size=constraint.periods).astype(float)
             expected_cost, _ = enumerate_schedule(prices, constraint)
             reference_cost, reference, nodes = reference_schedule(prices, constraint)
+            if nodes > 1:  # the search counts its nodes as the reference does
+                monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", nodes - 1)
+                with pytest.raises(ValueError, match=f"exceeded the {nodes - 1}-node budget"):
+                    dnl.solve_scheduling(prices, constraint)
+                deep += 1
             monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", nodes)
             if not np.isfinite(expected_cost):
                 with pytest.raises(dnl.InfeasibleInstanceError):
@@ -248,7 +253,7 @@ class TestScheduling:
             assert res.solution.assignment == tuple(reference)
             dnl.validate_solution(res.solution, constraint)
             feasible += 1
-        assert infeasible > 0
+        assert infeasible > 0 and deep > 100
 
     def test_plan_built_once_per_load(self, monkeypatch):
         calls = []
@@ -292,6 +297,70 @@ class TestScheduling:
         assert str(exc.value) == (
             f"scheduling search exceeded the {nodes - 1}-node budget on a load of 5 jobs"
         )
+
+    def test_equal_loads_share_one_plan(self):
+        def load(capacity):
+            return dnl.Scheduling(
+                (dnl.MachineSpec(capacity), dnl.MachineSpec(2.0)),
+                (dnl.JobSpec(1.0, 2.0, 2, 0, 5), dnl.JobSpec(2.0, 1.0, 1, 1, 5)),
+                5,
+            )
+
+        first, second = load(3.0), load(3.0)
+        assert first is not second
+        plan = oracles._scheduling_plan(first)
+        assert oracles._scheduling_plan(second) is plan
+        assert oracles._scheduling_plan(load(4.0)) is not plan
+
+    def test_repeated_schedule_returns_the_stored_solution(self):
+        # Shifting and scaling every price keeps the optimal schedule; the
+        # second call returns the first call's Solution, and each objective is
+        # its own prices' dot, bit for bit.
+        rng = np.random.default_rng(59)
+        constraint = random_schedule_constraint(rng, periods=7, machines=2, jobs=3)
+        prices = rng.uniform(0.5, 4.0, size=7)
+        results = [
+            dnl.solve_scheduling(p, constraint) for p in (prices, 3.0 * prices, prices + 1.0)
+        ]
+        assert results[0].solution is results[1].solution is results[2].solution
+        for p, res in zip((prices, 3.0 * prices, prices + 1.0), results):
+            assert res.objective.hex() == float(res.solution.vector @ p).hex()
+        _, reference, _ = reference_schedule(prices + 1.0, constraint)
+        assert results[2].solution.assignment == tuple(reference)
+
+    def test_stored_schedules_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(oracles, "SCHEDULING_MEMO_MAX", 2)
+        constraint = dnl.Scheduling(
+            (dnl.MachineSpec(2.5), dnl.MachineSpec(1.5)),
+            (dnl.JobSpec(1.5, 1.0, 2, 0, 8), dnl.JobSpec(1.0, 3.0, 3, 1, 8)),
+            8,
+        )
+        answers = oracles._scheduling_plan(constraint).answers
+        assert not answers
+        rng = np.random.default_rng(61)
+        schedules = set()
+        for _ in range(40):
+            prices = rng.integers(-3, 4, size=8).astype(float)
+            res = dnl.solve_scheduling(prices, constraint)
+            _, reference, _ = reference_schedule(prices, constraint)
+            assert res.solution.assignment == tuple(reference)
+            assert res.objective == float(res.solution.vector @ prices)
+            dnl.validate_solution(res.solution, constraint)
+            schedules.add(res.solution.assignment)
+            assert len(answers) <= 2
+        assert len(schedules) > 2 and len(answers) == 2
+
+    @pytest.mark.parametrize(
+        "prices", [[1.0, np.nan, 2.0], [np.inf, 1.0, 2.0], [1.0, 2.0, -np.inf]]
+    )
+    def test_non_finite_prices_rejected(self, prices):
+        constraint = dnl.Scheduling(
+            (dnl.MachineSpec(1.25),), (dnl.JobSpec(1.0, 1.0, 1, 0, 3),), 3
+        )
+        with pytest.raises(ValueError, match="finite") as exc:
+            dnl.solve_scheduling(prices, constraint)
+        assert type(exc.value) is ValueError  # not InfeasibleInstanceError
+        assert not oracles._scheduling_plan(constraint).answers
 
     def test_negative_prices_supported(self):
         constraint = dnl.Scheduling(
@@ -787,6 +856,48 @@ class TestSolverOracle:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert oracle.calls == 2000
+
+    def test_stored_schedules_are_exact_across_threads(self, monkeypatch):
+        # Threads solving separately built equal loads share one plan and
+        # write its schedule memo at once; every answer stays exact and the
+        # memo passes its bound by at most one entry per thread.
+        monkeypatch.setattr(oracles, "SCHEDULING_MEMO_MAX", 3)
+
+        def load():
+            return dnl.Scheduling(
+                (dnl.MachineSpec(3.5), dnl.MachineSpec(2.5)),
+                (dnl.JobSpec(2.5, 1.0, 2, 0, 7), dnl.JobSpec(1.5, 2.0, 1, 1, 7),
+                 dnl.JobSpec(1.0, 3.0, 3, 0, 7)),
+                7,
+            )
+
+        rng = np.random.default_rng(67)
+        prices = [rng.integers(-3, 4, size=7).astype(float) for _ in range(40)]
+        expected = [tuple(reference_schedule(p, load())[1]) for p in prices]
+        results = [[] for _ in range(4)]
+
+        def work(out):
+            constraint = load()
+            for _ in range(5):
+                for p in prices:
+                    res = dnl.solve_scheduling(p, constraint)
+                    out.append((res.solution.assignment, res.objective == res.solution.vector @ p))
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in results:
+            assert out == [(e, True) for e in expected] * 5
+        assert len(set(expected)) > 3
+        assert len(oracles._scheduling_plan(load()).answers) <= 3 + len(threads)
 
 
 class TestAnswersBuiltOnFirstRead:
