@@ -41,6 +41,7 @@ from .evaluation import (
 from .oracles import (
     InexactOracleError,
     InfeasibleInstanceError,
+    NonFinitePricesError,
     OracleResult,
     SolverOracle,
     solve_knapsack_bb,

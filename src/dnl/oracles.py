@@ -23,17 +23,18 @@ stack, and a search that visits more than `KNAPSACK_BB_MAX_NODES` nodes
 raises ValueError naming the budget and the item count.
 Scheduling is solved by depth-first branch-and-bound on an explicit stack.
 Its price-independent plan (each job's feasible machines and starts, the job
-order, the capacity limits) is built once per distinct load: equal loads
-share one plan (`_shared_plan`), and each `Scheduling` memoises it on the
-instance, so a call only prices and sorts the options. The plan also keeps a
-bounded memo from each optimal assignment to its `Solution`, so a schedule's
-consumption vector is built once per load. Unlike the plan, that memo grows
-after first use; concurrent calls store equal entries, so their writes are
-harmless. Options are tried in ascending cost, so a job's loop stops at the
-first option whose lower bound reaches the incumbent, an exact cut-off. A
-search that visits more than `SCHEDULING_MAX_NODES` nodes raises ValueError
-naming the budget and the job count. All solvers are pure functions of their
-inputs and safe for concurrent use.
+order, the capacity limits) is built once per `Scheduling` and memoised on
+the instance, so a call only prices and sorts the options. The days of a
+scheduling series share one `Scheduling`, so a training builds one plan. The
+plan also keeps a bounded memo from each optimal assignment to its
+`Solution`, so a schedule's consumption vector is built once per load.
+Unlike the plan, that memo grows after first use; concurrent calls store
+equal entries, so their writes are harmless. Options are tried in ascending
+cost, so a job's loop stops at the first option whose lower bound reaches
+the incumbent, an exact cut-off. A search that visits more than
+`SCHEDULING_MAX_NODES` nodes raises ValueError naming the budget and the job
+count. All solvers are pure functions of their inputs and safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ __all__ = [
     "OracleResult",
     "InfeasibleInstanceError",
     "InexactOracleError",
+    "NonFinitePricesError",
     "solve_knapsack_dp",
     "solve_knapsack_bb",
     "solve_scheduling",
@@ -79,7 +81,8 @@ CLASS_GRID_MAX_CELLS = 100_000
 SCHEDULING_MAX_NODES = 200_000
 
 # Most schedules a scheduling plan keeps built; past it answers are built but
-# not stored. A seed-0 scheduling-max round of 8,132 calls met 66 schedules.
+# not stored. Each seed-0 scheduling-max load met 29 to 47 schedules over its
+# set-up and training.
 SCHEDULING_MEMO_MAX = 256
 
 # Most nodes one knapsack branch-and-bound search may visit. Subset-sum loads
@@ -93,6 +96,11 @@ MAX_SCALE_SHIFT = 6
 
 class InfeasibleInstanceError(ValueError):
     """Raised when a scheduling instance admits no feasible schedule."""
+
+
+class NonFinitePricesError(ValueError):
+    """Raised when scheduling prices hold a NaN or an infinity, or sum past
+    the largest float."""
 
 
 class InexactOracleError(RuntimeError):
@@ -446,29 +454,19 @@ class _SchedulingPlan(NamedTuple):
 
 
 def _scheduling_plan(constraint: Scheduling) -> _SchedulingPlan:
-    """The load's search plan, taken from `_shared_plan` on first use and
-    memoised on the immutable instance, so equal loads share one plan. Solves
-    write the plan's `answers`; a concurrent write stores an assignment and
-    the `Solution` built from it, equal to what any other call stores."""
+    """The load's search plan, built on first use and memoised on the
+    immutable instance; concurrent first uses build equal plans. Solves write
+    the plan's `answers`; a concurrent write stores an assignment and the
+    `Solution` built from it, equal to what any other call stores."""
     plan = constraint.__dict__.get("_scheduling_plan")
-    if plan is None:
-        plan = _shared_plan(constraint.machines, constraint.jobs, constraint.periods)
-        object.__setattr__(constraint, "_scheduling_plan", plan)
-    return plan
-
-
-# The days of a scheduling series share one load, so a training meets few;
-# the bound caps what a long process of many loads keeps.
-@functools.lru_cache(maxsize=64)
-def _shared_plan(machines: tuple, jobs: tuple, periods: int) -> _SchedulingPlan:
-    """The plan of the load (machines, jobs, periods), shared by every equal
-    load however it was built. Concurrent first uses may build two equal
-    plans, and instances may then memoise different ones; both are exact."""
+    if plan is not None:
+        return plan
+    jobs = constraint.jobs
     order = sorted(
         range(len(jobs)),
         key=lambda j: (jobs[j].latest_finish - jobs[j].earliest_start - jobs[j].duration, j),
     )
-    caps = [m.capacity for m in machines]
+    caps = [m.capacity for m in constraint.machines]
     offsets, slots, rows, power = [0], [], [], []
     for pos, j in enumerate(order):
         job = jobs[j]
@@ -480,7 +478,7 @@ def _shared_plan(machines: tuple, jobs: tuple, periods: int) -> _SchedulingPlan:
                 power += [job.power] * len(starts)
         offsets.append(len(slots))
     group, start, stop = np.array(rows, dtype=np.intp).reshape(-1, 3).T
-    return _SchedulingPlan(
+    plan = _SchedulingPlan(
         order=order,
         offsets=offsets,
         group=group,
@@ -493,12 +491,8 @@ def _shared_plan(machines: tuple, jobs: tuple, periods: int) -> _SchedulingPlan:
         limits=[cap + OBJECTIVE_TOL for cap in caps],
         answers={},
     )
-
-
-def _node_budget_error(max_nodes: int, num_jobs: int) -> ValueError:
-    return ValueError(
-        f"scheduling search exceeded the {max_nodes}-node budget on a load of {num_jobs} jobs"
-    )
+    object.__setattr__(constraint, "_scheduling_plan", plan)
+    return plan
 
 
 def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
@@ -511,12 +505,13 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     so the first option whose bound reaches the incumbent ends its job's
     loop: no later option can do better, and the cut-off is exact. The
     search keeps one option cursor per job on an explicit stack. The
-    price-independent plan (options, job order, capacity limits) is shared by
-    equal loads and memoised on each `Scheduling`, and an optimal schedule
-    met before on the load returns its stored `Solution`; the objective is
-    always this call's. Raises ValueError on a non-finite price,
-    InfeasibleInstanceError when no complete schedule exists, and ValueError
-    when the search visits more than `SCHEDULING_MAX_NODES` nodes.
+    price-independent plan (options, job order, capacity limits) is built
+    once per `Scheduling` and memoised on it, and an optimal schedule met
+    before on the load returns its stored `Solution`; the objective is
+    always this call's. Raises NonFinitePricesError (a ValueError) on a
+    non-finite price or price total, InfeasibleInstanceError when no
+    complete schedule exists, and ValueError when the search visits more
+    than `SCHEDULING_MAX_NODES` nodes.
     """
     prices = np.array(prices, dtype=float)  # the answer's own copy
     if prices.shape[0] != constraint.periods:
@@ -525,7 +520,7 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     prefix = np.zeros(prices.shape[0] + 1)
     prices.cumsum(out=prefix[1:])
     if not math.isfinite(prefix[-1]):  # a NaN or infinite price reaches the total
-        raise ValueError("scheduling prices must be finite and have a finite sum")
+        raise NonFinitePricesError("scheduling prices must be finite and have a finite sum")
     costs = plan.power * (prefix[plan.stop] - prefix[plan.start])
     rank = np.lexsort((costs, plan.group))
     option_cost = costs[rank].tolist()
@@ -539,8 +534,6 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
 
     max_nodes = SCHEDULING_MAX_NODES
     nodes = 1  # the root, which places no job
-    if nodes > max_nodes:
-        raise _node_budget_error(max_nodes, num_jobs)
     usage = [[0.0] * constraint.periods for _ in limits]
     assignment: list[tuple[int, int] | None] = [None] * num_jobs
     best_cost = np.inf
@@ -566,7 +559,10 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
                 continue
             nodes += 1
             if nodes > max_nodes:
-                raise _node_budget_error(max_nodes, num_jobs)
+                raise ValueError(
+                    f"scheduling search exceeded the {max_nodes}-node budget "
+                    f"on a load of {num_jobs} jobs"
+                )
             assignment[order[at]] = slot
             if at == last:  # a complete schedule below the incumbent's cost
                 best_cost, best = child_cost, tuple(assignment)
@@ -601,11 +597,11 @@ class SolverOracle:
     integerize or the DP table would exceed its budget. Scheduling runs
     branch-and-bound. One oracle may be shared across threads: the call
     counter is updated under a lock, and the per-`Knapsack` integer form and
-    the scheduling plan, shared by equal loads, are idempotent and only read
-    once built. The one memo written afterwards, a plan's stored schedules,
-    takes only entries equal to any a concurrent call would store: an
-    assignment and the `Solution` built from it. A race can only replace an
-    entry with an equal one, or pass the bound by one entry per racing call.
+    per-`Scheduling` plan are idempotent and only read once built. The one
+    memo written afterwards, a plan's stored schedules, takes only entries
+    equal to any a concurrent call would store: an assignment and the
+    `Solution` built from it. A race can only replace an entry with an equal
+    one, or pass the bound by one entry per racing call.
     """
 
     def __init__(self):

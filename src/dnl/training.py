@@ -28,7 +28,12 @@ from .evaluation import (
     TrueOptimumCache, _clamped_regret, _same_float, _solve_at, _true_value,
     evaluate_model_regret,
 )
-from .oracles import InexactOracleError, InfeasibleInstanceError, SolverOracle
+from .oracles import (
+    InexactOracleError,
+    InfeasibleInstanceError,
+    NonFinitePricesError,
+    SolverOracle,
+)
 from .transitions import SearchSpec, TransitionProfile, extract_full, extract_greedy
 
 __all__ = [
@@ -287,9 +292,9 @@ def train(
 
     The intercept stays at its warmstart value; only the coefficient vector
     is trained. Returns the trace with the model attaining the lowest
-    recorded validation regret, which carries no memo. An inexact oracle or
-    an infeasible instance while updating a parameter raises TrainingError;
-    other errors propagate.
+    recorded validation regret, which carries no memo. An inexact oracle, an
+    infeasible instance or non-finite predicted scheduling prices while
+    updating a parameter raise TrainingError; other errors propagate.
 
     Each decision is solved once per model: the model in training keeps the
     oracle's answer at its own coefficients for every set it has solved, so
@@ -348,7 +353,11 @@ def train(
                             extract_full(model, ps, k, spec, oracle) for ps in batch
                         ]
                     beta_opt = select(profiles, batch, model, k, oracle, cache)
-                except (InexactOracleError, InfeasibleInstanceError) as exc:
+                except (
+                    InexactOracleError,
+                    InfeasibleInstanceError,
+                    NonFinitePricesError,
+                ) as exc:
                     raise TrainingError(
                         f"epoch {epoch}: oracle failure while updating "
                         f"parameter {k}: {exc}"

@@ -298,19 +298,24 @@ class TestScheduling:
             f"scheduling search exceeded the {nodes - 1}-node budget on a load of 5 jobs"
         )
 
-    def test_equal_loads_share_one_plan(self):
-        def load(capacity):
+    def test_each_load_keeps_its_own_stored_schedules(self):
+        # The plan and its schedule memo live on the instance: an equal load
+        # built separately starts empty and fills its own memo.
+        def load():
             return dnl.Scheduling(
-                (dnl.MachineSpec(capacity), dnl.MachineSpec(2.0)),
+                (dnl.MachineSpec(3.0), dnl.MachineSpec(2.0)),
                 (dnl.JobSpec(1.0, 2.0, 2, 0, 5), dnl.JobSpec(2.0, 1.0, 1, 1, 5)),
                 5,
             )
 
-        first, second = load(3.0), load(3.0)
-        assert first is not second
-        plan = oracles._scheduling_plan(first)
-        assert oracles._scheduling_plan(second) is plan
-        assert oracles._scheduling_plan(load(4.0)) is not plan
+        first, second = load(), load()
+        prices = [3.0, 1.0, 2.0, 5.0, 4.0]
+        stored = dnl.solve_scheduling(prices, first).solution
+        assert oracles._scheduling_plan(first).answers == {stored.assignment: stored}
+        assert oracles._scheduling_plan(second) is not oracles._scheduling_plan(first)
+        assert not oracles._scheduling_plan(second).answers
+        assert dnl.solve_scheduling(prices, second).solution is not stored
+        assert dnl.solve_scheduling(prices, first).solution is stored
 
     def test_repeated_schedule_returns_the_stored_solution(self):
         # Shifting and scaling every price keeps the optimal schedule; the
@@ -359,7 +364,7 @@ class TestScheduling:
         )
         with pytest.raises(ValueError, match="finite") as exc:
             dnl.solve_scheduling(prices, constraint)
-        assert type(exc.value) is ValueError  # not InfeasibleInstanceError
+        assert type(exc.value) is dnl.NonFinitePricesError
         assert not oracles._scheduling_plan(constraint).answers
 
     def test_negative_prices_supported(self):
@@ -858,26 +863,22 @@ class TestSolverOracle:
         assert oracle.calls == 2000
 
     def test_stored_schedules_are_exact_across_threads(self, monkeypatch):
-        # Threads solving separately built equal loads share one plan and
-        # write its schedule memo at once; every answer stays exact and the
-        # memo passes its bound by at most one entry per thread.
+        # Threads solving one shared load write its schedule memo at once;
+        # every answer stays exact and the memo passes its bound by at most
+        # one entry per thread.
         monkeypatch.setattr(oracles, "SCHEDULING_MEMO_MAX", 3)
-
-        def load():
-            return dnl.Scheduling(
-                (dnl.MachineSpec(3.5), dnl.MachineSpec(2.5)),
-                (dnl.JobSpec(2.5, 1.0, 2, 0, 7), dnl.JobSpec(1.5, 2.0, 1, 1, 7),
-                 dnl.JobSpec(1.0, 3.0, 3, 0, 7)),
-                7,
-            )
-
+        constraint = dnl.Scheduling(
+            (dnl.MachineSpec(3.5), dnl.MachineSpec(2.5)),
+            (dnl.JobSpec(2.5, 1.0, 2, 0, 7), dnl.JobSpec(1.5, 2.0, 1, 1, 7),
+             dnl.JobSpec(1.0, 3.0, 3, 0, 7)),
+            7,
+        )
         rng = np.random.default_rng(67)
         prices = [rng.integers(-3, 4, size=7).astype(float) for _ in range(40)]
-        expected = [tuple(reference_schedule(p, load())[1]) for p in prices]
+        expected = [tuple(reference_schedule(p, constraint)[1]) for p in prices]
         results = [[] for _ in range(4)]
 
         def work(out):
-            constraint = load()
             for _ in range(5):
                 for p in prices:
                     res = dnl.solve_scheduling(p, constraint)
@@ -897,7 +898,7 @@ class TestSolverOracle:
         for out in results:
             assert out == [(e, True) for e in expected] * 5
         assert len(set(expected)) > 3
-        assert len(oracles._scheduling_plan(load()).answers) <= 3 + len(threads)
+        assert len(oracles._scheduling_plan(constraint).answers) <= 3 + len(threads)
 
 
 class TestAnswersBuiltOnFirstRead:

@@ -380,6 +380,7 @@ class TestTrain:
             (dnl.InfeasibleInstanceError, True),
             (ValueError, False),
             (RuntimeError, False),
+            (dnl.NonFinitePricesError, True),
         ],
     )
     def test_only_oracle_failures_become_training_errors(
@@ -397,6 +398,30 @@ class TestTrain:
             assert type(info.value.__cause__) is error
         else:
             assert type(info.value) is error
+
+    def test_overflowing_predicted_prices_become_a_training_error(self, oracle):
+        # Feature 0 is huge: at the warm start the price total is finite,
+        # but the top of the coefficient's search region (2.5) overflows it.
+        periods = 6
+        constraint = dnl.Scheduling(
+            (dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 1.0, 2, 0, periods),), periods
+        )
+        rng = np.random.default_rng(83)
+        sets = [
+            dnl.ProblemSet(
+                rng.uniform(1.0, 3.0, periods),
+                np.column_stack([np.full(periods, 2e307), rng.uniform(1.0, 2.0, periods)]),
+                constraint,
+                f"s{i}",
+            )
+            for i in range(4)
+        ]
+        warmstart = dnl.LinearModel([1.0, 1.0], 0.0)
+        failure = "epoch 1: oracle failure while updating parameter 0"
+        with pytest.raises(TrainingError, match=failure) as info:
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                dnl.train(sets[:3], sets[3:], dnl.TrainConfig(max_epochs=1), oracle, warmstart)
+        assert type(info.value.__cause__) is dnl.NonFinitePricesError
 
     def test_dimension_mismatch_rejected(self, oracle):
         sets, hidden = realizable_sets(4)
