@@ -33,8 +33,9 @@ equal entries, so their writes are harmless. Options are tried in ascending
 cost, so a job's loop stops at the first option whose lower bound reaches
 the incumbent, an exact cut-off. A search that visits more than
 `SCHEDULING_MAX_NODES` nodes raises ValueError naming the budget and the job
-count. All solvers are pure functions of their inputs and safe for
-concurrent use.
+count. A solver's `OracleResult` computes its objective on each read and is
+never written after construction. All solvers are pure functions of their
+inputs and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -112,32 +113,18 @@ class InexactOracleError(RuntimeError):
 class OracleResult:
     """An optimal solution and its objective under the queried coefficients.
 
-    The solvers return results from `_answer`, which computes `objective`,
-    float(solution.vector @ values), on first read and caches it on the
-    instance. `values` is the solver's own contiguous copy of the
-    coefficients, so a caller that later writes to the array it passed does
-    not change the answer. Concurrent first reads compute equal floats.
+    `_values` is the solver's own contiguous copy of the coefficients, so a
+    caller that later writes to the array it passed does not change the
+    answer; `objective`, float(solution.vector @ _values), is computed on
+    each read. Nothing is written after construction.
     """
 
     solution: Solution
-    objective: float
+    _values: np.ndarray = field(repr=False, compare=False)
 
-    def __getattr__(self, name):
-        # Reached only for an attribute the instance lacks: the objective
-        # that `_answer` leaves to its first read.
-        if name != "objective":
-            raise AttributeError(name)
-        objective = float(self.solution.vector @ self._values)
-        object.__setattr__(self, "objective", objective)
-        return objective
-
-
-def _answer(solution: Solution, values: np.ndarray) -> OracleResult:
-    """A result whose objective is computed from `values`, which the caller
-    must not write to, on first read."""
-    result = object.__new__(OracleResult)
-    result.__dict__.update(solution=solution, _values=values)
-    return result
+    @property
+    def objective(self) -> float:
+        return float(self.solution.vector @ self._values)
 
 
 def _integerize(weights: np.ndarray, capacity: float):
@@ -231,10 +218,6 @@ def _knapsack_table_dp(values: np.ndarray, weights: np.ndarray, cap: int) -> np.
             continue
         w = int(weights[i])
         if w > cap:
-            continue
-        if w == 0:
-            keep[i, :] = True
-            best += v
             continue
         candidate = best[: cap + 1 - w] + v
         improved = candidate > best[w:]
@@ -337,8 +320,10 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     across classes the first best count vector in grid order wins. When one
     class holds every item, that is the table DP's own selection. Other
     loads run the table DP, whose ties prefer excluding the later item.
-    Raises ValueError on the loads `SolverOracle` routes to branch-and-bound:
-    weights that do not scale to integers, or a table over `DP_TABLE_MAX_CELLS`.
+    Values must be finite, unchecked for cost (`training.train` stops at a
+    numpy overflow instead). Raises ValueError on the loads `SolverOracle`
+    routes to branch-and-bound: weights that do not scale to integers, or a
+    table over `DP_TABLE_MAX_CELLS`.
     """
     values = np.array(values, dtype=float)  # the answer's own copy
     weights, cap, route = _integer_form(constraint)
@@ -352,7 +337,7 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     else:
         x = _knapsack_by_class(values, weights, cap, route)
     x.setflags(write=False)  # handed to the solution without a copy
-    return _answer(knapsack_solution(x), values)
+    return OracleResult(knapsack_solution(x), values)
 
 
 def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
@@ -362,7 +347,8 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
     1e-9; the selection itself may differ under ties. Items of positive
     value are ranked by value/weight; each node visits its include child
     before its exclude child and is pruned on entry when its bound cannot
-    beat the incumbent. Raises ValueError when the search visits more than
+    beat the incumbent. Values must be finite, unchecked as in
+    `solve_knapsack_dp`. Raises ValueError when the search visits more than
     `KNAPSACK_BB_MAX_NODES` nodes.
     """
     values = np.array(values, dtype=float)  # the answer's own copy
@@ -430,7 +416,7 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
     for level in best_chosen:
         x[order[level]] = 1.0
     x.setflags(write=False)  # handed to the solution without a copy
-    return _answer(knapsack_solution(x), values)
+    return OracleResult(knapsack_solution(x), values)
 
 
 class _SchedulingPlan(NamedTuple):
@@ -508,10 +494,10 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     price-independent plan (options, job order, capacity limits) is built
     once per `Scheduling` and memoised on it, and an optimal schedule met
     before on the load returns its stored `Solution`; the objective is
-    always this call's. Raises NonFinitePricesError (a ValueError) on a
-    non-finite price or price total, InfeasibleInstanceError when no
-    complete schedule exists, and ValueError when the search visits more
-    than `SCHEDULING_MAX_NODES` nodes.
+    always read under this call's prices. Raises NonFinitePricesError (a
+    ValueError) on a non-finite price or price total,
+    InfeasibleInstanceError when no complete schedule exists, and ValueError
+    when the search visits more than `SCHEDULING_MAX_NODES` nodes.
     """
     prices = np.array(prices, dtype=float)  # the answer's own copy
     if prices.shape[0] != constraint.periods:
@@ -586,7 +572,7 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
         solution = scheduling_solution(best, constraint)
         if len(answers) < SCHEDULING_MEMO_MAX:
             answers[best] = solution
-    return _answer(solution, prices)
+    return OracleResult(solution, prices)
 
 
 class SolverOracle:

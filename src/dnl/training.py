@@ -56,7 +56,7 @@ class Variant(str, Enum):
 
 
 class TrainingError(RuntimeError):
-    """Raised when an oracle failure aborts a training epoch."""
+    """Raised when an oracle failure or a numpy overflow aborts a training epoch."""
 
 
 @dataclass
@@ -158,8 +158,9 @@ def _regret_scorer(
     # regrets: below the region, piece 0, breakpoint 0, piece 1, ..., piece
     # m, above the region. A repeated breakpoint keeps its first value and
     # the piece after its last copy, as `bisect_left` over the breakpoints
-    # reads them. Rows hold nan out of the region, without values, and where
-    # the regret is below -`OBJECTIVE_TOL` (it raises when scored).
+    # reads them. Rows hold nan, which `regret` solves or raises on, out of
+    # the region, for a profile without values (every candidate is solved)
+    # and where the regret is below -`OBJECTIVE_TOL` (it raises when scored).
     width = 2 * max(len(p.intervals) for p in profiles) + 3
     inf, nan = float("inf"), float("nan")
     edges, true_values = [], []
@@ -183,7 +184,7 @@ def _regret_scorer(
     regrets[regrets <= OBJECTIVE_TOL] = 0.0
     solved: dict[tuple[int, float], float] = {}
 
-    def solved_regret(i: int, beta: float, achieved: float = nan) -> float:
+    def solved_regret(i: int, beta: float, achieved: float) -> float:
         if achieved != achieved:  # no value to look up: solve at beta
             if (i, beta) not in solved:
                 result = _solve_at(model, batch[i], beta_index, beta, oracle)
@@ -192,8 +193,6 @@ def _regret_scorer(
         return _clamped_regret(optima[i], achieved, batch[i])
 
     def regret(i: int, betas: np.ndarray) -> np.ndarray:
-        if not profiles[i].values:
-            return np.array([solved_regret(i, beta) for beta in betas.tolist()])
         at = edges[i].searchsorted(betas)
         row = regrets[i, at]
         if not np.minimum.reduce(row) >= 0.0:  # nan: solve or raise
@@ -281,6 +280,7 @@ def _memoised(model: LinearModel) -> LinearModel:
     return model
 
 
+@np.errstate(over="raise")
 def train(
     train_sets: Sequence[ProblemSet],
     val_sets: Sequence[ProblemSet],
@@ -292,9 +292,11 @@ def train(
 
     The intercept stays at its warmstart value; only the coefficient vector
     is trained. Returns the trace with the model attaining the lowest
-    recorded validation regret, which carries no memo. An inexact oracle, an
-    infeasible instance or non-finite predicted scheduling prices while
-    updating a parameter raise TrainingError; other errors propagate.
+    recorded validation regret, which carries no memo. A numpy overflow
+    raises FloatingPointError instead of warning. An inexact oracle, an
+    infeasible instance, non-finite predicted scheduling prices or an
+    overflow while updating a parameter raise TrainingError; other errors
+    propagate.
 
     Each decision is solved once per model: the model in training keeps the
     oracle's answer at its own coefficients for every set it has solved, so
@@ -357,6 +359,7 @@ def train(
                     InexactOracleError,
                     InfeasibleInstanceError,
                     NonFinitePricesError,
+                    FloatingPointError,
                 ) as exc:
                     raise TrainingError(
                         f"epoch {epoch}: oracle failure while updating "

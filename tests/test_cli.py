@@ -79,6 +79,31 @@ class TestTrain:
         assert run(["train", *TRAIN_FLAGS, "--variant", "ridge", "--out", str(out)]) == 0
         assert (out / "ridge_model.txt").exists()
 
+    def test_scheduling_problem(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["train", "--problem", "scheduling", "--days", "6", "--group-size", "8",
+                "--epochs", "1", "--variant", "dnl-max", "--out", str(out)]
+        assert run(argv) == 0
+        assert "dnl-max: test regret " in capsys.readouterr().out
+        assert (out / "dnl-max_model.txt").exists()
+
+    def test_missing_data_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        out = tmp_path / "run"
+        assert run(["train", *TRAIN_FLAGS, "--data", str(missing), "--out", str(out)]) == 1
+        assert f"dnl: error: data file not found: {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_failure_exits_2(self, tmp_path, capsys):
+        # Ten jobs in one-period days on one machine: no draw is feasible.
+        out = tmp_path / "run"
+        argv = ["train", "--problem", "scheduling", "--days", "6", "--group-size", "1",
+                "--machines", "1", "--jobs", "10", "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dnl: failed: could not generate a feasible load")
+        assert not out.exists()
+
     def test_bad_fold_index(self, tmp_path):
         assert run(["train", *TRAIN_FLAGS, "--fold", "7", "--out", str(tmp_path)]) == 1
 

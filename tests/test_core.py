@@ -284,3 +284,80 @@ def test_model_roundtrip(tmp_path):
     loaded = dnl.load_model(path)
     assert np.array_equal(loaded.coefficients, model.coefficients)
     assert loaded.intercept == model.intercept
+
+
+def _one_job_load(periods=4):
+    return dnl.Scheduling((dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 1.0, 1, 0, periods),), periods)
+
+
+def _model_file(tmp, text):
+    path = tmp / "model.txt"
+    path.write_text(text)
+    return path
+
+
+# Each input check: (call taking a scratch directory, exception type, message fragment).
+INPUT_CHECKS = {
+    "2-d weights": (
+        lambda tmp: dnl.Knapsack([[1.0, 2.0]], 1.0), ValueError, "expected a 1-d array"),
+    "zero duration": (
+        lambda tmp: dnl.JobSpec(1.0, 1.0, 0, 0, 2), ValueError, "duration must be positive"),
+    "negative start": (
+        lambda tmp: dnl.JobSpec(1.0, 1.0, 1, -1, 2), ValueError, "earliest_start must be >= 0"),
+    "zero periods": (
+        lambda tmp: dnl.Scheduling((dnl.MachineSpec(1.0),), (), 0),
+        ValueError, "periods must be positive"),
+    "no machine": (
+        lambda tmp: dnl.Scheduling((), (), 3), ValueError, "at least one machine required"),
+    "duration past horizon": (
+        lambda tmp: dnl.Scheduling((dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 1.0, 5, 0, 5),), 4),
+        ValueError, "job 0 duration exceeds the horizon"),
+    "finish past horizon": (
+        lambda tmp: dnl.Scheduling((dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 1.0, 2, 0, 5),), 4),
+        ValueError, "job 0 latest_finish exceeds the horizon"),
+    "prices per period": (
+        lambda tmp: dnl.ProblemSet(np.ones(3), np.ones((3, 1)), _one_job_load(), "p"),
+        ValueError, "one coefficient per period required"),
+    "unknown constraint": (
+        lambda tmp: dnl.ProblemSet(np.ones(3), np.ones((3, 1)), object(), "p"),
+        TypeError, "unsupported constraint type"),
+    "empty dataset": (
+        lambda tmp: dnl.Dataset(()), ValueError, "at least one problem set"),
+    "selection length": (
+        lambda tmp: dnl.validate_solution(dnl.knapsack_solution([1.0, 0.0]), dnl.Knapsack([1.0] * 3, 2.0)),
+        ValueError, "does not match item count"),
+    "fractional selection": (
+        lambda tmp: dnl.validate_solution(
+            dnl.Solution((0,), dnl.Direction.MAX, [0.5]), dnl.Knapsack([1.0], 2.0)),
+        ValueError, "must be 0-1"),
+    "pairs per job": (
+        lambda tmp: dnl.validate_solution(
+            dnl.Solution((), dnl.Direction.MIN, np.zeros(4)), _one_job_load()),
+        ValueError, "one (machine, start) pair required per job"),
+    "machine index": (
+        lambda tmp: dnl.validate_solution(
+            dnl.Solution(((5, 0),), dnl.Direction.MIN, [1.0, 0.0, 0.0, 0.0]), _one_job_load()),
+        ValueError, "job 0: machine index 5 out of range"),
+    "consumption vector": (
+        lambda tmp: dnl.validate_solution(
+            dnl.Solution(((0, 0),), dnl.Direction.MIN, np.zeros(4)), _one_job_load()),
+        ValueError, "consumption vector inconsistent"),
+    "unknown constraint to validate": (
+        lambda tmp: dnl.validate_solution(dnl.knapsack_solution([1.0]), object()),
+        TypeError, "unsupported constraint type"),
+    "malformed model file": (
+        lambda tmp: dnl.load_model(_model_file(tmp, "p 2\nbeta 1.0 x\nintercept 0\n")),
+        ValueError, "malformed model file"),
+    "coefficient count": (
+        lambda tmp: dnl.load_model(_model_file(tmp, "p 3\nbeta 1.0 2.0\nintercept 0\n")),
+        ValueError, "expected 3 coefficients, got 2"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check_names_the_fault(tmp_path, case):
+    call, error, fragment = INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert fragment in str(info.value)

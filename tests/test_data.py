@@ -201,6 +201,25 @@ class TestMakeScheduling:
         with pytest.raises(ValueError, match=named):
             dnl.make_scheduling(series, machines, jobs, seed=61)
 
+    def test_infeasible_load_is_redrawn(self, monkeypatch):
+        # One-period days on one machine: two jobs fit only when their
+        # resources sum to the capacity or less. Seed 0 draws an infeasible
+        # load first, then a feasible one.
+        solved = []
+        solve = dnl.data.solve_scheduling
+
+        def counting(prices, constraint):
+            solved.append(constraint)
+            return solve(prices, constraint)
+
+        monkeypatch.setattr(dnl.data, "solve_scheduling", counting)
+        series = dnl.RawSeries(np.zeros((3, 2)), np.zeros(3), group_size=1)
+        dataset = dnl.make_scheduling(series, 1, 2, seed=0)
+        assert len(solved) == 2
+        assert dataset.problem_sets[0].constraint is solved[-1]
+        with pytest.raises(dnl.InfeasibleInstanceError):
+            dnl.solve_scheduling([0.0], solved[0])
+
     def test_deterministic(self):
         series = dnl.synthesize(2, 2, 0.1, seed=59, group_size=12)
         a = dnl.make_scheduling(series, 2, 3, seed=61)
@@ -253,3 +272,62 @@ class TestSplit:
         with pytest.raises(ValueError, match="6 folds"):
             dnl.split(self.problem_sets(5), dnl.SplitSpec(folds=6))
 
+
+def _header_only_csv(tmp):
+    path = tmp / "series.csv"
+    write_csv(path, [])
+    return path
+
+
+def _split_sets(n):
+    return [dnl.ProblemSet([1.0], [[1.0]], dnl.Knapsack([1.0], 1.0), f"ps{i}") for i in range(n)]
+
+
+# Each input check: (call taking a scratch directory, exception type, message fragment).
+INPUT_CHECKS = {
+    "1-d features": (
+        lambda tmp: dnl.RawSeries(np.zeros(4), np.zeros(4)),
+        ValueError, "features must be a 2-d array"),
+    "misaligned rows": (
+        lambda tmp: dnl.RawSeries(np.zeros((4, 2)), np.zeros(3)),
+        ValueError, "features and prices must align"),
+    "zero group size": (
+        lambda tmp: dnl.RawSeries(np.zeros((4, 2)), np.zeros(4), group_size=0),
+        ValueError, "group_size must be positive"),
+    "zero folds": (
+        lambda tmp: dnl.SplitSpec(folds=0), ValueError, "folds must be positive"),
+    "no data rows": (
+        lambda tmp: dnl.load_csv(_header_only_csv(tmp), ["f0", "f1"], "price"),
+        ValueError, "no data rows"),
+    "no features": (
+        lambda tmp: dnl.synthesize(2, 0, 0.1, seed=0), ValueError, "p must be positive"),
+    "knapsack without a day": (
+        lambda tmp: dnl.make_knapsack(
+            dnl.RawSeries(np.zeros((3, 2)), np.zeros(3), group_size=4), False, 2.0),
+        ValueError, "series has no complete group"),
+    "no feasible load": (
+        # Eight jobs of resource 1 or more in one period of one machine of
+        # capacity 4 or less: every draw is infeasible.
+        lambda tmp: dnl.make_scheduling(
+            dnl.RawSeries(np.zeros((3, 2)), np.zeros(3), group_size=1), 1, 8, seed=0),
+        dnl.InfeasibleInstanceError, "could not generate a feasible load in 50 attempts"),
+    "scheduling without a day": (
+        lambda tmp: dnl.make_scheduling(
+            dnl.RawSeries(np.zeros((3, 2)), np.zeros(3), group_size=4), 1, 1, seed=0),
+        ValueError, "series has no complete group"),
+    "two problem sets": (
+        lambda tmp: dnl.split(_split_sets(2)), ValueError, "need at least three problem sets"),
+    "no training sets": (
+        lambda tmp: dnl.split(
+            _split_sets(4), dnl.SplitSpec(folds=1, train_frac=0.0, val_frac=0.5, test_frac=0.5)),
+        ValueError, "split leaves no training problem sets"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check_names_the_fault(tmp_path, case):
+    call, error, fragment = INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert fragment in str(info.value)

@@ -280,6 +280,11 @@ class TestEvaluateModelRegret:
         mean, std = dnl.evaluate_model_regret(dnl.LinearModel([1.0], 0.0), sets, oracle)
         assert mean == 0.0 and std == 0.0
 
+    def test_no_problem_set_rejected(self, oracle):
+        with pytest.raises(ValueError, match="at least one problem set required"):
+            dnl.evaluate_model_regret(example1_model(1.0), [], oracle)
+        assert oracle.calls == 0
+
     def test_single_problem_set_has_zero_std(self, oracle):
         ps = example1_problem()
         _, std = dnl.evaluate_model_regret(example1_model(3.0), [ps], oracle)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 import threading
@@ -593,6 +594,39 @@ class TestClassSolver:
             assert res.objective == pytest.approx(best_val, abs=1e-9)
 
 
+class TestZeroWeightItemsOnTheTableDP:
+    """The table DP's general update keeps a zero-weight item of positive
+    value on every capacity, and never one of value zero or below."""
+
+    @pytest.mark.parametrize("integral", [True, False], ids=["integer", "real"])
+    def test_every_positive_zero_weight_item_is_selected(self, monkeypatch, integral):
+        monkeypatch.setattr(oracles, "CLASS_GRID_MAX_CELLS", 0)  # every load: table DP
+        rng = np.random.default_rng(109 if integral else 113)
+        for _ in range(20):
+            n = int(rng.integers(6, 11))
+            weights = rng.choice([0.0, 2.0, 3.0, 5.0], size=n)
+            if integral:
+                values = rng.integers(-3, 6, size=n).astype(float)
+                free = (float(rng.integers(1, 4)), 0.0, -float(rng.integers(1, 4)))
+            else:
+                values = rng.uniform(-2.0, 5.0, size=n)
+                free = (rng.uniform(0.5, 2.0), 0.0, -rng.uniform(0.5, 2.0))
+            weights[:3], values[:3] = 0.0, free
+            order = rng.permutation(n)
+            weights, values = weights[order], values[order]
+            constraint = dnl.Knapsack(weights, 9.0)
+            res = dnl.solve_knapsack_dp(values, constraint)
+            assert oracles._integer_form(constraint)[2] is None
+            best_val, _ = enumerate_knapsack(values, weights, 9.0)
+            if integral:
+                assert res.objective == best_val
+            else:
+                assert res.objective == pytest.approx(best_val, abs=1e-9)
+            zero = weights == 0
+            assert np.array_equal(res.solution.vector[zero], values[zero] > 0)
+            dnl.validate_solution(res.solution, constraint)
+
+
 class TestClassGridMemo:
     """The price-independent part of the count grid is memoised per (scaled
     capacity, class weights, limits), across loads."""
@@ -950,3 +984,54 @@ class TestAnswersBuiltOnFirstRead:
         expected = float(res.solution.vector @ values)
         values[:] = 1e6
         assert res.objective == expected
+
+
+class TestOracleResult:
+    """A solver answer is a plain frozen dataclass: its solution and the
+    solver's own copy of the coefficients, the objective read from both."""
+
+    def test_no_attribute_hook(self):
+        assert "__getattr__" not in vars(dnl.OracleResult)
+        with pytest.raises(AttributeError):
+            dnl.solve_knapsack_dp([1.0], dnl.Knapsack([1.0], 1.0)).missing
+
+    def test_replace_keeps_the_objective(self):
+        constraint = dnl.Knapsack([3.0, 5.0, 7.0], 8.0)
+        res = dnl.solve_knapsack_dp([4.0, 5.0, 6.0], constraint)
+        same = dataclasses.replace(res, solution=dnl.knapsack_solution([1.0, 1.0, 0.0]))
+        assert same.objective == res.objective == 9.0
+        other = dataclasses.replace(res, solution=dnl.knapsack_solution([0.0, 0.0, 1.0]))
+        assert other.objective == 6.0
+
+    def test_repr_and_equality_read_the_solution_only(self):
+        constraint = dnl.Knapsack([3.0, 5.0, 7.0], 8.0)
+        low = dnl.solve_knapsack_dp([4.0, 5.0, 6.0], constraint)
+        high = dnl.solve_knapsack_dp([40.0, 50.0, 6.0], constraint)
+        assert (low.objective, high.objective) == (9.0, 90.0)
+        assert low == high
+        assert repr(low) == f"OracleResult(solution={low.solution!r})"
+
+
+# Each input check: (call, exception type, message fragment).
+INPUT_CHECKS = {
+    "dp value count": (
+        lambda: dnl.solve_knapsack_dp([1.0, 2.0], dnl.Knapsack([1.0] * 3, 2.0)),
+        ValueError, "values and weights must have equal length"),
+    "bb value count": (
+        lambda: dnl.solve_knapsack_bb([1.0, 2.0], dnl.Knapsack([1.0] * 3, 2.0)),
+        ValueError, "values and weights must have equal length"),
+    "price count": (
+        lambda: dnl.solve_scheduling([1.0] * 3, random_schedule_constraint(np.random.default_rng(0))),
+        ValueError, "one price per period required"),
+    "unknown constraint": (
+        lambda: dnl.SolverOracle().solve([1.0], object()), TypeError, "unsupported constraint type"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check_names_the_fault(case):
+    call, error, fragment = INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert fragment in str(info.value)

@@ -85,6 +85,11 @@ def test_too_few_rows_rejected():
         dnl.fit_ridge([ps])
 
 
+def test_no_problem_set_rejected():
+    with pytest.raises(ValueError, match="at least one problem set required"):
+        dnl.fit_ridge([])
+
+
 def test_negative_penalty_rejected():
     sets, _, _ = linear_problem_sets(np.random.default_rng(409))
     with pytest.raises(ValueError):

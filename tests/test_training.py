@@ -240,6 +240,30 @@ class TestLookupScoring:
             outside += sum(value > 0 for value in table[-2:].tolist())
         assert checked > 60 and outside > 0
 
+    def test_all_truncated_batch_solves_each_candidate_once(self, oracle):
+        # Profiles without values: each set solves each distinct candidate
+        # once, through the scorer's memo, and scores it as `regret_of` does.
+        rng = np.random.default_rng(353)
+        batch = [random_knapsack_problem(rng, ps_id=f"trunc{j}") for j in range(3)]
+        model = dnl.LinearModel(rng.normal(size=3), 0.0)
+        profiles = [dnl.TransitionProfile((), 0, -2.0, 2.0, truncated=True) for _ in batch]
+        cache = dnl.TrueOptimumCache()
+        for ps in batch:
+            cache.true_optimal(ps, oracle)
+        regret = _regret_scorer(profiles, batch, model, 0, oracle, cache)
+        betas = np.array([-1.5, 0.25, 1.0, 0.25])
+        before = oracle.calls
+        for i, ps in enumerate(batch):
+            expected = [
+                dnl.regret_of(model.with_coefficient(0, b), ps, dnl.SolverOracle(), cache).regret
+                for b in betas.tolist()
+            ]
+            assert regret(i, betas).tolist() == expected
+        assert oracle.calls - before == 3 * len(batch)
+        for i in range(len(batch)):
+            regret(i, betas)
+        assert oracle.calls - before == 3 * len(batch)
+
     def test_repeated_breakpoint_reads_as_one(self, oracle):
         # A candidate at a repeated breakpoint takes the first copy's value,
         # one past it the piece after the last copy.
@@ -381,6 +405,7 @@ class TestTrain:
             (ValueError, False),
             (RuntimeError, False),
             (dnl.NonFinitePricesError, True),
+            (FloatingPointError, True),
         ],
     )
     def test_only_oracle_failures_become_training_errors(
@@ -399,6 +424,26 @@ class TestTrain:
         else:
             assert type(info.value) is error
 
+    @staticmethod
+    def stops_at_overflow(constraint, size, feature, seed, oracle):
+        """Train on sets whose feature 0 is `feature`; the update of
+        parameter 0 must stop on a numpy overflow, as a TrainingError."""
+        rng = np.random.default_rng(seed)
+        sets = [
+            dnl.ProblemSet(
+                rng.uniform(1.0, 3.0, size),
+                np.column_stack([np.full(size, feature), rng.uniform(1.0, 2.0, size)]),
+                constraint,
+                f"s{i}",
+            )
+            for i in range(4)
+        ]
+        warmstart = dnl.LinearModel([1.0, 1.0], 0.0)
+        failure = "epoch 1: oracle failure while updating parameter 0: overflow"
+        with pytest.raises(TrainingError, match=failure) as info:
+            dnl.train(sets[:3], sets[3:], dnl.TrainConfig(max_epochs=1), oracle, warmstart)
+        assert type(info.value.__cause__) is FloatingPointError
+
     def test_overflowing_predicted_prices_become_a_training_error(self, oracle):
         # Feature 0 is huge: at the warm start the price total is finite,
         # but the top of the coefficient's search region (2.5) overflows it.
@@ -406,28 +451,39 @@ class TestTrain:
         constraint = dnl.Scheduling(
             (dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 1.0, 2, 0, periods),), periods
         )
-        rng = np.random.default_rng(83)
-        sets = [
-            dnl.ProblemSet(
-                rng.uniform(1.0, 3.0, periods),
-                np.column_stack([np.full(periods, 2e307), rng.uniform(1.0, 2.0, periods)]),
-                constraint,
-                f"s{i}",
-            )
-            for i in range(4)
-        ]
-        warmstart = dnl.LinearModel([1.0, 1.0], 0.0)
-        failure = "epoch 1: oracle failure while updating parameter 0"
-        with pytest.raises(TrainingError, match=failure) as info:
-            with pytest.warns(RuntimeWarning, match="overflow"):
-                dnl.train(sets[:3], sets[3:], dnl.TrainConfig(max_epochs=1), oracle, warmstart)
-        assert type(info.value.__cause__) is dnl.NonFinitePricesError
+        self.stops_at_overflow(constraint, periods, 2e307, 83, oracle)
+
+    def test_overflowing_predicted_values_become_a_training_error(self, oracle):
+        # The knapsack twin: at the warm start each predicted value is
+        # finite (one weight class, so the solver sums none of them), but
+        # the prediction overflows at the top of the search region (2.5).
+        constraint = dnl.Knapsack([1.0, 1.0, 1.0, 1.0], 2.0)
+        self.stops_at_overflow(constraint, 4, 1e308, 89, oracle)
 
     def test_dimension_mismatch_rejected(self, oracle):
         sets, hidden = realizable_sets(4)
         bad = dnl.LinearModel([1.0, 2.0, 3.0], 0.0)
         with pytest.raises(ValueError):
             dnl.train(sets[:3], sets[3:], dnl.TrainConfig(), oracle, bad)
+
+    # Each input check: (call on sets, their model and an oracle, message fragment).
+    INPUT_CHECKS = {
+        "profile count": (
+            lambda sets, model, oracle: dnl.select_beta_full([], sets[:1], model, 0, oracle),
+            "one profile per batch problem set required"),
+        "empty training split": (
+            lambda sets, model, oracle: dnl.train([], sets, dnl.TrainConfig(), oracle, model),
+            "training split is empty"),
+    }
+
+    @pytest.mark.parametrize("case", INPUT_CHECKS)
+    def test_input_check_names_the_fault(self, oracle, case):
+        call, fragment = self.INPUT_CHECKS[case]
+        sets, hidden = realizable_sets(4)
+        with pytest.raises(ValueError) as info:
+            call(sets, hidden, oracle)
+        assert type(info.value) is ValueError and fragment in str(info.value)
+        assert oracle.calls == 0
 
     def test_empty_validation_split_rejected_before_solving(self, oracle):
         sets, hidden = realizable_sets(4)
