@@ -338,16 +338,16 @@ def validate_solution(solution: Solution, constraint: ConstraintData) -> None:
 
 def predict(model: LinearModel, problem: ProblemSet) -> np.ndarray:
     """Predicted coefficient vector, one entry per item or period."""
-    return _predict_with(model.coefficients, model.intercept, problem)
+    _check_dimension(model.coefficients, problem)
+    return problem.features @ model.coefficients + model.intercept
 
 
-def _predict_with(coefficients: np.ndarray, intercept: float, problem: ProblemSet) -> np.ndarray:
+def _check_dimension(coefficients: np.ndarray, problem: ProblemSet) -> None:
     if coefficients.shape[0] != problem.feature_dim:
         raise ValueError(
             f"model has {coefficients.shape[0]} parameters but problem features "
             f"have dimension {problem.feature_dim}"
         )
-    return problem.features @ coefficients + intercept
 
 
 def solution_objective(solution: Solution, values) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .core import (
     Direction,
     LinearModel,
     ProblemSet,
-    _predict_with,
+    _check_dimension,
     predict,
     solution_objective,
 )
@@ -79,27 +79,33 @@ def _own_answer(model: LinearModel, problem: ProblemSet, oracle: SolverOracle) -
     return answers[id(problem)][1]
 
 
-def _solve_at(
-    model: LinearModel,
-    problem: ProblemSet,
-    beta_index: int,
-    beta_value: float,
-    oracle: SolverOracle,
-) -> OracleResult:
-    """The oracle's answer with parameter `beta_index` set to `beta_value`:
-    the operands of `predict(model.with_coefficient(beta_index, beta_value),
-    problem)`, with no model built. Like that route, it raises ValueError on
-    a non-finite value or a model/feature dimension mismatch. At the model's
-    own value, bit for bit, it answers through `_own_answer`."""
-    if not math.isfinite(beta_value):
-        raise ValueError(f"probed parameter value {beta_value} is not finite")
-    current = model.coefficients[beta_index]
-    if beta_value == current and "_answers" in model.__dict__ and _same_float(beta_value, current):
-        return _own_answer(model, problem, oracle)
+def _prober(
+    model: LinearModel, problem: ProblemSet, beta_index: int, oracle: SolverOracle
+) -> Callable[[float], OracleResult]:
+    """The oracle's answer with parameter `beta_index` set to a probed value,
+    as a function of that value: the one route from a probed value to an
+    answer. Built once per (model, set, parameter), with one copy of the
+    coefficients and one dimension check (ValueError on a mismatch, as
+    `predict` raises). Each probe computes `predict(model.with_coefficient(
+    beta_index, value), problem)` with the same operands, with no model
+    built, and raises ValueError on a non-finite value. At the model's own
+    value, bit for bit, a model that carries a memo answers through
+    `_own_answer`."""
     coefficients = model.coefficients.copy()
-    coefficients[beta_index] = beta_value
-    predicted = _predict_with(coefficients, model.intercept, problem)
-    return oracle.solve(predicted, problem.constraint)
+    _check_dimension(coefficients, problem)
+    current = float(coefficients[beta_index])
+    memoised = "_answers" in model.__dict__
+    features, intercept, constraint = problem.features, model.intercept, problem.constraint
+
+    def solve_at(beta: float) -> OracleResult:
+        if not math.isfinite(beta):
+            raise ValueError(f"probed parameter value {beta} is not finite")
+        if memoised and _same_float(beta, current):
+            return _own_answer(model, problem, oracle)
+        coefficients[beta_index] = beta
+        return oracle.solve(features @ coefficients + intercept, constraint)
+
+    return solve_at
 
 
 @dataclass(frozen=True)
@@ -175,7 +181,7 @@ def pov(
     under those same predictions. Convex and piecewise linear in the probed
     parameter.
     """
-    return _signed_objective(_solve_at(model, problem, beta_index, beta_value, oracle))
+    return _signed_objective(_prober(model, problem, beta_index, oracle)(beta_value))
 
 
 def tov(
@@ -187,7 +193,7 @@ def tov(
 ) -> float:
     """True optimal value: the predicted-coefficient solution scored under the
     true coefficients. A step function of the probed parameter."""
-    return _true_value(_solve_at(model, problem, beta_index, beta_value, oracle), problem)
+    return _true_value(_prober(model, problem, beta_index, oracle)(beta_value), problem)
 
 
 def evaluate_model_regret(

@@ -2,18 +2,20 @@
 
 Knapsack is solved over integer-scaled weights, or by branch-and-bound with
 an LP-relaxation bound (real weights). Each `Knapsack` is scaled once, and
-its route (count grid, table DP or branch-and-bound) and weight classes (the
-distinct weights that fit and their item counts) are memoised on the
-immutable instance. Within a class an optimal selection takes
-the highest values, so a load of few classes is solved by a max over
-per-class counts: a grid over every class but the heaviest, which takes what
-the capacity left holds. What the grid's cells leave that class depends
-only on the load's shape and the per-class limits, so it is memoised across
-loads (`_class_fill`). One class is a grid of one cell, the capacity // w
-largest positive values. The grid runs when it has no more cells than the
-items x (capacity + 1) table, nor than `CLASS_GRID_MAX_CELLS`. Within a
-class the lower index wins among equal values; across classes the first best
-count vector in grid order (lexicographic, lightest class first) wins. Other
+its route (count grid, table DP or branch-and-bound) is memoised on the
+immutable instance; a count grid's route is the load's `_ClassPlan`.
+Within a class an optimal selection takes the highest values, so a load of
+few classes is solved by a max over per-class counts: a grid over every
+class but the heaviest, which takes what the capacity left holds. The grid
+spans each class up to its extent, min(count, capacity // w), which depends
+on the load alone, so what its cells leave the heaviest class is looked up
+once per load and shared by loads of one shape (`_class_fill`); a solve
+sums sorted values and takes one argmax. One class is a grid of one cell,
+its capacity // w largest positive values. The grid runs when it has no
+more cells than the items x (capacity + 1) table, nor than
+`CLASS_GRID_MAX_CELLS`. Within a class the lower index wins among equal
+values; across classes the first best count vector in grid order
+(lexicographic, lightest class first) wins. Other
 loads run the table DP, whose ties exclude the later item, capped at
 `DP_TABLE_MAX_CELLS` cells. A load whose table would be larger, or whose
 weights do not scale to integers within int64, goes to branch-and-bound; `solve_knapsack_dp` refuses
@@ -40,7 +42,6 @@ inputs and safe for concurrent use.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -153,27 +154,42 @@ def _integerize(weights: np.ndarray, capacity: float):
     )
 
 
+class _ClassPlan(NamedTuple):
+    """The price-independent part of a count-grid solve: the load's weight
+    classes that fit in the capacity, ascending by weight, as Python ints."""
+
+    weights: tuple  # the distinct integer weights up to the capacity
+    counts: tuple  # items per class
+    extents: tuple  # most items a class can take: min(count, cap // w), count at weight 0
+    fill: np.ndarray | None  # with more than one class, its `_class_fill` table
+
+
 def _class_plan(weights: np.ndarray, cap: int):
-    """The weight classes that fit in the capacity as `(class_weights,
-    counts)`: the distinct integer weights up to `cap`, ascending, and each
-    one's item count, as Python ints. None when the count grid over every
-    class but the heaviest would have more cells than the items x (capacity
-    + 1) table the DP fills, or than `CLASS_GRID_MAX_CELLS`: a grid cell
-    costs more than a table cell, so such loads run the table DP."""
+    """The load's `_ClassPlan`, or None when the count grid over every class
+    but the heaviest would have more cells than the items x (capacity + 1)
+    table the DP fills, or than `CLASS_GRID_MAX_CELLS`: a grid cell costs more
+    than a table cell, so such loads run the table DP. The grid gives each
+    class of weight w above 0 an axis of its extent + 1 cells, and a
+    zero-weight class an axis of one cell (it takes all its positive items).
+    With more than one class, the fill table is looked up here, once per
+    load, whatever its values."""
     listed = weights.tolist()
     budget = min(CLASS_GRID_MAX_CELLS, len(listed) * (cap + 1))
-    class_weights, counts, cells = [], [], 1
+    class_weights, counts, extents, cells = [], [], [], 1
     for w in sorted(set(listed)):
         if w > cap:
             break
         if cells > budget:  # the classes before this one
             return None
         count = listed.count(w)
-        if w:  # a zero-weight class takes all its positive items: one cell
-            cells *= min(count, cap // w) + 1
+        extent = min(count, cap // w) if w else count
+        cells *= extent + 1 if w else 1
         class_weights.append(w)
         counts.append(count)
-    return tuple(class_weights), tuple(counts)
+        extents.append(extent)
+    class_weights, extents = tuple(class_weights), tuple(extents)
+    fill = _class_fill(cap, class_weights, extents) if len(extents) > 1 else None
+    return _ClassPlan(class_weights, tuple(counts), extents, fill)
 
 
 def _integer_form(constraint: Knapsack):
@@ -233,79 +249,93 @@ def _knapsack_table_dp(values: np.ndarray, weights: np.ndarray, cap: int) -> np.
     return x
 
 
-def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, cap: int, classes) -> np.ndarray:
+def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, plan: _ClassPlan) -> np.ndarray:
     """0-1 selection maximising value over the weight classes that fit.
 
-    Within a class, an optimal selection takes that class's highest positive
-    values (an exchange argument), ties to the lower index. So the optimum
-    is a max over per-class counts of sorted-value prefix sums, found by
-    `_best_class_counts` when more than one class fits.
+    Within a class an optimal selection takes that class's highest positive
+    values (an exchange argument), ties to the lower index; items are ranked
+    so, class after class. One class takes its top positive values, up to its
+    extent. With more classes the optimum is the first best cell, in
+    row-major order (lexicographic, lightest class first), of the load's
+    count grid: a cell holds a count per class but the heaviest, which takes
+    the most the room left holds (`_class_fill`), and scores the sum of each
+    class's top values at its count. A zero-weight class takes all its
+    positive values in every cell.
+
+    The grid spans each class up to its extent, which depends on the load
+    alone, so its fill table is built once per load shape. A solve sums each
+    grid class's top values as ranked; the heaviest class's values, and a
+    zero-weight class's, are clamped at zero first, so a count f of the
+    heaviest class reads the sum of its top min(f, positives) values, and it
+    takes only those. A cell that counts past some grid class's positive
+    values adds nonpositive values of that class. Float addition is
+    monotone, so that cell scores at most the cell with those counts lowered
+    to the positive values, where the heaviest class has at least as much
+    room; and that cell comes earlier in grid order. So the first best cell
+    never counts past a class's positive values: it is the first best cell
+    of the grid that spans each class only up to its positive values (and
+    cap // w), with the same sums. The selection does not depend on how far
+    past them the grid reaches.
     """
-    class_weights, counts = classes
-    keys = -values
-    order = np.lexsort((keys, weights))  # class-major, value-descending
-    sorted_keys = keys[order].tolist()
-    takes, lo = [], 0  # per class: its positive values (keys below 0), at most cap // w
-    for w, count in zip(class_weights, counts):
-        positive = bisect.bisect_left(sorted_keys, 0.0, lo, lo + count) - lo
-        takes.append(min(positive, cap // w) if w else positive)
-        lo += count
-    if len(counts) > 1:
-        takes = _best_class_counts(values[order], cap, classes, takes)
+    class_weights, counts, extents, fill = plan
+    order = np.lexsort((-values, weights))  # class-major, value-descending
+    ranked = values.take(order)
     x = np.zeros(values.shape[0])
-    lo = 0
-    for count, take in zip(counts, takes):
-        x[order[lo : lo + take]] = 1.0
+    if fill is None:  # no class or one: its top positive values, up to its extent
+        x[order[: _positives(ranked, 0, sum(extents))]] = 1.0
+        return x
+    grid, lo = None, 0
+    for w, count, extent in zip(class_weights[:-1], counts, extents):
+        prefix = np.zeros(extent + 1)  # sums of the class's top 0..extent values
+        top = prefix[1:]
+        if w:
+            np.add.accumulate(ranked[lo : lo + extent], out=top)
+        else:  # one cell: the sum of its positive values
+            np.add.accumulate(np.maximum(ranked[:count], 0.0), out=top)
+            prefix = prefix[count:]
+        grid = prefix if grid is None else np.add.outer(grid, prefix)
         lo += count
+    extent = extents[-1]
+    last = np.zeros(extent + 2)  # the heaviest class's sums, then -inf
+    top = last[1:-1]
+    np.maximum(ranked[lo : lo + extent], 0.0, out=top)
+    np.add.accumulate(top, out=top)
+    last[-1] = -np.inf
+    best = int((grid + last.take(fill)).argmax())
+    x[order[lo : lo + _positives(ranked, lo, int(fill.flat[best]))]] = 1.0
+    for w, count, extent in zip(class_weights[-2::-1], counts[-2::-1], extents[-2::-1]):
+        lo -= count
+        if w:  # row-major: the last axis varies fastest
+            best, take = divmod(best, extent + 1)
+        else:
+            take = _positives(ranked, lo, count)
+        x[order[lo : lo + take]] = 1.0
     return x
 
 
-def _best_class_counts(ranked: np.ndarray, cap: int, classes, limits: list[int]) -> list[int]:
-    """The optimal count per class, given each class's values sorted
-    descending in `ranked`, class after class, and its most useful count in
-    `limits`. The counts of every class but the heaviest form one grid, in
-    which the first best count vector in lexicographic order, lightest class
-    first, wins; the heaviest class, of weight above 0, takes as many items
-    as the capacity left holds (`_class_fill`)."""
-    class_weights, counts = classes
-    grid_value, lo = np.zeros(1), 0
-    for w, count, limit in zip(class_weights[:-1], counts, limits):
-        prefix = np.zeros(limit + 1)  # sums of the class's top 0..limit values
-        np.add.accumulate(ranked[lo : lo + limit], out=prefix[1:])
-        if w:
-            grid_value = np.add.outer(grid_value, prefix).ravel()
-        else:  # a zero-weight class takes all its positive items
-            grid_value = grid_value + prefix[limit]
-        lo += count
-    last = np.zeros(limits[-1] + 2)  # the heaviest class's sums, then -inf
-    np.add.accumulate(ranked[lo : lo + limits[-1]], out=last[1:-1])
-    last[-1] = -np.inf
-    fill = _class_fill(cap, class_weights, tuple(limits))
-    best = int((grid_value + last[fill]).argmax())
-    takes = list(limits)
-    takes[-1] = int(fill[best])
-    for c in range(len(counts) - 2, -1, -1):
-        if class_weights[c]:  # row-major: the last axis varies fastest
-            best, takes[c] = divmod(best, limits[c] + 1)
-    return takes
+def _positives(ranked: np.ndarray, lo: int, take: int) -> int:
+    """How many of the `take` values from `ranked[lo]` on, which descend,
+    are positive."""
+    if take and not ranked[lo + take - 1] > 0.0:
+        take = int(np.count_nonzero(ranked[lo : lo + take] > 0.0))
+    return take
 
 
-# Loads of one shape seldom differ in more than a few hundred limit vectors
-# over a training: 256 entries served 91% of the weighted benchmark's calls.
+# One entry per load shape, looked up once per load: the 1,376 loads of the
+# weighted benchmark at seed 0 hold 231 shapes (231 misses, 1,145 hits).
 @functools.lru_cache(maxsize=256)
-def _class_fill(cap: int, class_weights: tuple, limits: tuple) -> np.ndarray:
-    """The price-independent part of `_best_class_counts`: per cell of the
-    count grid, the heaviest class's count that the room left holds, capped
-    at its limit, or limit + 1 (the index of -inf) where the grid's counts
-    alone overrun the capacity. Loads of one shape share the entry, stored
-    read-only in the smallest unsigned dtype that holds limit + 1."""
-    room = np.array([cap])
-    for w, limit in zip(class_weights[:-1], limits):
-        if w:
-            room = np.subtract.outer(room, np.arange(0, w * limit + 1, w)).ravel()
-    fill = np.minimum(np.maximum(room, 0) // class_weights[-1], limits[-1])
-    fill[room < 0] = limits[-1] + 1
-    fill = fill.astype(np.min_scalar_type(limits[-1] + 1))
+def _class_fill(cap: int, class_weights: tuple, extents: tuple) -> np.ndarray:
+    """The price-independent part of the count grid, shaped as the grid: per
+    cell, the heaviest class's count that the room left holds, capped at its
+    extent, or extent + 1 (the index of -inf) where the grid's counts alone
+    overrun the capacity. Loads of one shape share the entry, stored
+    read-only in the smallest unsigned dtype that holds extent + 1."""
+    room = np.array(cap)
+    for w, extent in zip(class_weights[:-1], extents):
+        room = np.subtract.outer(room, np.arange(extent + 1 if w else 1) * w)
+    fill = np.minimum(np.maximum(room, 0) // class_weights[-1], extents[-1])
+    fill[room < 0] = extents[-1] + 1
+    fill = fill.astype(np.min_scalar_type(extents[-1] + 1))
     fill.setflags(write=False)
     return fill
 
@@ -335,7 +365,7 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     if route is None:
         x = _knapsack_table_dp(values, weights, cap)
     else:
-        x = _knapsack_by_class(values, weights, cap, route)
+        x = _knapsack_by_class(values, weights, route)
     x.setflags(write=False)  # handed to the solution without a copy
     return OracleResult(knapsack_solution(x), values)
 

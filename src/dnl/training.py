@@ -8,7 +8,8 @@ the parameter moves a learning-rate fraction toward it (a quasi-gradient
 step). Both selectors take the batch's profiles and score candidates from
 complete ones without oracle calls; only truncated greedy profiles fall back
 to solving at the candidate, through the same probe route as the search
-(`evaluation._solve_at`), so no model is built per candidate.
+(`evaluation._prober`, built once per set), so no model is built per
+candidate.
 Validation regret drives early stopping, and the `max_seconds` budget is
 checked before each parameter update.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .core import OBJECTIVE_TOL, LinearModel, ProblemSet
 from .evaluation import (
-    TrueOptimumCache, _clamped_regret, _same_float, _solve_at, _true_value,
+    TrueOptimumCache, _clamped_regret, _prober, _same_float, _true_value,
     evaluate_model_regret,
 )
 from .oracles import (
@@ -140,7 +141,8 @@ def _regret_scorer(
     A candidate inside the region of a complete profile takes the true value
     of the piece (or breakpoint) it lies on, with no oracle call. Other
     candidates, and truncated profiles, take the true value of the oracle's
-    answer at the candidate (`_solve_at`), memoised per set and value. Both
+    answer at the candidate (a set's `_prober`, built at its first such
+    candidate), memoised per set and value. Both
     then take the optimum minus this value by `_clamped_regret`'s rule, the
     operands `regret_of` uses, so they match it bit for bit.
     """
@@ -183,12 +185,14 @@ def _regret_scorer(
     regrets[regrets < -OBJECTIVE_TOL] = nan  # with nan where it raises
     regrets[regrets <= OBJECTIVE_TOL] = 0.0
     solved: dict[tuple[int, float], float] = {}
+    probers: dict[int, Callable] = {}  # built on a set's first fallback
 
     def solved_regret(i: int, beta: float, achieved: float) -> float:
         if achieved != achieved:  # no value to look up: solve at beta
             if (i, beta) not in solved:
-                result = _solve_at(model, batch[i], beta_index, beta, oracle)
-                solved[i, beta] = _true_value(result, batch[i])
+                if i not in probers:
+                    probers[i] = _prober(model, batch[i], beta_index, oracle)
+                solved[i, beta] = _true_value(probers[i](beta), batch[i])
             achieved = solved[i, beta]
         return _clamped_regret(optima[i], achieved, batch[i])
 
@@ -293,10 +297,11 @@ def train(
     The intercept stays at its warmstart value; only the coefficient vector
     is trained. Returns the trace with the model attaining the lowest
     recorded validation regret, which carries no memo. A numpy overflow
-    raises FloatingPointError instead of warning. An inexact oracle, an
+    raises FloatingPointError instead of warning, as does a transition
+    search whose own float arithmetic overflows. An inexact oracle, an
     infeasible instance, non-finite predicted scheduling prices or an
-    overflow while updating a parameter raise TrainingError; other errors
-    propagate.
+    overflow while updating a parameter or scoring an epoch (the warm start
+    included) raise TrainingError; other errors propagate.
 
     Each decision is solved once per model: the model in training keeps the
     oracle's answer at its own coefficients for every set it has solved, so
@@ -318,8 +323,13 @@ def train(
     start_time = time.perf_counter()
 
     def snapshot(epoch: int) -> EpochStats:
-        train_regret, _ = evaluate_model_regret(model, train_sets, oracle, cache)
-        val_regret, _ = evaluate_model_regret(model, val_sets, oracle, cache)
+        try:
+            train_regret, _ = evaluate_model_regret(model, train_sets, oracle, cache)
+            val_regret, _ = evaluate_model_regret(model, val_sets, oracle, cache)
+        except FloatingPointError as exc:
+            raise TrainingError(
+                f"epoch {epoch}: overflow while scoring the model: {exc}"
+            ) from exc
         return EpochStats(
             epoch,
             train_regret,

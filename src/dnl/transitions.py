@@ -22,7 +22,12 @@ A search scores each distinct decision once. Its sign is fixed by the
 constraint family, and it memoises the line (intercept, slope, true value)
 of every decision it has scored, keyed on the bytes of the decision's
 vector. A confirming probe mostly returns a decision the search has already
-scored: it still costs its oracle call, but no dot product.
+scored: it still costs its oracle call, but no dot product. The search's
+arithmetic on lines is plain Python floats, which overflow to inf silently,
+so a new line must be finite at both ends of the region (and so everywhere
+in it) and a crossing must be a number; otherwise the search raises
+FloatingPointError, as a numpy overflow does under `training.train`. Each
+probe goes through one `evaluation._prober`, built once per search.
 
 The greedy search also probes the old parameter value, takes its decision's
 true objective value (TOV) as the reference, and resolves spans nearest the
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import OBJECTIVE_TOL, Knapsack, LinearModel, ProblemSet
-from .evaluation import _solve_at
+from .evaluation import _prober
 from .oracles import InexactOracleError, SolverOracle
 
 __all__ = [
@@ -133,6 +138,7 @@ def _search(
     beta_old: Optional[float],
 ) -> TransitionProfile:
     calls_before = oracle.calls
+    solve_at = _prober(model, problem, beta_index, oracle)
     rest = model.coefficients.copy()
     rest[beta_index] = 0.0
     base = problem.features @ rest + model.intercept
@@ -144,13 +150,20 @@ def _search(
     def probe(beta: float) -> tuple[float, float, float]:
         """The oracle's decision at beta as a line (intercept, slope,
         true value): `intercept + slope * b` is its predicted value at b."""
-        x = _solve_at(model, problem, beta_index, beta, oracle).solution.vector
+        x = solve_at(beta).solution.vector
         key = x.tobytes()
         line = scored.get(key)
         if line is None:
-            line = scored[key] = (
+            a, s, true_value = line = (
                 sign * float(x @ base), sign * float(x @ direction), sign * float(x @ true_values),
             )
+            if not (math.isfinite(true_value) and math.isfinite(a + s * spec.lower)
+                    and math.isfinite(a + s * spec.upper)):
+                raise FloatingPointError(
+                    f"overflow scoring a decision on problem {problem.id}: "
+                    f"line {line} over [{spec.lower}, {spec.upper}]"
+                )
+            scored[key] = line
         return line
 
     points = sorted({spec.lower, spec.upper} | ({beta_old} if beta_old is not None else set()))
@@ -192,6 +205,10 @@ def _search(
                 f"POV not convex on problem {problem.id}: oracle is not exact"
             )
         t = min(max((a0 - a1) / gap, lo), hi)
+        if not math.isfinite(t):  # both differences overflowed
+            raise FloatingPointError(
+                f"overflow locating a breakpoint on problem {problem.id} in [{lo}, {hi}]"
+            )
         line = probe(t)
         if line[0] + line[1] * t <= max(a0 + s0 * t, a1 + s1 * t) + OBJECTIVE_TOL:
             push(t, t, left, right, line)

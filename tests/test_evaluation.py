@@ -3,8 +3,9 @@ import pytest
 
 import dnl
 from dnl.core import OBJECTIVE_TOL
-from dnl.evaluation import _clamped_regret, _solve_at
-from dnl.training import _regret_scorer
+from dnl.core import solution_objective
+from dnl.evaluation import _clamped_regret, _prober
+from dnl.training import _memoised, _regret_scorer
 from util import (
     enumerate_knapsack,
     enumerate_schedule,
@@ -220,8 +221,9 @@ class TestProbeRoute:
             model = dnl.LinearModel(rng.normal(size=3), float(rng.normal()))
             for k in range(3):
                 spec = dnl.SearchSpec.from_parameter(float(model.coefficients[k]))
+                solve_at = _prober(model, ps, k, oracle)
                 for beta in (0.0, spec.lower, spec.upper, float(rng.uniform(-2, 2))):
-                    result = _solve_at(model, ps, k, beta, oracle)
+                    result = solve_at(beta)
                     expected = dnl.predict(model.with_coefficient(k, beta), ps)
                     assert oracle.seen[-1] == expected.tobytes()
                     solved = oracle.solve(expected, ps.constraint)
@@ -261,12 +263,71 @@ class TestProbeRoute:
     def test_invalid_probes_raise(self, oracle):
         ps = example1_problem()
         model = example1_model(1.0)
+        solve_at = _prober(model, ps, 0, oracle)
         for beta in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="finite"):
-                _solve_at(model, ps, 0, beta, oracle)
+                solve_at(beta)
+            with pytest.raises(ValueError, match="finite"):
+                dnl.pov(model, ps, 0, beta, oracle)
         with pytest.raises(ValueError, match="parameters but problem features"):
-            _solve_at(dnl.LinearModel([1.0, 2.0, 3.0], 0.0), ps, 0, 1.0, oracle)
+            _prober(dnl.LinearModel([1.0, 2.0, 3.0], 0.0), ps, 0, oracle)
         assert oracle.calls == 0
+
+    def test_one_call_per_probe(self, oracle):
+        # A model without a memo solves at its own value too.
+        rng = np.random.default_rng(137)
+        ps = random_knapsack_problem(rng, ps_id="calls")
+        model = dnl.LinearModel(rng.normal(size=3), 0.0)
+        own = float(model.coefficients[1])
+        solve_at = _prober(model, ps, 1, oracle)
+        for beta in (own, own + 0.5, -1.0, own, -1.0):
+            before = oracle.calls
+            solve_at(beta)
+            assert oracle.calls == before + 1
+
+    def test_own_value_answered_from_the_memo(self, oracle):
+        rng = np.random.default_rng(139)
+        ps = random_knapsack_problem(rng, ps_id="memo")
+        model = _memoised(dnl.LinearModel(np.array([rng.normal(), 0.0, rng.normal()]), 0.0))
+        solve_at = _prober(model, ps, 0, oracle)
+        own = solve_at(float(model.coefficients[0]))  # solved once, then stored
+        assert oracle.calls == 1
+        assert solve_at(float(model.coefficients[0])) is own
+        assert _prober(model, ps, 1, oracle)(0.0) is own
+        assert dnl.pov(model, ps, 2, float(model.coefficients[2]), oracle) == own.objective
+        assert oracle.calls == 1
+        # Away from it, -0.0 against a coefficient of 0.0 included: one call each.
+        _prober(model, ps, 1, oracle)(-0.0)
+        solve_at(float(model.coefficients[0]) + 0.25)
+        assert oracle.calls == 3
+
+    @pytest.mark.parametrize(
+        "make", [random_knapsack_problem, random_scheduling_problem],
+        ids=["knapsack", "scheduling"],
+    )
+    def test_pov_tov_and_fallback_match_a_probe_model(self, oracle, make):
+        # Each equals, bit for bit, what the model with the probed value set
+        # gets from the oracle; the selectors' fallback solves through the
+        # prober on profiles without values.
+        rng = np.random.default_rng(149)
+        bits = lambda value: np.float64(value).tobytes()
+        for i in range(5):
+            ps = make(rng, ps_id=f"same{i}")
+            model = dnl.LinearModel(rng.normal(size=3), float(rng.normal()))
+            cache = dnl.TrueOptimumCache()
+            for k in range(3):
+                spec = dnl.SearchSpec.from_parameter(float(model.coefficients[k]))
+                betas = [spec.lower, float(model.coefficients[k]), float(rng.uniform(-2, 2))]
+                blind = dnl.TransitionProfile((), 0, spec.lower, spec.upper, truncated=True)
+                fallback = _regret_scorer([blind], [ps], model, k, oracle, cache)(0, np.array(betas))
+                for beta, regret in zip(betas, fallback.tolist()):
+                    probe = model.with_coefficient(k, beta)
+                    answer = oracle.solve(dnl.predict(probe, ps), ps.constraint)
+                    sign = 1.0 if answer.solution.objective_direction is dnl.Direction.MAX else -1.0
+                    assert bits(dnl.pov(model, ps, k, beta, oracle)) == bits(sign * answer.objective)
+                    true_value = sign * solution_objective(answer.solution, ps.true_values)
+                    assert bits(dnl.tov(model, ps, k, beta, oracle)) == bits(true_value)
+                    assert bits(regret) == bits(dnl.regret_of(probe, ps, oracle, cache).regret)
 
 
 class TestEvaluateModelRegret:

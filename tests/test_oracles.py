@@ -467,9 +467,9 @@ class TestEqualWeightPath:
 def class_counts(values, constraint, x):
     """Items taken per weight class, and whether each class took its best
     values with ties to the lower index; classes ascend by weight."""
-    weights, _, (class_weights, _) = oracles._integer_form(constraint)
+    weights, _, plan = oracles._integer_form(constraint)
     takes, ranked_ok = [], True
-    for w in class_weights:
+    for w in plan.weights:
         members = np.flatnonzero(weights == w)
         ranked = sorted(members, key=lambda i: (-values[i], i))
         k = int(sum(x[i] for i in members))
@@ -481,7 +481,8 @@ def class_counts(values, constraint, x):
 def first_best_counts(values, constraint):
     """Every per-class count vector by brute force: the first one, in
     ascending lexicographic order, with the best objective."""
-    weights, cap, (class_weights, _) = oracles._integer_form(constraint)
+    weights, cap, plan = oracles._integer_form(constraint)
+    class_weights = plan.weights
     prefixes = []
     for w in class_weights:
         top = sorted((v for v, wi in zip(values, weights) if wi == w and v > 0), reverse=True)
@@ -516,6 +517,24 @@ def random_class_load(rng, max_items):
     if rng.random() < 0.1:
         values = -np.abs(values)
     return values, dnl.Knapsack(weights, capacity)
+
+
+def edge_class_load(rng):
+    """2-4 weight classes that fit, one of them of weight 0 in some loads,
+    and in some an item heavier than the capacity. Values are small integers
+    with ties, zeros of both signs and negatives, so that a class often holds
+    fewer positive values than it could take."""
+    k = int(rng.integers(2, 5))
+    classes = rng.choice(np.arange(1, 7), size=k, replace=False).astype(float)
+    if rng.random() < 0.3:
+        classes[0] = 0.0
+    weights = np.concatenate([classes, rng.choice(classes, size=int(rng.integers(0, 11 - k)))])
+    capacity = float(rng.integers(int(classes.max()), int(weights.sum()) + 1))
+    if rng.random() < 0.3:
+        weights = np.append(weights, capacity + float(rng.integers(1, 4)))
+    values = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0], size=weights.shape[0])
+    order = rng.permutation(weights.shape[0])
+    return values[order], dnl.Knapsack(weights[order], capacity)
 
 
 class TestClassSolver:
@@ -564,6 +583,33 @@ class TestClassSolver:
             differ += x != table
         assert differ > 0
 
+    def test_edge_loads_match_table_dp_and_enumeration(self):
+        # The grid spans each class's extent whatever its values: cells past
+        # a class's positive values never hold the first best count vector.
+        rng = np.random.default_rng(139)
+        seen = {"grid": 0, "zero class": 0, "too heavy": 0, "few positives": 0}
+        for _ in range(250):
+            values, constraint = edge_class_load(rng)
+            weights, cap, plan = oracles._integer_form(constraint)
+            res = dnl.solve_knapsack_dp(values, constraint)
+            best_val, _ = enumerate_knapsack(values, constraint.weights, constraint.capacity)
+            table = table_dp_assignment(values, constraint)
+            assert res.objective == best_val == float(np.dot(table, values))
+            dnl.validate_solution(res.solution, constraint)
+            if plan is None:
+                continue
+            takes, ranked_ok = class_counts(values, constraint, res.solution.assignment)
+            assert ranked_ok
+            assert takes == first_best_counts(values, constraint)
+            positives = [int(np.sum(values[weights == w] > 0)) for w in plan.weights]
+            seen["grid"] += len(plan.weights) > 1
+            seen["zero class"] += plan.weights[0] == 0
+            seen["too heavy"] += int(weights.max()) > cap
+            seen["few positives"] += any(
+                p < e for p, e, w in zip(positives, plan.extents, plan.weights) if w
+            )
+        assert min(seen.values()) > 40, seen
+
     def test_grid_larger_than_table_runs_table_dp(self):
         # 17 singleton classes at capacity 200: the grid over all but the
         # heaviest has 2^16 cells, the table 17 x 201.
@@ -577,7 +623,7 @@ class TestClassSolver:
         # The same weights at capacity 5 fit five classes: a 2^4-cell grid.
         small = dnl.Knapsack(np.arange(1.0, 18.0), 5.0)
         res = dnl.solve_knapsack_dp(values, small)
-        assert oracles._integer_form(small)[2] == ((1, 2, 3, 4, 5), (1,) * 5)
+        assert oracles._integer_form(small)[2][:3] == ((1, 2, 3, 4, 5), (1,) * 5, (1,) * 5)
         best_val, _ = enumerate_knapsack(values, small.weights, 5.0)
         assert res.objective == pytest.approx(best_val, abs=1e-9)
 
@@ -629,7 +675,8 @@ class TestZeroWeightItemsOnTheTableDP:
 
 class TestClassGridMemo:
     """The price-independent part of the count grid is memoised per (scaled
-    capacity, class weights, limits), across loads."""
+    capacity, class weights, extents), across loads, and looked up once per
+    load, when its route is chosen."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
@@ -646,31 +693,37 @@ class TestClassGridMemo:
         dnl.solve_knapsack_dp(values[::-1], second)
         dnl.solve_knapsack_dp([v + 1.0 for v in values], first)
         info = oracles._class_fill.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        assert oracles._integer_form(first)[2].fill is oracles._integer_form(second)[2].fill
 
-    def test_smaller_limits_get_their_own_entry(self):
+    def test_fewer_positive_values_share_the_entry(self):
         constraint = dnl.Knapsack([3.0, 5.0, 3.0, 7.0, 5.0, 7.0], 12.0)
         dnl.solve_knapsack_dp([4.0, 3.0, 2.0, 6.0, 1.0, 5.0], constraint)
-        # Item 2 is worth nothing, so weight class 3 takes at most one item.
-        res = dnl.solve_knapsack_dp([4.0, 3.0, -2.0, 6.0, 1.0, 5.0], constraint)
-        assert oracles._class_fill.cache_info().currsize == 2
-        assert res.solution.assignment == table_dp_assignment(
-            [4.0, 3.0, -2.0, 6.0, 1.0, 5.0], constraint
-        )
-
-    def test_memoised_answers_equal_table_dp(self):
-        rng = np.random.default_rng(107)
-        loads = [
-            dnl.Knapsack(rng.choice([1.0, 2.0, 3.0, 5.0], size=12), float(rng.integers(0, 25)))
-            for _ in range(8)
-        ]
-        for _ in range(60):
-            constraint = loads[int(rng.integers(len(loads)))]
-            values = rng.normal(4.0, 2.0, size=12)
+        # Item 2 is worth nothing, so weight class 3 takes at most one item;
+        # the grid still spans both.
+        for values in ([4.0, 3.0, -2.0, 6.0, 1.0, 5.0], [-1.0, 0.0, -2.0, 6.0, -0.0, 5.0]):
             res = dnl.solve_knapsack_dp(values, constraint)
             assert res.solution.assignment == table_dp_assignment(values, constraint)
         info = oracles._class_fill.cache_info()
-        assert info.hits > info.misses >= 8
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
+
+    def test_memoised_answers_equal_table_dp(self):
+        # Four shapes, two loads each (the second a permutation of the first):
+        # one lookup per load, one entry per shape.
+        rng = np.random.default_rng(107)
+        loads = []
+        for _ in range(4):
+            weights = rng.choice([1.0, 2.0, 3.0, 5.0], size=12)
+            capacity = float(rng.integers(8, 25))
+            loads += [dnl.Knapsack(weights, capacity), dnl.Knapsack(rng.permutation(weights), capacity)]
+        for r in range(48):
+            constraint = loads[r % len(loads)]
+            values = rng.normal(4.0, 2.0, size=12)
+            res = dnl.solve_knapsack_dp(values, constraint)
+            assert res.solution.assignment == table_dp_assignment(values, constraint)
+        assert all(oracles._integer_form(c)[2].fill is not None for c in loads)
+        info = oracles._class_fill.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (4, 4, 4)
 
     def test_entries_are_read_only(self):
         dnl.solve_knapsack_dp([4.0, 3.0, 2.0], dnl.Knapsack([1.0, 2.0, 3.0], 4.0))

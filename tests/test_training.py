@@ -425,9 +425,13 @@ class TestTrain:
             assert type(info.value) is error
 
     @staticmethod
-    def stops_at_overflow(constraint, size, feature, seed, oracle):
-        """Train on sets whose feature 0 is `feature`; the update of
-        parameter 0 must stop on a numpy overflow, as a TrainingError."""
+    def stops_at_overflow(
+        constraint, size, feature, seed, oracle,
+        failure="epoch 1: oracle failure while updating parameter 0: overflow",
+    ):
+        """Train on sets whose feature 0 is `feature`; training must stop on
+        an overflow, by default in the update of parameter 0, as a
+        TrainingError with the `failure` message."""
         rng = np.random.default_rng(seed)
         sets = [
             dnl.ProblemSet(
@@ -439,7 +443,6 @@ class TestTrain:
             for i in range(4)
         ]
         warmstart = dnl.LinearModel([1.0, 1.0], 0.0)
-        failure = "epoch 1: oracle failure while updating parameter 0: overflow"
         with pytest.raises(TrainingError, match=failure) as info:
             dnl.train(sets[:3], sets[3:], dnl.TrainConfig(max_epochs=1), oracle, warmstart)
         assert type(info.value.__cause__) is FloatingPointError
@@ -459,6 +462,21 @@ class TestTrain:
         # the prediction overflows at the top of the search region (2.5).
         constraint = dnl.Knapsack([1.0, 1.0, 1.0, 1.0], 2.0)
         self.stops_at_overflow(constraint, 4, 1e308, 89, oracle)
+
+    def test_overflow_while_scoring_becomes_a_training_error(self, oracle):
+        # The warm start's values are finite, but two of weight 1 sum past
+        # the largest float in the class solver's prefix sums.
+        constraint = dnl.Knapsack([1.0, 2.0, 3.0, 1.0], 4.0)
+        failure = "epoch 0: overflow while scoring the model: overflow encountered"
+        self.stops_at_overflow(constraint, 4, 1e308, 97, oracle, failure)
+
+    def test_overflowing_search_line_becomes_a_training_error(self, oracle):
+        # Every prediction is finite, but the line of two items, slope 1e308,
+        # overflows at the top of the search region (2.5): a Python float
+        # overflow, which numpy's error state does not see.
+        constraint = dnl.Knapsack([1.0, 1.0, 1.0, 1.0], 2.0)
+        failure = "epoch 1: oracle failure while updating parameter 0: overflow scoring a decision"
+        self.stops_at_overflow(constraint, 4, 5e307, 101, oracle, failure)
 
     def test_dimension_mismatch_rejected(self, oracle):
         sets, hidden = realizable_sets(4)

@@ -89,6 +89,26 @@ class TestExtractFull:
         with pytest.raises(dnl.InexactOracleError, match="not convex"):
             dnl.extract_full(example1_model(3.0), example1_problem(), 0, spec, WorstDecision())
 
+    def test_overflowing_crossing_is_an_overflow(self, oracle):
+        # Both lines are finite over the region, but their intercepts and
+        # slopes differ by more than the largest float: the crossing is nan.
+        ps = dnl.ProblemSet(
+            [1.0, 1.0], [[1e308, 1e308], [-1e308, -1e308]], dnl.Knapsack([1.0, 1.0], 1.0), "far"
+        )
+        model = dnl.LinearModel([0.0, 1.0], 0.0)
+        with pytest.raises(FloatingPointError, match="locating a breakpoint on problem far"):
+            dnl.extract_full(model, ps, 0, dnl.SearchSpec(-1.5, 0.5), oracle)
+
+    def test_overflowing_line_is_an_overflow(self, oracle):
+        # Both items at the top of the region: slope 1.2e308, finite, but
+        # 1.8e308 at 1.5.
+        ps = dnl.ProblemSet(
+            [1.0, 2.0], [[6e307, 1.0], [6e307, 1.0]], dnl.Knapsack([1.0, 1.0], 2.0), "steep"
+        )
+        model = dnl.LinearModel([1.0, 1.0], 0.0)
+        with pytest.raises(FloatingPointError, match="scoring a decision on problem steep"):
+            dnl.extract_full(model, ps, 0, dnl.SearchSpec(-0.5, 1.5), oracle)
+
     def test_constant_argmax_region_has_no_intervals(self, oracle):
         # Both items respond identically to the parameter and the leader stays
         # positive across the region, so the selection never changes.

@@ -13,7 +13,7 @@ import numpy as np
 
 import dnl
 from dnl.core import OBJECTIVE_TOL, LinearModel, ProblemSet
-from dnl.evaluation import _sign, _solve_at, _true_value
+from dnl.evaluation import _prober, _sign, _true_value
 from dnl.oracles import InexactOracleError, SolverOracle
 from dnl.transitions import SearchSpec, TransitionProfile
 
@@ -271,13 +271,14 @@ def reference_search(
     beta_old: Optional[float],
 ) -> TransitionProfile:
     calls_before = oracle.calls
+    solve_at = _prober(model, problem, beta_index, oracle)
     rest = model.coefficients.copy()
     rest[beta_index] = 0.0
     base = problem.features @ rest + model.intercept
     direction = problem.features[:, beta_index]
 
     def probe(beta: float) -> _Line:
-        result = _solve_at(model, problem, beta_index, beta, oracle)
+        result = solve_at(beta)
         sign = _sign(result.solution.objective_direction)
         x = result.solution.vector
         return _Line(
