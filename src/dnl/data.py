@@ -191,25 +191,28 @@ def make_knapsack(
 ) -> Dataset:
     """One knapsack problem set per day.
 
-    Unit mode: weights are all one and item value equals the price.
+    Unit mode: weights are all one and item value equals the price. Every
+    day shares one `Knapsack`, as `make_scheduling`'s days share one
+    `Scheduling`, so its integer form (`oracles._integer_form`) is computed
+    once per dataset.
     Weighted mode: item weights are drawn from {3, 5, 7}, value equals
-    weight times price, and the weight joins the feature vector.
+    weight times price, and the weight joins the feature vector; each day
+    has its own `Knapsack`.
     """
     if capacity <= 0:
         raise ValueError("capacity must be positive")
     rng = np.random.default_rng(seed)
+    unit = None if weighted else Knapsack(np.ones(series.group_size), capacity)
     problem_sets = []
     for g, (features, prices) in enumerate(series.groups()):
         if weighted:
             weights = rng.choice(WEIGHT_CHOICES, size=series.group_size)
             values = weights * prices
             features = np.hstack([features, weights[:, None]])
+            constraint = Knapsack(weights, capacity)
         else:
-            weights = np.ones(series.group_size)
-            values = prices
-        problem_sets.append(
-            ProblemSet(values, features, Knapsack(weights, capacity), f"day{g:04d}")
-        )
+            values, constraint = prices, unit
+        problem_sets.append(ProblemSet(values, features, constraint, f"day{g:04d}"))
     if not problem_sets:
         raise ValueError("series has no complete group")
     return Dataset(tuple(problem_sets))

@@ -10,8 +10,10 @@ class but the heaviest, which takes what the capacity left holds. The grid
 spans each class up to its extent, min(count, capacity // w), which depends
 on the load alone, so what its cells leave the heaviest class is looked up
 once per load and shared by loads of one shape (`_class_fill`); a solve
-sums sorted values and takes one argmax. One class is a grid of one cell,
-its capacity // w largest positive values. The grid runs when it has no
+sums sorted values and takes one argmax. A load where at most one class
+fits, a unit knapsack among them, needs no grid: it takes that class's
+capacity // w largest positive values, ranked by one stable sort
+(`_knapsack_top_k`). The grid runs when it has no
 more cells than the items x (capacity + 1) table, nor than
 `CLASS_GRID_MAX_CELLS`. Within a class the lower index wins among equal
 values; across classes the first best count vector in grid order
@@ -250,12 +252,12 @@ def _knapsack_table_dp(values: np.ndarray, weights: np.ndarray, cap: int) -> np.
 
 
 def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, plan: _ClassPlan) -> np.ndarray:
-    """0-1 selection maximising value over the weight classes that fit.
+    """0-1 selection maximising value over two or more weight classes that
+    fit (fewer run `_knapsack_top_k`).
 
     Within a class an optimal selection takes that class's highest positive
     values (an exchange argument), ties to the lower index; items are ranked
-    so, class after class. One class takes its top positive values, up to its
-    extent. With more classes the optimum is the first best cell, in
+    so, class after class. The optimum is the first best cell, in
     row-major order (lexicographic, lightest class first), of the load's
     count grid: a cell holds a count per class but the heaviest, which takes
     the most the room left holds (`_class_fill`), and scores the sum of each
@@ -281,9 +283,6 @@ def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, plan: _ClassPlan
     order = np.lexsort((-values, weights))  # class-major, value-descending
     ranked = values.take(order)
     x = np.zeros(values.shape[0])
-    if fill is None:  # no class or one: its top positive values, up to its extent
-        x[order[: _positives(ranked, 0, sum(extents))]] = 1.0
-        return x
     grid, lo = None, 0
     for w, count, extent in zip(class_weights[:-1], counts, extents):
         prefix = np.zeros(extent + 1)  # sums of the class's top 0..extent values
@@ -310,6 +309,29 @@ def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, plan: _ClassPlan
         else:
             take = _positives(ranked, lo, count)
         x[order[lo : lo + take]] = 1.0
+    return x
+
+
+def _knapsack_top_k(values: np.ndarray, weights: np.ndarray, plan: _ClassPlan) -> np.ndarray:
+    """0-1 selection maximising value on a load where at most one weight
+    class fits: that class's top `extent` values, ranked by a stable sort
+    (value-descending, ties to the lower index), that are positive. A
+    zero-weight class's extent is its count, so it takes all its positive
+    values; with no class, nothing is taken. This is `_knapsack_by_class`'s
+    rule for one class, and the table DP's selection when the class holds
+    every item. One sort of the class's values, with no class-major key."""
+    x = np.zeros(values.shape[0])
+    if not plan.extents:
+        return x
+    (w,), (count,), (extent,) = plan.weights, plan.counts, plan.extents
+    if count == values.shape[0]:
+        top = (-values).argsort(kind="stable")[:extent]
+    else:  # items of weight above the capacity stay out
+        members = np.flatnonzero(weights == w)
+        top = members.take((-values.take(members)).argsort(kind="stable")[:extent])
+    if not values[top[-1]] > 0.0:
+        top = top[values.take(top) > 0.0]
+    x[top] = 1.0
     return x
 
 
@@ -364,6 +386,8 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
 
     if route is None:
         x = _knapsack_table_dp(values, weights, cap)
+    elif route.fill is None:  # at most one class fits
+        x = _knapsack_top_k(values, weights, route)
     else:
         x = _knapsack_by_class(values, weights, route)
     x.setflags(write=False)  # handed to the solution without a copy

@@ -19,15 +19,20 @@ resolves by its own rule; the profile keeps the true value of the decision it
 returned at the confirming probe, which sits exactly on the breakpoint.
 
 A search scores each distinct decision once. Its sign is fixed by the
-constraint family, and it memoises the line (intercept, slope, true value)
-of every decision it has scored, keyed on the bytes of the decision's
-vector. A confirming probe mostly returns a decision the search has already
-scored: it still costs its oracle call, but no dot product. The search's
+constraint family, and it memoises the line (intercept, slope, true value,
+decision) of every decision it has scored, keyed on the bytes of the
+decision's vector. A confirming probe mostly returns a decision the search
+has already scored: it still costs its oracle call, but no dot product. The search's
 arithmetic on lines is plain Python floats, which overflow to inf silently,
 so a new line must be finite at both ends of the region (and so everywhere
 in it) and a crossing must be a number; otherwise the search raises
-FloatingPointError, as a numpy overflow does under `training.train`. Each
-probe goes through one `evaluation._prober`, built once per search.
+FloatingPointError, as a numpy overflow does under `training.train`. End
+lines that cross the wrong way mean an inexact oracle (InexactOracleError),
+unless they do so by no more than a bound on the rounding error of the
+predictions and line values (`_not_convex`), as when one feature term
+swamps the rest of every prediction: that is a FloatingPointError naming
+the lost precision. Each probe goes through one `evaluation._prober`, built
+once per search.
 
 The greedy search also probes the old parameter value, takes its decision's
 true objective value (TOV) as the reference, and resolves spans nearest the
@@ -45,6 +50,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .core import OBJECTIVE_TOL, Knapsack, LinearModel, ProblemSet
 from .evaluation import _prober
@@ -65,6 +72,8 @@ RELATIVE_SPAN = 1.5
 # fallback region is used instead.
 ZERO_PARAM_THRESHOLD = 1e-6
 ZERO_PARAM_BOUNDS = (-1.0, 1.0)
+
+EPS = float(np.finfo(float).eps)  # 2**-52, twice the unit roundoff
 
 
 @dataclass(frozen=True)
@@ -145,25 +154,24 @@ def _search(
     direction = problem.features[:, beta_index]
     true_values = problem.true_values
     sign = 1.0 if isinstance(problem.constraint, Knapsack) else -1.0  # scheduling minimises
-    scored: dict[bytes, tuple[float, float, float]] = {}  # decision vector -> its line
+    scored: dict[bytes, tuple] = {}  # decision vector -> its line
 
-    def probe(beta: float) -> tuple[float, float, float]:
-        """The oracle's decision at beta as a line (intercept, slope,
-        true value): `intercept + slope * b` is its predicted value at b."""
+    def probe(beta: float) -> tuple:
+        """The oracle's decision x at beta as a line (intercept, slope, true
+        value, x): `intercept + slope * b` is its predicted value at b."""
         x = solve_at(beta).solution.vector
         key = x.tobytes()
         line = scored.get(key)
         if line is None:
-            a, s, true_value = line = (
-                sign * float(x @ base), sign * float(x @ direction), sign * float(x @ true_values),
-            )
+            a, s, true_value = sign * float(x @ base), sign * float(x @ direction), \
+                sign * float(x @ true_values)
             if not (math.isfinite(true_value) and math.isfinite(a + s * spec.lower)
                     and math.isfinite(a + s * spec.upper)):
                 raise FloatingPointError(
                     f"overflow scoring a decision on problem {problem.id}: "
-                    f"line {line} over [{spec.lower}, {spec.upper}]"
+                    f"line {(a, s, true_value)} over [{spec.lower}, {spec.upper}]"
                 )
-            scored[key] = line
+            line = scored[key] = (a, s, true_value, x)
         return line
 
     points = sorted({spec.lower, spec.upper} | ({beta_old} if beta_old is not None else set()))
@@ -195,15 +203,13 @@ def _search(
                     )
             found.append((lo, left, at, right))
             continue
-        (a0, s0, _), (a1, s1, _) = left, right
+        (a0, s0, _, _), (a1, s1, _, _) = left, right
         if abs(a0 + s0 * lo - (a1 + s1 * lo)) <= OBJECTIVE_TOL \
                 and abs(a0 + s0 * hi - (a1 + s1 * hi)) <= OBJECTIVE_TOL:
             continue  # one piece, up to ties
         gap = s1 - s0
         if gap <= 0:  # supporting lines of a convex function cannot cross this way
-            raise InexactOracleError(
-                f"POV not convex on problem {problem.id}: oracle is not exact"
-            )
+            raise _not_convex(problem, rest, model.intercept, direction, lo, hi, left, right)
         t = min(max((a0 - a1) / gap, lo), hi)
         if not math.isfinite(t):  # both differences overflowed
             raise FloatingPointError(
@@ -227,6 +233,39 @@ def _search(
         spec.upper,
         values=tuple(values),
     )
+
+
+def _not_convex(
+    problem: ProblemSet, rest, intercept, direction, lo, hi, left, right
+) -> Exception:
+    """The error for a span whose end lines cross the wrong way.
+
+    Exact answers in exact arithmetic cannot do that, but rounding can. A
+    float sum of k terms is off by at most about k * u times the sum of its
+    terms' magnitudes (u = 2**-53). With n items and d features, each
+    prediction the oracle ranks sums d + 1 terms, and a line's value at a
+    span end sums n of those predictions and two more terms. Let A be the
+    sum of the magnitudes of both end decisions' terms at the span end
+    farther from zero. Then the oracle's pick on rounded predictions trails
+    the other decision by at most (d + 1) u A, and the two line values are
+    off by at most (n + d + 3) u A together. A wrong-way crossing within
+    twice their sum, (n + 2d + 4) * 2u * A, is lost precision, as when one
+    feature term swamps every prediction: a FloatingPointError. A larger
+    one means the oracle missed an optimum: InexactOracleError."""
+    (a0, s0, _, x0), (a1, s1, _, x1) = left, right
+    wrong = max(a1 + s1 * lo - (a0 + s0 * lo), a0 + s0 * hi - (a1 + s1 * hi))
+    n, d = problem.features.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.abs(problem.features) @ np.abs(rest) + abs(intercept) \
+            + np.abs(direction) * max(abs(lo), abs(hi))
+        rounding = float((np.abs(x0) + np.abs(x1)) @ ((n + 2 * d + 4) * EPS * terms))
+    if not wrong > rounding:  # an overflowing term's bound (inf or nan) too
+        return FloatingPointError(
+            f"precision lost locating a breakpoint on problem {problem.id} in [{lo}, {hi}]: "
+            f"its end lines break convexity by {wrong:g}, within their rounding error "
+            f"bound {rounding:g}"
+        )
+    return InexactOracleError(f"POV not convex on problem {problem.id}: oracle is not exact")
 
 
 def extract_full(

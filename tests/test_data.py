@@ -176,6 +176,15 @@ class TestMakeKnapsack:
         for x, y in zip(a.problem_sets, b.problem_sets):
             assert np.array_equal(x.constraint.weights, y.constraint.weights)
 
+    def test_unit_days_share_one_constraint(self):
+        # One `Knapsack` per unit series, whose integer form is computed
+        # once; weighted days draw their own weights, so each has its own.
+        series = dnl.synthesize(3, 2, 0.0, seed=39, group_size=6)
+        unit = dnl.make_knapsack(series, False, 3.0).problem_sets
+        assert all(ps.constraint is unit[0].constraint for ps in unit)
+        weighted = dnl.make_knapsack(series, True, 9.0, seed=41).problem_sets
+        assert len({id(ps.constraint) for ps in weighted}) == len(weighted)
+
     def test_nonpositive_capacity_rejected(self):
         series = dnl.synthesize(1, 2, 0.0, seed=43, group_size=6)
         with pytest.raises(ValueError):

@@ -410,6 +410,41 @@ class TestEqualWeightPath:
             assert oracles._integer_form(constraint)[2][1] in ((n,), ())
             assert res.solution.assignment == table_dp_assignment(values, constraint)
 
+    def test_one_class_edge_loads(self):
+        # At most one class fits (`_knapsack_top_k`): a class of weight 0,
+        # items heavier than the capacity, or nothing that fits, with tied
+        # values, zeros of both signs and all-nonpositive values. The class
+        # takes its best positive values, ties to the lower index.
+        rng = np.random.default_rng(151)
+        seen = dict.fromkeys(["zero weight", "too heavy", "nothing fits", "nonpositive"], 0)
+        for _ in range(600):
+            n = int(rng.integers(1, 13))
+            w = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
+            capacity = float(rng.choice([0.0, n * w, (n + 2) * w, float(rng.integers(0, n + 1))]))
+            weights = np.full(n, w)
+            if rng.random() < 0.3:
+                heavy = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+                weights[heavy] = capacity + float(rng.integers(1, 4))
+            values = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0], size=n)
+            if rng.random() < 0.2:
+                values = -np.abs(values)
+            constraint = dnl.Knapsack(weights, capacity)
+            plan = oracles._integer_form(constraint)[2]
+            assert plan.fill is None
+            res = dnl.solve_knapsack_dp(values, constraint)
+            best_val, _ = enumerate_knapsack(values, weights, capacity)
+            assert res.objective == best_val
+            dnl.validate_solution(res.solution, constraint)
+            takes, ranked_ok = class_counts(values, constraint, res.solution.assignment)
+            assert ranked_ok and takes == first_best_counts(values, constraint)
+            if takes and weights.max() <= capacity:  # the class holds every item
+                assert res.solution.assignment == table_dp_assignment(values, constraint)
+            seen["zero weight"] += plan.weights == (0,)
+            seen["too heavy"] += bool(np.any(weights > capacity)) and bool(plan.weights)
+            seen["nothing fits"] += not plan.weights
+            seen["nonpositive"] += not np.any(values > 0)
+        assert min(seen.values()) >= 20, seen
+
     def test_equal_non_unit_weights(self):
         constraint = dnl.Knapsack(np.full(6, 2.0), 7.0)
         values = [1.0, 2.0, 2.0, -1.0, 2.0, 2.0]

@@ -478,6 +478,42 @@ class TestTrain:
         failure = "epoch 1: oracle failure while updating parameter 0: overflow scoring a decision"
         self.stops_at_overflow(constraint, 4, 5e307, 101, oracle, failure)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_swamping_feature_is_a_precision_error(self, oracle, seed):
+        # At the region's top (2.5) every prediction rounds to 5e307, so the
+        # oracle takes two items on a tie that the exact lines score 1.17
+        # lower, a gap far below their rounding: the span between the two
+        # decisions has equal slopes. That is lost precision, not an
+        # inexact oracle.
+        constraint = dnl.Knapsack([1.0, 1.0, 1.0, 1.0], 2.0)
+        failure = "epoch 1: oracle failure while updating parameter 0: precision lost"
+        self.stops_at_overflow(constraint, 4, 2e307, seed, oracle, failure)
+
+    @pytest.mark.parametrize("variant", ["dnl", "dnl-max", "dnl-greedy"])
+    def test_shared_unit_knapsack_trains_as_one_per_day(self, variant):
+        # Unit days share one `Knapsack`; days that each hold an equal one of
+        # their own must train the same, bit for bit.
+        series = dnl.synthesize(8, 3, 0.5, 7, group_size=12)
+        shared = dnl.make_knapsack(series, False, 5.0).problem_sets
+        own = [
+            dnl.ProblemSet(
+                ps.true_values, ps.features,
+                dnl.Knapsack(ps.constraint.weights, ps.constraint.capacity), ps.id,
+            )
+            for ps in shared
+        ]
+        config = dnl.TrainConfig(variant=variant, batch_size=3, max_epochs=2)
+
+        def run(sets):
+            oracle = dnl.SolverOracle()
+            warm, _ = dnl.select_ridge(sets[:5], sets[5:], oracle)
+            trace = dnl.train(sets[:5], sets[5:], config, oracle, warm)
+            return oracle.calls, trace.best_model.coefficients.tobytes(), [
+                (e.train_regret, e.val_regret, e.oracle_calls) for e in trace.epochs
+            ]
+
+        assert run(shared) == run(own)
+
     def test_dimension_mismatch_rejected(self, oracle):
         sets, hidden = realizable_sets(4)
         bad = dnl.LinearModel([1.0, 2.0, 3.0], 0.0)
@@ -545,7 +581,18 @@ def unmoved_training(variant, oracle):
     return dnl.train(sets[:6], sets[6:], config, oracle, warm), sets[:6], sets[6:]
 
 
-@pytest.mark.parametrize("run", [moving_training, unmoved_training])
+def shared_unit_training(variant, oracle):
+    """Three epochs on eight unit-knapsack days, which share one `Knapsack`,
+    split 5 / 3, in batches of three, from a random warm start that the
+    updates move."""
+    series = dnl.synthesize(8, 3, 0.5, 13, group_size=12)
+    sets = dnl.make_knapsack(series, False, 5.0).problem_sets
+    warm = dnl.LinearModel(np.random.default_rng(13).normal(size=sets[0].feature_dim), 1.0)
+    config = dnl.TrainConfig(variant=variant, batch_size=3, max_epochs=3, rng_seed=1)
+    return dnl.train(sets[:5], sets[5:], config, oracle, warm), sets[:5], sets[5:]
+
+
+@pytest.mark.parametrize("run", [moving_training, unmoved_training, shared_unit_training])
 @pytest.mark.parametrize("variant", list(dnl.Variant))
 class TestOwnAnswerMemo:
     def test_no_decision_solved_twice(self, run, variant):

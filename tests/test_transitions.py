@@ -89,6 +89,27 @@ class TestExtractFull:
         with pytest.raises(dnl.InexactOracleError, match="not convex"):
             dnl.extract_full(example1_model(3.0), example1_problem(), 0, spec, WorstDecision())
 
+    def test_slightly_inexact_oracle_on_large_values_is_inexact(self):
+        # Two items, room for one, predictions near 1e7 whose gap stays within
+        # 1e-6 over [-1, 1]. The oracle treats values within 1e-5 as tied and
+        # takes the worse item (it solves the reversed values), so it misses
+        # the optimum by 1e-6 at each end. That is about 500 ulps of the
+        # values, far above their rounding (bound near 4e-8): the oracle is
+        # to blame, not lost precision.
+        class NearTiesTheWrongWay(dnl.SolverOracle):
+            def solve(self, values, constraint):
+                values = np.asarray(values, dtype=float)
+                if np.ptp(values) <= 1e-5:
+                    values = values[::-1]
+                return super().solve(values, constraint)
+
+        ps = dnl.ProblemSet(
+            [1.0, 1.0], [[0.0, 1e7], [1e-6, 1e7]], dnl.Knapsack([1.0, 1.0], 1.0), "near"
+        )
+        model = dnl.LinearModel([0.0, 1.0], 0.0)
+        with pytest.raises(dnl.InexactOracleError, match="not convex on problem near"):
+            dnl.extract_full(model, ps, 0, dnl.SearchSpec(-1.0, 1.0), NearTiesTheWrongWay())
+
     def test_overflowing_crossing_is_an_overflow(self, oracle):
         # Both lines are finite over the region, but their intercepts and
         # slopes differ by more than the largest float: the crossing is nan.
