@@ -3,7 +3,6 @@ with exact knapsack and machine-scheduling oracles."""
 
 from .core import (
     Dataset,
-    Direction,
     JobSpec,
     Knapsack,
     LinearModel,

@@ -2,18 +2,21 @@
 
 All types are immutable after construction (arrays are copied and marked
 read-only) and safe to share across threads.
+
+Types that hold arrays (`Knapsack`, `ProblemSet`, `LinearModel`) compare
+and hash by identity, as array equality has no single truth value; memos
+key on the instance itself. `Scheduling`, `MachineSpec` and `JobSpec` hold
+no arrays and compare and hash by value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence, Union
 
 import numpy as np
 
 __all__ = [
-    "Direction",
     "Knapsack",
     "MachineSpec",
     "JobSpec",
@@ -36,11 +39,6 @@ __all__ = [
 OBJECTIVE_TOL = 1e-9
 
 
-class Direction(str, Enum):
-    MAX = "max"
-    MIN = "min"
-
-
 def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
     """A read-only copy of `values`, or `values` itself when it already is a
     read-only array of this dtype that owns its data (not a view of memory
@@ -55,7 +53,7 @@ def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Knapsack:
     """0-1 knapsack constraint: finite item weights and a capacity limit,
     which may be infinite (no limit)."""
@@ -148,7 +146,7 @@ class Scheduling:
 ConstraintData = Union[Knapsack, Scheduling]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSet:
     """One optimization instance: true coefficients, per-coefficient features
     (both finite), and the shared constraint data."""
@@ -183,7 +181,7 @@ class ProblemSet:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     """Linear coefficient predictor: predicted value = coefficients . features + intercept."""
 
@@ -239,20 +237,20 @@ class Solution:
 
     For knapsack, `vector` is the 0-1 selection itself. For scheduling,
     `vector` is the per-period total power consumption, so that
-    objective = vector . prices in both families.
+    objective = vector . prices in both families. Whether the objective is
+    maximised or minimised is a fact of the family, not of the solution
+    (`evaluation._sign`).
 
     A knapsack solution from `knapsack_solution` builds its `assignment`,
     the selection as a tuple of Python ints, from `vector` on first read and
     caches it on the instance. Concurrent first reads build equal tuples, so
     that race is harmless.
 
-    Solutions compare by value: equal direction, vector elements and
-    assignment. Like the arrays they hold, they are not hashable
-    (TypeError).
+    Solutions compare by value: equal vector elements and assignment. Like
+    the arrays they hold, they are not hashable (TypeError).
     """
 
     assignment: tuple
-    objective_direction: Direction
     vector: np.ndarray
 
     def __post_init__(self):
@@ -270,11 +268,7 @@ class Solution:
     def __eq__(self, other):
         if not isinstance(other, Solution):
             return NotImplemented
-        return (
-            self.objective_direction == other.objective_direction
-            and np.array_equal(self.vector, other.vector)
-            and self.assignment == other.assignment
-        )
+        return np.array_equal(self.vector, other.vector) and self.assignment == other.assignment
 
     __hash__ = None
 
@@ -282,10 +276,10 @@ class Solution:
 def knapsack_solution(selection) -> Solution:
     """A knapsack solution from its 0-1 selection; a solver's fresh vector,
     handed over read-only, becomes the solution's vector without a copy.
-    The solution stores its direction and vector; `assignment` is built from
-    the vector on first read."""
+    The solution stores only its vector; `assignment` is built from it on
+    first read."""
     solution = object.__new__(Solution)
-    solution.__dict__.update(objective_direction=Direction.MAX, vector=_frozen_array(selection))
+    solution.__dict__["vector"] = _frozen_array(selection)
     return solution
 
 
@@ -297,7 +291,7 @@ def scheduling_solution(assignment: Sequence[tuple[int, int]], constraint: Sched
         for t in range(start, start + job.duration):
             consumption[t] += power
     pairs = tuple((int(m), int(t)) for m, t in assignment)
-    return Solution(pairs, Direction.MIN, consumption)
+    return Solution(pairs, consumption)
 
 
 def validate_solution(solution: Solution, constraint: ConstraintData) -> None:

@@ -47,10 +47,11 @@ WEIGHT_CHOICES = (3.0, 5.0, 7.0)
 MAX_LOAD_ATTEMPTS = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawSeries:
     """Time-ordered rows of (feature vector, true price); row order is time
-    order and every `group_size` consecutive rows form one day."""
+    order and every `group_size` consecutive rows form one day. Compares
+    and hashes by identity, as the array-holding core types do."""
 
     features: np.ndarray
     prices: np.ndarray
@@ -77,16 +78,17 @@ class RawSeries:
     def num_groups(self) -> int:
         return self.num_rows // self.group_size
 
-    def groups(self):
-        """Yield (features block, prices block) per full group; the trailing
-        partial group is dropped."""
-        full = self.num_groups * self.group_size
-        dropped = self.num_rows - full
+    def groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(features block, prices block) per full group; the trailing
+        partial group is dropped. Raises ValueError when no group is full."""
+        if not self.num_groups:
+            raise ValueError("series has no complete group")
+        dropped = self.num_rows - self.num_groups * self.group_size
         if dropped:
             logger.warning("dropping %d trailing rows that do not fill a group", dropped)
-        for g in range(self.num_groups):
-            sl = slice(g * self.group_size, (g + 1) * self.group_size)
-            yield self.features[sl], self.prices[sl]
+        size = self.group_size
+        return [(self.features[lo : lo + size], self.prices[lo : lo + size])
+                for lo in range(0, self.num_groups * size, size)]
 
 
 @dataclass(frozen=True)
@@ -201,10 +203,11 @@ def make_knapsack(
     """
     if capacity <= 0:
         raise ValueError("capacity must be positive")
+    groups = series.groups()
     rng = np.random.default_rng(seed)
     unit = None if weighted else Knapsack(np.ones(series.group_size), capacity)
     problem_sets = []
-    for g, (features, prices) in enumerate(series.groups()):
+    for g, (features, prices) in enumerate(groups):
         if weighted:
             weights = rng.choice(WEIGHT_CHOICES, size=series.group_size)
             values = weights * prices
@@ -213,8 +216,6 @@ def make_knapsack(
         else:
             values, constraint = prices, unit
         problem_sets.append(ProblemSet(values, features, constraint, f"day{g:04d}"))
-    if not problem_sets:
-        raise ValueError("series has no complete group")
     return Dataset(tuple(problem_sets))
 
 
@@ -233,6 +234,7 @@ def make_scheduling(
         raise ValueError("num_machines must be at least 1")
     if num_jobs < 0:
         raise ValueError("num_jobs must be nonnegative")
+    groups = series.groups()
     rng = np.random.default_rng(seed)
     periods = series.group_size
     constraint = None
@@ -266,10 +268,8 @@ def make_scheduling(
         )
     problem_sets = [
         ProblemSet(prices, features, constraint, f"day{g:04d}")
-        for g, (features, prices) in enumerate(series.groups())
+        for g, (features, prices) in enumerate(groups)
     ]
-    if not problem_sets:
-        raise ValueError("series has no complete group")
     return Dataset(tuple(problem_sets))
 
 

@@ -1,8 +1,9 @@
 """Decision-quality evaluation: regret, predicted optimal value, true optimal value.
 
-Scheduling is a minimization, so its objectives are sign-flipped into the
-shared maximization convention here; larger POV/TOV is always better and
-regret is always nonnegative.
+Knapsack maximises and scheduling minimises, so `_sign` turns a constraint
+family into the sign that puts both into the shared maximization
+convention; it is the one place that does. Larger POV/TOV is always better
+and regret is always nonnegative.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from .core import (
     OBJECTIVE_TOL,
-    Direction,
+    ConstraintData,
+    Knapsack,
     LinearModel,
     ProblemSet,
     _check_dimension,
@@ -34,19 +36,18 @@ __all__ = [
     "evaluate_model_regret",
 ]
 
-def _sign(direction: Direction) -> float:
-    return 1.0 if direction is Direction.MAX else -1.0
+def _sign(constraint: ConstraintData) -> float:
+    """+1 for a knapsack, which maximises; -1 for scheduling, which minimises."""
+    return 1.0 if isinstance(constraint, Knapsack) else -1.0
 
 
-def _signed_objective(result: OracleResult) -> float:
-    return _sign(result.solution.objective_direction) * result.objective
+def _signed_objective(result: OracleResult, problem: ProblemSet) -> float:
+    return _sign(problem.constraint) * result.objective
 
 
 def _true_value(result: OracleResult, problem: ProblemSet) -> float:
     """The result's decision scored under the true coefficients."""
-    return _sign(result.solution.objective_direction) * solution_objective(
-        result.solution, problem.true_values
-    )
+    return _sign(problem.constraint) * solution_objective(result.solution, problem.true_values)
 
 
 def _clamped_regret(true_optimal: float, achieved: float, problem: ProblemSet) -> float:
@@ -69,14 +70,14 @@ def _same_float(a: float, b: float) -> bool:
 def _own_answer(model: LinearModel, problem: ProblemSet, oracle: SolverOracle) -> OracleResult:
     """The oracle's answer at the model's own predictions. A model that
     `training.train` works with carries a memo of these answers (`_answers`,
-    keyed on problem set identity, each entry holding its set), so that it
-    solves each set once; any other model solves on every call."""
+    keyed on the problem set, which hashes by identity), so that it solves
+    each set once; any other model solves on every call."""
     answers = model.__dict__.get("_answers")
     if answers is None:
         return oracle.solve(predict(model, problem), problem.constraint)
-    if id(problem) not in answers:
-        answers[id(problem)] = (problem, oracle.solve(predict(model, problem), problem.constraint))
-    return answers[id(problem)][1]
+    if problem not in answers:
+        answers[problem] = oracle.solve(predict(model, problem), problem.constraint)
+    return answers[problem]
 
 
 def _prober(
@@ -122,23 +123,23 @@ class TrueOptimumCache:
     """Memo of true-optimal objectives per problem set object.
 
     True optima never change during training; caching them halves the oracle
-    calls of every regret evaluation. Keyed on object identity, as ids repeat
-    across datasets; entries hold their problem set, so no id is reused.
+    calls of every regret evaluation. Keyed on the problem set, which hashes
+    by identity, so two sets with equal ids or values keep separate entries.
     Safe for concurrent readers.
     """
 
     def __init__(self):
-        self._values: dict[int, tuple[ProblemSet, float]] = {}
+        self._values: dict[ProblemSet, float] = {}
         self._lock = threading.Lock()
 
     def true_optimal(self, problem: ProblemSet, oracle: SolverOracle) -> float:
         with self._lock:
-            entry = self._values.get(id(problem))
-        if entry is not None:
-            return entry[1]
-        value = _signed_objective(oracle.solve(problem.true_values, problem.constraint))
+            value = self._values.get(problem)
+        if value is not None:
+            return value
+        value = _signed_objective(oracle.solve(problem.true_values, problem.constraint), problem)
         with self._lock:
-            return self._values.setdefault(id(problem), (problem, value))[1]
+            return self._values.setdefault(problem, value)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -181,7 +182,7 @@ def pov(
     under those same predictions. Convex and piecewise linear in the probed
     parameter.
     """
-    return _signed_objective(_prober(model, problem, beta_index, oracle)(beta_value))
+    return _signed_objective(_prober(model, problem, beta_index, oracle)(beta_value), problem)
 
 
 def tov(
@@ -196,13 +197,16 @@ def tov(
     return _true_value(_prober(model, problem, beta_index, oracle)(beta_value), problem)
 
 
+@np.errstate(over="raise")
 def evaluate_model_regret(
     model: LinearModel,
     problem_sets: Sequence[ProblemSet],
     oracle: SolverOracle,
     cache: Optional[TrueOptimumCache] = None,
 ) -> tuple[float, float]:
-    """Mean and sample standard deviation of per-problem-set regret."""
+    """Mean and sample standard deviation of per-problem-set regret. A numpy
+    overflow, such as a prediction that overflows to inf, raises
+    FloatingPointError instead of warning, as it does under `training.train`."""
     regrets = np.array(
         [regret_of(model, ps, oracle, cache).regret for ps in problem_sets]
     )

@@ -48,7 +48,8 @@ def select_ridge(
 ) -> tuple[LinearModel, float]:
     """Pick the penalty from `DEFAULT_PENALTY_GRID` with the lowest validation
     regret (ties favor the smallest penalty). Returns the refit model and the
-    chosen penalty."""
+    chosen penalty. Scoring runs through `evaluate_model_regret`, so a numpy
+    overflow there raises FloatingPointError."""
     if cache is None:
         cache = TrueOptimumCache()
     best_model, best_penalty, best_regret = None, None, np.inf

@@ -53,8 +53,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import OBJECTIVE_TOL, Knapsack, LinearModel, ProblemSet
-from .evaluation import _prober
+from .core import OBJECTIVE_TOL, LinearModel, ProblemSet
+from .evaluation import _prober, _sign
 from .oracles import InexactOracleError, SolverOracle
 
 __all__ = [
@@ -153,7 +153,7 @@ def _search(
     base = problem.features @ rest + model.intercept
     direction = problem.features[:, beta_index]
     true_values = problem.true_values
-    sign = 1.0 if isinstance(problem.constraint, Knapsack) else -1.0  # scheduling minimises
+    sign = _sign(problem.constraint)
     scored: dict[bytes, tuple] = {}  # decision vector -> its line
 
     def probe(beta: float) -> tuple:

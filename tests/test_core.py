@@ -158,14 +158,13 @@ class TestSolutionEquality:
             (dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 2.0, 2, 0, 4),), 4
         )
         solution = dnl.solve_scheduling([5.0, 1.0, 2.0, 7.0], constraint).solution
-        built = dnl.Solution(((0, 1),), dnl.Direction.MIN, [0.0, 2.0, 2.0, 0.0])
+        built = dnl.Solution(((0, 1),), [0.0, 2.0, 2.0, 0.0])
         assert solution.vector is not built.vector
         assert (solution == built) is True
         assert (solution != built) is False
-        assert solution != dnl.Solution(((0, 1),), dnl.Direction.MIN, [0.0, 2.0, 2.0, 1.0])
-        assert solution != dnl.Solution(((0, 2),), dnl.Direction.MIN, [0.0, 2.0, 2.0, 0.0])
-        assert solution != dnl.Solution(((0, 1),), dnl.Direction.MAX, [0.0, 2.0, 2.0, 0.0])
-        assert solution != dnl.Solution(((0, 1),), dnl.Direction.MIN, [0.0, 2.0, 2.0])
+        assert solution != dnl.Solution(((0, 1),), [0.0, 2.0, 2.0, 1.0])
+        assert solution != dnl.Solution(((0, 2),), [0.0, 2.0, 2.0, 0.0])
+        assert solution != dnl.Solution(((0, 1),), [0.0, 2.0, 2.0])
         assert solution != ((0, 1),)
 
     def test_knapsack_answers_compare_by_value(self):
@@ -180,7 +179,7 @@ class TestSolutionEquality:
         with pytest.raises(TypeError):
             hash(dnl.knapsack_solution([1, 0]))
         with pytest.raises(TypeError):
-            hash(dnl.Solution(((0, 0),), dnl.Direction.MIN, [1.0]))
+            hash(dnl.Solution(((0, 0),), [1.0]))
 
 
 class TestSolutionObjective:
@@ -290,6 +289,36 @@ def _one_job_load(periods=4):
     return dnl.Scheduling((dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 1.0, 1, 0, periods),), periods)
 
 
+def _problem_set():
+    return dnl.ProblemSet([1.0, 2.0], [[1.0], [2.0]], dnl.Knapsack([1.0, 1.0], 1.0), "p")
+
+
+# Each type: a builder of one instance, and whether two built instances,
+# equal in every field value, compare equal. Array-holding types compare
+# by identity, as do types built from distinct instances of them.
+EQUALITY_RULES = {
+    "Knapsack": (lambda: dnl.Knapsack([1.0, 2.0], 3.0), False),
+    "ProblemSet": (_problem_set, False),
+    "LinearModel": (lambda: dnl.LinearModel([1.0, 2.0]), False),
+    "RawSeries": (lambda: dnl.RawSeries(np.zeros((4, 2)), np.zeros(4), group_size=2), False),
+    "Fold": (lambda: dnl.Fold((_problem_set(),), (_problem_set(),), (_problem_set(),)), False),
+    "Dataset": (lambda: dnl.Dataset((_problem_set(), _problem_set())), False),
+    "Scheduling": (_one_job_load, True),
+    "MachineSpec": (lambda: dnl.MachineSpec(2.0), True),
+    "JobSpec": (lambda: dnl.JobSpec(1.0, 2.0, 2, 0, 4), True),
+}
+
+
+@pytest.mark.parametrize("name", EQUALITY_RULES)
+def test_each_type_compares_by_identity_or_by_value(name):
+    make, by_value = EQUALITY_RULES[name]
+    a, b = make(), make()
+    assert a is not b
+    assert a == a and hash(a) == hash(a)
+    assert (a == b) is by_value and (a != b) is not by_value
+    assert len({a: 0, b: 1}) == (1 if by_value else 2)
+
+
 def _model_file(tmp, text):
     path = tmp / "model.txt"
     path.write_text(text)
@@ -328,19 +357,19 @@ INPUT_CHECKS = {
         ValueError, "does not match item count"),
     "fractional selection": (
         lambda tmp: dnl.validate_solution(
-            dnl.Solution((0,), dnl.Direction.MAX, [0.5]), dnl.Knapsack([1.0], 2.0)),
+            dnl.Solution((0,), [0.5]), dnl.Knapsack([1.0], 2.0)),
         ValueError, "must be 0-1"),
     "pairs per job": (
         lambda tmp: dnl.validate_solution(
-            dnl.Solution((), dnl.Direction.MIN, np.zeros(4)), _one_job_load()),
+            dnl.Solution((), np.zeros(4)), _one_job_load()),
         ValueError, "one (machine, start) pair required per job"),
     "machine index": (
         lambda tmp: dnl.validate_solution(
-            dnl.Solution(((5, 0),), dnl.Direction.MIN, [1.0, 0.0, 0.0, 0.0]), _one_job_load()),
+            dnl.Solution(((5, 0),), [1.0, 0.0, 0.0, 0.0]), _one_job_load()),
         ValueError, "job 0: machine index 5 out of range"),
     "consumption vector": (
         lambda tmp: dnl.validate_solution(
-            dnl.Solution(((0, 0),), dnl.Direction.MIN, np.zeros(4)), _one_job_load()),
+            dnl.Solution(((0, 0),), np.zeros(4)), _one_job_load()),
         ValueError, "consumption vector inconsistent"),
     "unknown constraint to validate": (
         lambda tmp: dnl.validate_solution(dnl.knapsack_solution([1.0]), object()),

@@ -210,6 +210,14 @@ class TestMakeScheduling:
         with pytest.raises(ValueError, match=named):
             dnl.make_scheduling(series, machines, jobs, seed=61)
 
+    def test_no_complete_group_raises_before_any_solve(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(dnl.data, "solve_scheduling", lambda *args: solved.append(args))
+        series = dnl.RawSeries(np.zeros((10, 2)), np.zeros(10), group_size=48)
+        with pytest.raises(ValueError, match="series has no complete group"):
+            dnl.make_scheduling(series)
+        assert solved == []
+
     def test_infeasible_load_is_redrawn(self, monkeypatch):
         # One-period days on one machine: two jobs fit only when their
         # resources sum to the capacity or less. Seed 0 draws an infeasible

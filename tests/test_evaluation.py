@@ -116,6 +116,16 @@ class TestRegret:
         assert len(cache) == 2
         assert oracle.calls == 2
 
+    def test_cache_keeps_equal_valued_sets_apart(self, oracle):
+        ps = example1_problem()
+        twin = dnl.ProblemSet(ps.true_values, ps.features, ps.constraint, ps.id)
+        cache = dnl.TrueOptimumCache()
+        assert cache.true_optimal(ps, oracle) == cache.true_optimal(twin, oracle)
+        assert len(cache) == 2
+        assert oracle.calls == 2
+        cache.true_optimal(twin, oracle)
+        assert oracle.calls == 2
+
     def test_negative_regret_means_an_inexact_oracle(self):
         ps = example1_problem()
         with pytest.raises(dnl.InexactOracleError, match="not exact"):
@@ -323,7 +333,7 @@ class TestProbeRoute:
                 for beta, regret in zip(betas, fallback.tolist()):
                     probe = model.with_coefficient(k, beta)
                     answer = oracle.solve(dnl.predict(probe, ps), ps.constraint)
-                    sign = 1.0 if answer.solution.objective_direction is dnl.Direction.MAX else -1.0
+                    sign = 1.0 if isinstance(ps.constraint, dnl.Knapsack) else -1.0
                     assert bits(dnl.pov(model, ps, k, beta, oracle)) == bits(sign * answer.objective)
                     true_value = sign * solution_objective(answer.solution, ps.true_values)
                     assert bits(dnl.tov(model, ps, k, beta, oracle)) == bits(true_value)
@@ -350,6 +360,13 @@ class TestEvaluateModelRegret:
         ps = example1_problem()
         _, std = dnl.evaluate_model_regret(example1_model(3.0), [ps], oracle)
         assert std == 0.0
+
+    def test_overflowing_prediction_raises(self, oracle):
+        # Every prediction overflows to inf; scoring must not rank the infs.
+        features = [[1e308, 1.0], [1e308, 2.0], [1e308, 3.0], [1e308, 4.0]]
+        ps = dnl.ProblemSet([1.0, 2.0, 3.0, 4.0], features, dnl.Knapsack([1, 1, 1, 1], 2), "big")
+        with pytest.raises(FloatingPointError):
+            dnl.evaluate_model_regret(dnl.LinearModel([10.0, 1.0]), [ps], oracle)
 
     def test_matches_manual_computation(self, oracle):
         rng = np.random.default_rng(113)

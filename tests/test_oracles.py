@@ -1042,9 +1042,9 @@ class TestAnswersBuiltOnFirstRead:
     def test_lazy_solution_reads_like_an_eager_one(self):
         constraint = dnl.Knapsack([3.0, 5.0, 7.0], 8.0)
         solution = dnl.solve_knapsack_dp([4.0, 5.0, 6.0], constraint).solution
-        eager = dnl.Solution((1, 1, 0), dnl.Direction.MAX, [1.0, 1.0, 0.0])
+        eager = dnl.Solution((1, 1, 0), [1.0, 1.0, 0.0])
+        assert set(vars(solution)) == {"vector"}  # the assignment waits for its first read
         assert repr(solution) == repr(eager)
-        assert solution.objective_direction is dnl.Direction.MAX
         assert not solution.vector.flags.writeable
         with pytest.raises(AttributeError):
             solution.missing

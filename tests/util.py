@@ -279,7 +279,7 @@ def reference_search(
 
     def probe(beta: float) -> _Line:
         result = solve_at(beta)
-        sign = _sign(result.solution.objective_direction)
+        sign = _sign(problem.constraint)
         x = result.solution.vector
         return _Line(
             sign * float(x @ base), sign * float(x @ direction), _true_value(result, problem)
