@@ -2,7 +2,6 @@
 with exact knapsack and machine-scheduling oracles."""
 
 from .core import (
-    Dataset,
     JobSpec,
     Knapsack,
     LinearModel,

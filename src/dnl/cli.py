@@ -151,9 +151,9 @@ def _build_dataset(args, capacity=None):
     return make_knapsack(series, problem == "weighted-knapsack", cap, seed=args.seed + 1)
 
 
-def _folds(dataset, args) -> list[Fold]:
+def _folds(problem_sets, args) -> list[Fold]:
     try:
-        return split(dataset, SplitSpec(folds=args.folds))
+        return split(problem_sets, SplitSpec(folds=args.folds))
     except ValueError as exc:  # --folds or the data size admits no split
         raise UsageError(str(exc)) from exc
 
@@ -205,8 +205,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     configs = _configs(args)
-    dataset = _build_dataset(args)
-    folds = _folds(dataset, args)
+    folds = _folds(_build_dataset(args), args)
     if not 0 <= args.fold < len(folds):
         raise UsageError(f"--fold must be in [0, {len(folds) - 1}]")
     fold = folds[args.fold]
@@ -239,8 +238,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = _build_dataset(args)
-    folds = _folds(dataset, args)
+    folds = _folds(_build_dataset(args), args)
     oracle = SolverOracle()
     cache = TrueOptimumCache()
     rows = []
@@ -255,7 +253,8 @@ def cmd_eval(args) -> int:
             rows.append((name, str(f), mean, std, len(fold.test)))
             fold_means.append(mean)
         agg_std = float(np.std(fold_means, ddof=1)) if len(fold_means) > 1 else 0.0
-        rows.append((name, "all", float(np.mean(fold_means)), agg_std, len(dataset)))
+        rows.append((name, "all", float(np.mean(fold_means)), agg_std,
+                     sum(len(fold.test) for fold in folds)))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("model,fold,mean_regret,std_regret,problem_sets\n")
         for name, fold_id, mean, std, count in rows:
@@ -268,8 +267,7 @@ def cmd_sweep(args) -> int:
     configs = _configs(args)
     rows = []
     for capacity in sorted(args.capacities):
-        dataset = _build_dataset(args, capacity=capacity)
-        folds = _folds(dataset, args)
+        folds = _folds(_build_dataset(args, capacity=capacity), args)
         per_variant: dict[str, list[float]] = {v: [] for v in configs}
         for fold in folds:
             oracle = SolverOracle()

@@ -24,7 +24,6 @@ __all__ = [
     "ConstraintData",
     "ProblemSet",
     "LinearModel",
-    "Dataset",
     "Solution",
     "predict",
     "solution_objective",
@@ -203,32 +202,6 @@ class LinearModel:
         coef = self.coefficients.copy()
         coef[index] = value
         return LinearModel(coef, self.intercept)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """A collection of problem sets sharing feature dimension and constraint family."""
-
-    problem_sets: tuple[ProblemSet, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "problem_sets", tuple(self.problem_sets))
-        if not self.problem_sets:
-            raise ValueError("dataset must contain at least one problem set")
-        family = type(self.problem_sets[0].constraint)
-        for ps in self.problem_sets:
-            if ps.feature_dim != self.feature_dim:
-                raise ValueError(f"problem set {ps.id} has feature_dim {ps.feature_dim}")
-            if type(ps.constraint) is not family:
-                raise ValueError("all problem sets must share one constraint family")
-
-    @property
-    def feature_dim(self) -> int:
-        """The first problem set's feature dimension, which every set shares."""
-        return self.problem_sets[0].feature_dim
-
-    def __len__(self) -> int:
-        return len(self.problem_sets)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,10 @@
-"""Dataset ingestion, synthesis, problem construction, and fold splitting.
+"""Series ingestion and synthesis, problem construction, and fold splitting.
 
 Series rows are half-hourly observations, kept in time order with no
 per-row timestamp; every `group_size` consecutive rows (a day) become one
-problem set. Folds rotate contiguous time-ordered blocks so adjacent rows
-never leak across splits.
+problem set. The makers return the days' problem sets as a plain
+time-ordered tuple, which `split` takes as it is. Folds rotate contiguous time-ordered blocks so
+adjacent rows never leak across splits.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    Dataset,
     JobSpec,
     Knapsack,
     LinearModel,
@@ -190,13 +190,14 @@ def synthesize(
 
 def make_knapsack(
     series: RawSeries, weighted: bool, capacity: float, seed: int = 0
-) -> Dataset:
-    """One knapsack problem set per day.
+) -> tuple[ProblemSet, ...]:
+    """One knapsack problem set per day, in time order. The sets share one
+    constraint family and one feature dimension.
 
     Unit mode: weights are all one and item value equals the price. Every
     day shares one `Knapsack`, as `make_scheduling`'s days share one
     `Scheduling`, so its integer form (`oracles._integer_form`) is computed
-    once per dataset.
+    once for all of them.
     Weighted mode: item weights are drawn from {3, 5, 7}, value equals
     weight times price, and the weight joins the feature vector; each day
     has its own `Knapsack`.
@@ -216,7 +217,7 @@ def make_knapsack(
         else:
             values, constraint = prices, unit
         problem_sets.append(ProblemSet(values, features, constraint, f"day{g:04d}"))
-    return Dataset(tuple(problem_sets))
+    return tuple(problem_sets)
 
 
 def make_scheduling(
@@ -224,8 +225,9 @@ def make_scheduling(
     num_machines: int = 2,
     num_jobs: int = 4,
     seed: int = 0,
-) -> Dataset:
-    """One scheduling problem set per day, sharing a seeded random load.
+) -> tuple[ProblemSet, ...]:
+    """One scheduling problem set per day, in time order, sharing a seeded
+    random load (so one constraint family and one feature dimension).
 
     The generated load is validated by actually solving it once; generation
     retries, up to `MAX_LOAD_ATTEMPTS` loads, until a feasible one appears.
@@ -266,11 +268,10 @@ def make_scheduling(
         raise InfeasibleInstanceError(
             f"could not generate a feasible load in {MAX_LOAD_ATTEMPTS} attempts"
         )
-    problem_sets = [
+    return tuple(
         ProblemSet(prices, features, constraint, f"day{g:04d}")
         for g, (features, prices) in enumerate(groups)
-    ]
-    return Dataset(tuple(problem_sets))
+    )
 
 
 def _fold_test_bounds(n: int, spec: SplitSpec) -> list[tuple[int, int]]:
@@ -281,16 +282,17 @@ def _fold_test_bounds(n: int, spec: SplitSpec) -> list[tuple[int, int]]:
     return [(f * n // spec.folds, (f + 1) * n // spec.folds) for f in range(spec.folds)]
 
 
-def split(dataset: Dataset | Sequence[ProblemSet], spec: SplitSpec = SplitSpec()) -> list[Fold]:
-    """Contiguous-block fold rotation over time-ordered problem sets.
+def split(problem_sets: Sequence[ProblemSet], spec: SplitSpec = SplitSpec()) -> list[Fold]:
+    """Contiguous-block fold rotation over time-ordered problem sets, such as
+    a maker's tuple.
 
-    With multiple folds the test blocks partition the whole dataset; a single
+    With multiple folds the test blocks partition all the sets; a single
     fold tests on the last sets. Within each fold the remaining sets stay in
     wrapped time order, train first and validation after. Counts follow the
     configured fractions, remainders going to the training split. Raises
     ValueError when a split would be empty.
     """
-    problem_sets = list(dataset.problem_sets if isinstance(dataset, Dataset) else dataset)
+    problem_sets = list(problem_sets)
     n = len(problem_sets)
     if n < 3:
         raise ValueError("need at least three problem sets to split")

@@ -67,9 +67,16 @@ def _same_float(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+def _memoised(model: LinearModel) -> LinearModel:
+    """The model, given an empty memo of its own oracle answers (read by
+    `_own_answer`), stored on the immutable instance."""
+    object.__setattr__(model, "_answers", {})
+    return model
+
+
 def _own_answer(model: LinearModel, problem: ProblemSet, oracle: SolverOracle) -> OracleResult:
     """The oracle's answer at the model's own predictions. A model that
-    `training.train` works with carries a memo of these answers (`_answers`,
+    `training.train` works with carries a memo of these answers (`_memoised`;
     keyed on the problem set, which hashes by identity), so that it solves
     each set once; any other model solves on every call."""
     answers = model.__dict__.get("_answers")
@@ -90,18 +97,17 @@ def _prober(
     `predict` raises). Each probe computes `predict(model.with_coefficient(
     beta_index, value), problem)` with the same operands, with no model
     built, and raises ValueError on a non-finite value. At the model's own
-    value, bit for bit, a model that carries a memo answers through
-    `_own_answer`."""
+    value, bit for bit, the probe answers through `_own_answer`, which
+    solves the same operands unless the model's memo holds the answer."""
     coefficients = model.coefficients.copy()
     _check_dimension(coefficients, problem)
     current = float(coefficients[beta_index])
-    memoised = "_answers" in model.__dict__
     features, intercept, constraint = problem.features, model.intercept, problem.constraint
 
     def solve_at(beta: float) -> OracleResult:
         if not math.isfinite(beta):
             raise ValueError(f"probed parameter value {beta} is not finite")
-        if memoised and _same_float(beta, current):
+        if _same_float(beta, current):
             return _own_answer(model, problem, oracle)
         coefficients[beta_index] = beta
         return oracle.solve(features @ coefficients + intercept, constraint)

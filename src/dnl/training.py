@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import OBJECTIVE_TOL, LinearModel, ProblemSet
 from .evaluation import (
-    TrueOptimumCache, _clamped_regret, _prober, _same_float, _true_value,
+    TrueOptimumCache, _clamped_regret, _memoised, _prober, _same_float, _true_value,
     evaluate_model_regret,
 )
 from .oracles import (
@@ -275,13 +275,6 @@ def select_beta_max(
 def _batches(order: np.ndarray, batch_size: int):
     for start in range(0, len(order), batch_size):
         yield order[start : start + batch_size]
-
-
-def _memoised(model: LinearModel) -> LinearModel:
-    """The model, given an empty memo of its own oracle answers (read by
-    `evaluation._own_answer`), stored on the immutable instance."""
-    object.__setattr__(model, "_answers", {})
-    return model
 
 
 @np.errstate(over="raise")

@@ -186,21 +186,28 @@ class TestTrain:
 
 
 class TestEval:
-    def test_table_and_aggregate_consistency(self, tmp_path):
+    @pytest.mark.parametrize("folds", [1, 2])
+    def test_table_and_aggregate_consistency(self, tmp_path, folds):
+        # With one fold the test block is not every set; the `all` row
+        # counts the sets scored.
         out = tmp_path / "run"
         run(["train", *TRAIN_FLAGS, "--variant", "ridge", "--out", str(out)])
         table = tmp_path / "eval.csv"
         assert run([
-            "eval", *DATA_FLAGS, "--folds", "2",
+            "eval", *DATA_FLAGS, "--folds", str(folds),
             "--model", str(out / "ridge_model.txt"), "--out", str(table),
         ]) == 0
         lines = table.read_text().splitlines()
         assert lines[0] == "model,fold,mean_regret,std_regret,problem_sets"
         rows = [ln.split(",") for ln in lines[1:]]
-        fold_means = [float(r[2]) for r in rows if r[1] != "all"]
+        fold_rows = [r for r in rows if r[1] != "all"]
+        fold_means = [float(r[2]) for r in fold_rows]
         agg = [r for r in rows if r[1] == "all"][0]
+        assert len(fold_rows) == folds
         assert float(agg[2]) == pytest.approx(float(np.mean(fold_means)), abs=1e-9)
-        assert float(agg[3]) == pytest.approx(float(np.std(fold_means, ddof=1)), abs=1e-9)
+        std = float(np.std(fold_means, ddof=1)) if folds > 1 else 0.0
+        assert float(agg[3]) == pytest.approx(std, abs=1e-9)
+        assert int(agg[4]) == sum(int(r[4]) for r in fold_rows)
 
     def test_perfect_model_gives_zero_rows(self, tmp_path):
         # Noise-free series and the hidden generator model: regret must be 0.

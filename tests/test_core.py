@@ -71,24 +71,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             dnl.Scheduling(machines, jobs, 4)
 
-    def test_dataset_requires_shared_family(self):
-        knap = dnl.ProblemSet([1.0], [[1.0]], dnl.Knapsack([1.0], 1.0), "a")
-        sched = dnl.ProblemSet(
-            [1.0, 1.0],
-            [[1.0], [1.0]],
-            dnl.Scheduling((dnl.MachineSpec(1),), (dnl.JobSpec(1, 1, 1, 0, 2),), 2),
-            "b",
-        )
-        with pytest.raises(ValueError):
-            dnl.Dataset((knap, sched))
-
-    def test_dataset_requires_shared_feature_dim(self):
-        a = dnl.ProblemSet([1.0], [[1.0, 2.0]], dnl.Knapsack([1.0], 1.0), "a")
-        b = dnl.ProblemSet([1.0], [[1.0]], dnl.Knapsack([1.0], 1.0), "b")
-        assert dnl.Dataset((a, a)).feature_dim == 2
-        with pytest.raises(ValueError, match="problem set b has feature_dim 1"):
-            dnl.Dataset((a, b))
-
     def test_core_arrays_are_read_only(self):
         # Each stored array is a copy of the caller's, and writing to it raises.
         weights = np.array([1.0, 1.0, 1.0])
@@ -302,7 +284,6 @@ EQUALITY_RULES = {
     "LinearModel": (lambda: dnl.LinearModel([1.0, 2.0]), False),
     "RawSeries": (lambda: dnl.RawSeries(np.zeros((4, 2)), np.zeros(4), group_size=2), False),
     "Fold": (lambda: dnl.Fold((_problem_set(),), (_problem_set(),), (_problem_set(),)), False),
-    "Dataset": (lambda: dnl.Dataset((_problem_set(), _problem_set())), False),
     "Scheduling": (_one_job_load, True),
     "MachineSpec": (lambda: dnl.MachineSpec(2.0), True),
     "JobSpec": (lambda: dnl.JobSpec(1.0, 2.0, 2, 0, 4), True),
@@ -350,8 +331,6 @@ INPUT_CHECKS = {
     "unknown constraint": (
         lambda tmp: dnl.ProblemSet(np.ones(3), np.ones((3, 1)), object(), "p"),
         TypeError, "unsupported constraint type"),
-    "empty dataset": (
-        lambda tmp: dnl.Dataset(()), ValueError, "at least one problem set"),
     "selection length": (
         lambda tmp: dnl.validate_solution(dnl.knapsack_solution([1.0, 0.0]), dnl.Knapsack([1.0] * 3, 2.0)),
         ValueError, "does not match item count"),

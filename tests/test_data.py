@@ -122,17 +122,17 @@ class TestSynthesize:
     def test_noise_free_ridge_recovers_hidden_map(self):
         series = dnl.synthesize(4, 3, 0.0, seed=17, group_size=12)
         dataset = dnl.make_knapsack(series, weighted=False, capacity=5.0)
-        model = dnl.fit_ridge(dataset.problem_sets, l2_penalty=0.0)
+        model = dnl.fit_ridge(dataset, l2_penalty=0.0)
         assert np.max(np.abs(model.coefficients - series.hidden_model.coefficients)) < 1e-6
 
     def test_residual_std_tracks_noise_sigma(self):
         series = dnl.synthesize(500, 3, 1.0, seed=19)
         dataset = dnl.make_knapsack(series, weighted=False, capacity=5.0)
-        model = dnl.fit_ridge(dataset.problem_sets, l2_penalty=0.0)
+        model = dnl.fit_ridge(dataset, l2_penalty=0.0)
         preds = np.concatenate(
-            [dnl.predict(model, ps) for ps in dataset.problem_sets]
+            [dnl.predict(model, ps) for ps in dataset]
         )
-        targets = np.concatenate([ps.true_values for ps in dataset.problem_sets])
+        targets = np.concatenate([ps.true_values for ps in dataset])
         resid_std = float(np.std(targets - preds))
         assert abs(resid_std - 1.0) < 0.1
 
@@ -151,7 +151,7 @@ class TestMakeKnapsack:
         series = dnl.synthesize(2, 3, 0.0, seed=23, group_size=10)
         dataset = dnl.make_knapsack(series, weighted=False, capacity=4.0)
         assert len(dataset) == 2
-        ps = dataset.problem_sets[0]
+        ps = dataset[0]
         assert np.all(ps.constraint.weights == 1.0)
         assert np.allclose(ps.true_values, series.prices[:10])
         assert ps.feature_dim == 3
@@ -159,7 +159,7 @@ class TestMakeKnapsack:
     def test_weighted_mode_values_and_feature(self):
         series = dnl.synthesize(3, 3, 0.2, seed=29, group_size=10)
         dataset = dnl.make_knapsack(series, weighted=True, capacity=15.0, seed=31)
-        for g, ps in enumerate(dataset.problem_sets):
+        for g, ps in enumerate(dataset):
             weights = ps.constraint.weights
             prices = series.prices[g * 10 : (g + 1) * 10]
             assert set(np.unique(weights)) <= {3.0, 5.0, 7.0}
@@ -173,16 +173,16 @@ class TestMakeKnapsack:
         series = dnl.synthesize(2, 2, 0.0, seed=37, group_size=6)
         a = dnl.make_knapsack(series, True, 9.0, seed=41)
         b = dnl.make_knapsack(series, True, 9.0, seed=41)
-        for x, y in zip(a.problem_sets, b.problem_sets):
+        for x, y in zip(a, b):
             assert np.array_equal(x.constraint.weights, y.constraint.weights)
 
     def test_unit_days_share_one_constraint(self):
         # One `Knapsack` per unit series, whose integer form is computed
         # once; weighted days draw their own weights, so each has its own.
         series = dnl.synthesize(3, 2, 0.0, seed=39, group_size=6)
-        unit = dnl.make_knapsack(series, False, 3.0).problem_sets
+        unit = dnl.make_knapsack(series, False, 3.0)
         assert all(ps.constraint is unit[0].constraint for ps in unit)
-        weighted = dnl.make_knapsack(series, True, 9.0, seed=41).problem_sets
+        weighted = dnl.make_knapsack(series, True, 9.0, seed=41)
         assert len({id(ps.constraint) for ps in weighted}) == len(weighted)
 
     def test_nonpositive_capacity_rejected(self):
@@ -196,10 +196,10 @@ class TestMakeScheduling:
         series = dnl.synthesize(3, 2, 0.1, seed=47, group_size=12)
         dataset = dnl.make_scheduling(series, num_machines=2, num_jobs=3, seed=53)
         assert len(dataset) == 3
-        first = dataset.problem_sets[0].constraint
-        for ps in dataset.problem_sets:
+        first = dataset[0].constraint
+        for ps in dataset:
             assert ps.constraint is first
-        res = dnl.solve_scheduling(dataset.problem_sets[0].true_values, first)
+        res = dnl.solve_scheduling(dataset[0].true_values, first)
         dnl.validate_solution(res.solution, first)
 
     @pytest.mark.parametrize("machines, jobs, named", [
@@ -233,7 +233,7 @@ class TestMakeScheduling:
         series = dnl.RawSeries(np.zeros((3, 2)), np.zeros(3), group_size=1)
         dataset = dnl.make_scheduling(series, 1, 2, seed=0)
         assert len(solved) == 2
-        assert dataset.problem_sets[0].constraint is solved[-1]
+        assert dataset[0].constraint is solved[-1]
         with pytest.raises(dnl.InfeasibleInstanceError):
             dnl.solve_scheduling([0.0], solved[0])
 
@@ -241,7 +241,7 @@ class TestMakeScheduling:
         series = dnl.synthesize(2, 2, 0.1, seed=59, group_size=12)
         a = dnl.make_scheduling(series, 2, 3, seed=61)
         b = dnl.make_scheduling(series, 2, 3, seed=61)
-        assert a.problem_sets[0].constraint == b.problem_sets[0].constraint
+        assert a[0].constraint == b[0].constraint
 
 
 class TestSplit:

@@ -4,8 +4,8 @@ import pytest
 import dnl
 from dnl.core import OBJECTIVE_TOL
 from dnl.core import solution_objective
-from dnl.evaluation import _clamped_regret, _prober
-from dnl.training import _memoised, _regret_scorer
+from dnl.evaluation import _clamped_regret, _memoised, _prober
+from dnl.training import _regret_scorer
 from util import (
     enumerate_knapsack,
     enumerate_schedule,

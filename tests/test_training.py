@@ -494,7 +494,7 @@ class TestTrain:
         # Unit days share one `Knapsack`; days that each hold an equal one of
         # their own must train the same, bit for bit.
         series = dnl.synthesize(8, 3, 0.5, 7, group_size=12)
-        shared = dnl.make_knapsack(series, False, 5.0).problem_sets
+        shared = dnl.make_knapsack(series, False, 5.0)
         own = [
             dnl.ProblemSet(
                 ps.true_values, ps.features,
@@ -586,7 +586,7 @@ def shared_unit_training(variant, oracle):
     split 5 / 3, in batches of three, from a random warm start that the
     updates move."""
     series = dnl.synthesize(8, 3, 0.5, 13, group_size=12)
-    sets = dnl.make_knapsack(series, False, 5.0).problem_sets
+    sets = dnl.make_knapsack(series, False, 5.0)
     warm = dnl.LinearModel(np.random.default_rng(13).normal(size=sets[0].feature_dim), 1.0)
     config = dnl.TrainConfig(variant=variant, batch_size=3, max_epochs=3, rng_seed=1)
     return dnl.train(sets[:5], sets[5:], config, oracle, warm), sets[:5], sets[5:]
@@ -614,6 +614,95 @@ class TestOwnAnswerMemo:
         trace, _, val_sets = run(variant, dnl.SolverOracle())
         regret, _ = dnl.evaluate_model_regret(trace.best_model, val_sets, dnl.SolverOracle())
         assert regret == trace.best_val_regret
+
+
+# Per (problem, variant): per-epoch oracle calls, best epoch, per-epoch train
+# and validation regrets, and the best model's coefficients, as recorded from
+# `pinned_training`. A change that keeps every answer must keep these.
+PINNED_TRAJECTORIES = {
+    ("unit-knapsack", "dnl"): (
+        [32, 540, 1062, 1568], 0,
+        [0.6424469798126365, 0.623092312304174, 0.5957634898960629, 0.5957634898960629],
+        [0.2597656095064771] * 4,
+        [1.6012039590199065, 2.7510908157928595, 3.483487926838636],
+    ),
+    ("unit-knapsack", "dnl-max"): (
+        [32, 532, 1034, 1542], 0,
+        [0.6424469798126365, 0.5432647656073993, 0.5014647181062146, 0.5432647656073993],
+        [0.2597656095064771] * 4,
+        [1.6012039590199065, 2.7510908157928595, 3.483487926838636],
+    ),
+    ("unit-knapsack", "dnl-greedy"): (
+        [32, 458, 899, 1345], 0,
+        [0.6424469798126365, 0.623092312304174, 0.5957634898960629, 0.5966660892679343],
+        [0.2597656095064771] * 4,
+        [1.6012039590199065, 2.7510908157928595, 3.483487926838636],
+    ),
+    ("weighted-knapsack", "dnl"): (
+        [32, 708, 1374, 2060], 0,
+        [2.036842561585916, 2.036842561585916, 1.7766002954638063, 1.7766002954638063],
+        [1.4881252678980275] * 4,
+        [8.798114016983687, 14.786746549073268, 17.83409911921075, 8.938523665420687],
+    ),
+    ("weighted-knapsack", "dnl-max"): (
+        [32, 702, 1344, 1998], 0,
+        [2.036842561585916, 1.7766002954638063, 2.036842561585916, 2.036842561585916],
+        [1.4881252678980275, 1.4881252678980275, 5.864186005345005, 5.864186005345005],
+        [8.798114016983687, 14.786746549073268, 17.83409911921075, 8.938523665420687],
+    ),
+    ("weighted-knapsack", "dnl-greedy"): (
+        [32, 629, 1225, 1799], 0,
+        [2.036842561585916, 2.7477554190595543, 2.7477554190595543, 2.7477554190595543],
+        [1.4881252678980275, 1.4881252678980275, 6.034899738480419, 6.034899738480419],
+        [8.798114016983687, 14.786746549073268, 17.83409911921075, 8.938523665420687],
+    ),
+    ("scheduling", "dnl"): (
+        [32, 196, 356, 518], 0,
+        [0.17867294755995797, 0.2282307230698178, 0.2282307230698178, 0.1842049858557512],
+        [0.9250861231407583] * 4,
+        [1.6012039590199065, 2.7510908157928595, 3.483487926838636],
+    ),
+    ("scheduling", "dnl-max"): (
+        [32, 196, 356, 516], 0,
+        [0.17867294755995797, 0.2282307230698178, 0.10398878218911177, 0.2282307230698178],
+        [0.9250861231407583] * 4,
+        [1.6012039590199065, 2.7510908157928595, 3.483487926838636],
+    ),
+    ("scheduling", "dnl-greedy"): (
+        [32, 223, 420, 617], 0,
+        [0.17867294755995797, 0.2282307230698178, 0.10398878218911177, 0.2282307230698178],
+        [0.9250861231407583] * 4,
+        [1.6012039590199065, 2.7510908157928595, 3.483487926838636],
+    ),
+}
+
+
+def pinned_training(problem, variant):
+    """Three epochs in batches of four on one fold of 20 synthetic days of
+    24 rows, from a `select_ridge` warm start."""
+    series = dnl.synthesize(20, 3, 0.5, 11, group_size=24)
+    if problem == "scheduling":
+        problem_sets = dnl.make_scheduling(series, 2, 3, seed=1)
+    else:
+        weighted = problem == "weighted-knapsack"
+        problem_sets = dnl.make_knapsack(series, weighted, 30.0 if weighted else 6.0, seed=12)
+    fold = dnl.split(problem_sets, dnl.SplitSpec(folds=1))[0]
+    warm, _ = dnl.select_ridge(fold.train, fold.val, dnl.SolverOracle())
+    config = dnl.TrainConfig(variant=variant, batch_size=4, max_epochs=3)
+    return dnl.train(fold.train, fold.val, config, dnl.SolverOracle(), warm)
+
+
+@pytest.mark.parametrize("problem, variant", PINNED_TRAJECTORIES)
+def test_training_trajectory_is_pinned(problem, variant):
+    # Exact counts; the floats allow last-bit BLAS differences between hosts.
+    calls, best_epoch, train_regrets, val_regrets, coefficients = (
+        PINNED_TRAJECTORIES[problem, variant])
+    trace = pinned_training(problem, variant)
+    assert [e.oracle_calls for e in trace.epochs] == calls
+    assert trace.best_epoch == best_epoch
+    assert [e.train_regret for e in trace.epochs] == pytest.approx(train_regrets, rel=1e-9)
+    assert [e.val_regret for e in trace.epochs] == pytest.approx(val_regrets, rel=1e-9)
+    assert trace.best_model.coefficients.tolist() == pytest.approx(coefficients, rel=1e-9)
 
 
 class TestTraceCsv:
