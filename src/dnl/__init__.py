@@ -39,7 +39,6 @@ from .evaluation import (
 from .oracles import (
     InexactOracleError,
     InfeasibleInstanceError,
-    NonFinitePricesError,
     OracleResult,
     SolverOracle,
     solve_knapsack_bb,
@@ -50,6 +49,7 @@ from .ridge import fit_ridge, select_ridge
 from .training import (
     TrainConfig,
     TrainTrace,
+    TrainingError,
     Variant,
     candidate_betas,
     select_beta_full,

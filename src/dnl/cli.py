@@ -210,14 +210,13 @@ def cmd_train(args) -> int:
         raise UsageError(f"--fold must be in [0, {len(folds) - 1}]")
     fold = folds[args.fold]
     os.makedirs(args.out, exist_ok=True)
-    oracle = SolverOracle()
     cache = TrueOptimumCache()  # `train` keeps its own, so its call counts stay comparable
-    warmstart, penalty = select_ridge(fold.train, fold.val, oracle, cache)
+    warmstart, penalty = select_ridge(fold.train, fold.val, SolverOracle(), cache)
     save_model(warmstart, os.path.join(args.out, "ridge_model.txt"))
     print(f"ridge warmstart saved (penalty {penalty:g})")
     for variant, config in configs.items():
         started = time.perf_counter()
-        oracle.reset()
+        oracle = SolverOracle()  # each trace counts only its own calls
         model, trace = warmstart, None
         if config is not None:
             trace = train(fold.train, fold.val, config, oracle, warmstart)

@@ -13,18 +13,18 @@ once per load and shared by loads of one shape (`_class_fill`); a solve
 sums sorted values and takes one argmax. A load where at most one class
 fits, a unit knapsack among them, needs no grid: it takes that class's
 capacity // w largest positive values, ranked by one stable sort
-(`_knapsack_top_k`). The grid runs when it has no
-more cells than the items x (capacity + 1) table, nor than
-`CLASS_GRID_MAX_CELLS`. Within a class the lower index wins among equal
-values; across classes the first best count vector in grid order
-(lexicographic, lightest class first) wins. Other
-loads run the table DP, whose ties exclude the later item, capped at
-`DP_TABLE_MAX_CELLS` cells. A load whose table would be larger, or whose
-weights do not scale to integers within int64, goes to branch-and-bound; `solve_knapsack_dp` refuses
-it with ValueError before anything is allocated. Branch-and-bound searches
-depth first on an explicit stack, so no item count overflows the interpreter
-stack, and a search that visits more than `KNAPSACK_BB_MAX_NODES` nodes
-raises ValueError naming the budget and the item count.
+(`_knapsack_top_k`). The grid runs when it has no more cells than the
+items x (capacity + 1) table, nor than `CLASS_GRID_MAX_CELLS`. Within a
+class the lower index wins among equal values; across classes the first
+best count vector in grid order (lexicographic, lightest class first)
+wins. Other loads run the table DP, whose ties exclude the later item,
+capped at `DP_TABLE_MAX_CELLS` cells. A load whose table would be larger,
+or whose weights do not scale to integers within int64, goes to
+branch-and-bound; `solve_knapsack_dp` refuses it with ValueError before
+anything is allocated. Branch-and-bound searches depth first on an
+explicit stack, so no item count overflows the interpreter stack, and a
+search that visits more than `KNAPSACK_BB_MAX_NODES` nodes raises
+ValueError naming the budget and the item count.
 Scheduling is solved by depth-first branch-and-bound on an explicit stack.
 Its price-independent plan (each job's feasible machines and starts, the job
 order, the capacity limits) is built once per `Scheduling` and memoised on
@@ -67,7 +67,6 @@ __all__ = [
     "OracleResult",
     "InfeasibleInstanceError",
     "InexactOracleError",
-    "NonFinitePricesError",
     "solve_knapsack_dp",
     "solve_knapsack_bb",
     "solve_scheduling",
@@ -100,11 +99,6 @@ MAX_SCALE_SHIFT = 6
 
 class InfeasibleInstanceError(ValueError):
     """Raised when a scheduling instance admits no feasible schedule."""
-
-
-class NonFinitePricesError(ValueError):
-    """Raised when scheduling prices hold a NaN or an infinity, or sum past
-    the largest float."""
 
 
 class InexactOracleError(RuntimeError):
@@ -548,10 +542,10 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     price-independent plan (options, job order, capacity limits) is built
     once per `Scheduling` and memoised on it, and an optimal schedule met
     before on the load returns its stored `Solution`; the objective is
-    always read under this call's prices. Raises NonFinitePricesError (a
-    ValueError) on a non-finite price or price total,
-    InfeasibleInstanceError when no complete schedule exists, and ValueError
-    when the search visits more than `SCHEDULING_MAX_NODES` nodes.
+    always read under this call's prices. Raises ValueError on a non-finite
+    price or price total, InfeasibleInstanceError when no complete schedule
+    exists, and ValueError when the search visits more than
+    `SCHEDULING_MAX_NODES` nodes.
     """
     prices = np.array(prices, dtype=float)  # the answer's own copy
     if prices.shape[0] != constraint.periods:
@@ -560,7 +554,7 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     prefix = np.zeros(prices.shape[0] + 1)
     prices.cumsum(out=prefix[1:])
     if not math.isfinite(prefix[-1]):  # a NaN or infinite price reaches the total
-        raise NonFinitePricesError("scheduling prices must be finite and have a finite sum")
+        raise ValueError("scheduling prices must be finite and have a finite sum")
     costs = plan.power * (prefix[plan.stop] - prefix[plan.start])
     rank = np.lexsort((costs, plan.group))
     option_cost = costs[rank].tolist()
@@ -647,10 +641,6 @@ class SolverOracle:
     def __init__(self):
         self.calls = 0
         self._lock = threading.Lock()
-
-    def reset(self) -> None:
-        with self._lock:
-            self.calls = 0
 
     def solve(self, values, constraint: ConstraintData) -> OracleResult:
         with self._lock:

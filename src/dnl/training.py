@@ -29,12 +29,7 @@ from .evaluation import (
     TrueOptimumCache, _clamped_regret, _memoised, _prober, _same_float, _true_value,
     evaluate_model_regret,
 )
-from .oracles import (
-    InexactOracleError,
-    InfeasibleInstanceError,
-    NonFinitePricesError,
-    SolverOracle,
-)
+from .oracles import InexactOracleError, InfeasibleInstanceError, SolverOracle
 from .transitions import SearchSpec, TransitionProfile, extract_full, extract_greedy
 
 __all__ = [
@@ -121,7 +116,8 @@ def candidate_betas(
     transition points and region endpoints, plus the current parameter value."""
     candidates = {float(current_beta)}
     for profile in profiles:
-        knots = [profile.lower] + profile.midpoints() + [profile.upper]
+        points = [(low + high) / 2.0 for low, high in profile.intervals]
+        knots = [profile.lower] + points + [profile.upper]
         for a, b in zip(knots[:-1], knots[1:]):
             candidates.add((a + b) / 2.0)
     return sorted(candidates)
@@ -272,11 +268,6 @@ def select_beta_max(
     return _argmin_candidate(batch_scores, current)
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start : start + batch_size]
-
-
 @np.errstate(over="raise")
 def train(
     train_sets: Sequence[ProblemSet],
@@ -292,9 +283,9 @@ def train(
     recorded validation regret, which carries no memo. A numpy overflow
     raises FloatingPointError instead of warning, as does a transition
     search whose own float arithmetic overflows. An inexact oracle, an
-    infeasible instance, non-finite predicted scheduling prices or an
-    overflow while updating a parameter or scoring an epoch (the warm start
-    included) raise TrainingError; other errors propagate.
+    infeasible instance or an overflow, met while updating a parameter or
+    while scoring an epoch (the warm start included), raises TrainingError;
+    other errors propagate.
 
     Each decision is solved once per model: the model in training keeps the
     oracle's answer at its own coefficients for every set it has solved, so
@@ -312,6 +303,7 @@ def train(
     cache = TrueOptimumCache()
     # Looked up per call, so that a wrapper set on the module attribute applies.
     select = select_beta_full if config.variant is Variant.DNL else select_beta_max
+    extract = extract_greedy if config.variant is Variant.DNL_GREEDY else extract_full
     rng = np.random.default_rng(config.rng_seed)
     start_time = time.perf_counter()
 
@@ -322,6 +314,10 @@ def train(
         except FloatingPointError as exc:
             raise TrainingError(
                 f"epoch {epoch}: overflow while scoring the model: {exc}"
+            ) from exc
+        except (InexactOracleError, InfeasibleInstanceError) as exc:
+            raise TrainingError(
+                f"epoch {epoch}: oracle failure while scoring the model: {exc}"
             ) from exc
         return EpochStats(
             epoch,
@@ -339,8 +335,8 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_sets))
         timed_out = False
-        for chunk in _batches(order, config.batch_size):
-            batch = [train_sets[i] for i in chunk]
+        for start in range(0, len(order), config.batch_size):
+            batch = [train_sets[i] for i in order[start : start + config.batch_size]]
             for k in range(model.num_parameters):
                 if time.perf_counter() - start_time > config.max_seconds:
                     timed_out = True
@@ -348,22 +344,9 @@ def train(
                 beta_old = float(model.coefficients[k])
                 spec = SearchSpec.from_parameter(beta_old)
                 try:
-                    if config.variant is Variant.DNL_GREEDY:
-                        profiles = [
-                            extract_greedy(model, ps, k, spec, oracle, beta_old)
-                            for ps in batch
-                        ]
-                    else:
-                        profiles = [
-                            extract_full(model, ps, k, spec, oracle) for ps in batch
-                        ]
+                    profiles = [extract(model, ps, k, spec, oracle) for ps in batch]
                     beta_opt = select(profiles, batch, model, k, oracle, cache)
-                except (
-                    InexactOracleError,
-                    InfeasibleInstanceError,
-                    NonFinitePricesError,
-                    FloatingPointError,
-                ) as exc:
+                except (InexactOracleError, InfeasibleInstanceError, FloatingPointError) as exc:
                     raise TrainingError(
                         f"epoch {epoch}: oracle failure while updating "
                         f"parameter {k}: {exc}"

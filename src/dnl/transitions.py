@@ -134,9 +134,6 @@ class TransitionProfile:
         if self.values and len(self.values) != 2 * len(self.intervals) + 1:
             raise ValueError("one value per piece and per breakpoint required")
 
-    def midpoints(self) -> list[float]:
-        return [(low + high) / 2.0 for low, high in self.intervals]
-
 
 def _search(
     model: LinearModel,
@@ -285,14 +282,16 @@ def extract_greedy(
     beta_index: int,
     spec: SearchSpec,
     oracle: SolverOracle,
-    beta_old: float,
 ) -> TransitionProfile:
-    """Transition search that stops at the nearest breakpoint to `beta_old`
-    whose far side improves TOV.
+    """Transition search that stops at the nearest breakpoint to the
+    parameter's current value, `model.coefficients[beta_index]`, whose far
+    side improves TOV.
 
     The profile is then truncated to that breakpoint. When nothing improves,
-    the complete profile of the region is returned.
+    the complete profile of the region is returned. Raises ValueError when
+    the region excludes the current value.
     """
+    beta_old = float(model.coefficients[beta_index])
     if not spec.lower <= beta_old <= spec.upper:
-        raise ValueError("beta_old must lie inside the search region")
+        raise ValueError("the parameter's current value must lie inside the search region")
     return _search(model, problem, beta_index, spec, oracle, beta_old)

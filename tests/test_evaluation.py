@@ -247,7 +247,7 @@ class TestProbeRoute:
         current = float(model.coefficients[0])
         spec = dnl.SearchSpec.from_parameter(current)
         truncated = dnl.extract_greedy(
-            example1_model(3.0), example1_problem(), 0, dnl.SearchSpec(-5.0, 5.0), oracle, 3.0
+            example1_model(3.0), example1_problem(), 0, dnl.SearchSpec(-5.0, 5.0), oracle
         )
         assert truncated.truncated
         scorer = _regret_scorer(
@@ -263,7 +263,7 @@ class TestProbeRoute:
         monkeypatch.setattr(dnl.LinearModel, "__post_init__", counting)
         before = oracle.calls
         dnl.extract_full(model, ps, 0, spec, oracle)
-        dnl.extract_greedy(model, ps, 0, spec, oracle, current)
+        dnl.extract_greedy(model, ps, 0, spec, oracle)
         dnl.pov(model, ps, 1, 0.5, oracle)
         dnl.tov(model, ps, 2, -0.5, oracle)
         assert scorer(0, np.array([1.0])).tolist() == [0.0]

@@ -28,3 +28,8 @@ def test_package_imports_only_exported_names():
         module = importlib.import_module(f"dnl.{node.module}")
         unexported = [a.name for a in node.names if a.name not in module.__all__]
         assert not unexported, f"dnl imports {unexported} outside dnl.{node.module}.__all__"
+
+
+def test_training_error_is_exported():
+    # The error `train` documents is reachable from the package.
+    assert dnl.TrainingError is dnl.training.TrainingError

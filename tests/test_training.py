@@ -167,13 +167,15 @@ class TestLookupScoring:
             spec = dnl.SearchSpec.from_parameter(current)
             for profile in (
                 dnl.extract_full(model, ps, 0, spec, oracle),
-                dnl.extract_greedy(model, ps, 0, spec, oracle, current),
+                dnl.extract_greedy(model, ps, 0, spec, oracle),
             ):
                 if profile.truncated:
                     continue
                 cache = dnl.TrueOptimumCache() if cached else None
                 regret = _regret_scorer([profile], [ps], model, 0, oracle, cache)
-                points = dnl.candidate_betas([profile], current) + profile.midpoints()
+                points = dnl.candidate_betas([profile], current) + [
+                    (lo + hi) / 2.0 for lo, hi in profile.intervals
+                ]
                 for beta in points:
                     before = oracle.calls
                     lookup = regret(0, np.array([beta]))[0]
@@ -222,7 +224,7 @@ class TestLookupScoring:
             spec = dnl.SearchSpec.from_parameter(float(model.coefficients[1]))
             profile = dnl.extract_full(model, ps, 1, spec, oracle)
             width = spec.upper - spec.lower
-            breakpoints = profile.midpoints()
+            breakpoints = [(lo + hi) / 2.0 for lo, hi in profile.intervals]
             knots = [spec.lower, *breakpoints, spec.upper]
             inside = [(a + b) / 2.0 for a, b in zip(knots, knots[1:])]
             beyond = [spec.lower - 0.25 * width, spec.upper + 0.5 * width]
@@ -293,7 +295,7 @@ class TestLookupScoring:
     def test_truncated_profile_falls_back_to_the_oracle(self, oracle):
         ps = example1_problem()
         model = example1_model(3.0)
-        profile = dnl.extract_greedy(model, ps, 0, dnl.SearchSpec(-5.0, 5.0), oracle, 3.0)
+        profile = dnl.extract_greedy(model, ps, 0, dnl.SearchSpec(-5.0, 5.0), oracle)
         assert profile.truncated
         before = oracle.calls
         regret = _regret_scorer([profile], [ps], model, 0, oracle, None)
@@ -398,31 +400,58 @@ class TestTrain:
         assert trace.epochs[-1].oracle_calls >= trace.epochs[0].oracle_calls
 
     @pytest.mark.parametrize(
-        "error, wrapped",
+        "phase, error, wrapped",
         [
-            (dnl.InexactOracleError, True),
-            (dnl.InfeasibleInstanceError, True),
-            (ValueError, False),
-            (RuntimeError, False),
-            (dnl.NonFinitePricesError, True),
-            (FloatingPointError, True),
+            pytest.param(phase, error, wrapped, id=f"{prefix}{error.__name__}-{wrapped}")
+            for phase, prefix in (("extract_full", ""), ("evaluate_model_regret", "scoring-"))
+            for error, wrapped in (
+                (dnl.InexactOracleError, True),
+                (dnl.InfeasibleInstanceError, True),
+                (ValueError, False),
+                (RuntimeError, False),
+                (FloatingPointError, True),
+            )
         ],
     )
     def test_only_oracle_failures_become_training_errors(
-        self, oracle, monkeypatch, error, wrapped
+        self, oracle, monkeypatch, phase, error, wrapped
     ):
-        def failing_extract(*args):
-            raise error("raised during extraction")
+        # A failure raised while updating a parameter (`extract_full`) or
+        # while scoring an epoch (`evaluate_model_regret`).
+        def failing(*args):
+            raise error(f"raised in {phase}")
 
-        monkeypatch.setattr(dnl.training, "extract_full", failing_extract)
+        monkeypatch.setattr(dnl.training, phase, failing)
         sets, hidden = realizable_sets(4)
         with pytest.raises((error, TrainingError)) as info:
             dnl.train(sets[:3], sets[3:], dnl.TrainConfig(max_epochs=1), oracle, hidden)
         if wrapped:
             assert type(info.value) is TrainingError
             assert type(info.value.__cause__) is error
+            where = "updating parameter 0" if phase == "extract_full" else "scoring the model"
+            assert where in str(info.value)
         else:
             assert type(info.value) is error
+
+    def test_inexact_oracle_while_scoring_becomes_a_training_error(self):
+        # An oracle that answers one validation set's true values with the
+        # empty selection gives it a negative regret when the warm start is
+        # scored.
+        sets = dnl.make_knapsack(dnl.synthesize(6, 2, 0.3, 1, group_size=6), False, 2.0)
+        wrong = sets[4].true_values
+
+        class WrongOnOneSet(dnl.SolverOracle):
+            def solve(self, values, constraint):
+                result = super().solve(values, constraint)
+                if values is wrong:
+                    empty = dnl.knapsack_solution(np.zeros(len(values), bool))
+                    return dnl.OracleResult(empty, np.asarray(values, float))
+                return result
+
+        warmstart = dnl.LinearModel([1.0, 1.0], 0.0)
+        with pytest.raises(TrainingError, match="epoch 0: oracle failure while scoring") as info:
+            dnl.train(sets[:3], sets[3:5], dnl.TrainConfig(), WrongOnOneSet(), warmstart)
+        assert type(info.value.__cause__) is dnl.InexactOracleError
 
     @staticmethod
     def stops_at_overflow(

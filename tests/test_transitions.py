@@ -221,7 +221,7 @@ class TestExtractGreedy:
         ps = example1_problem()
         model = example1_model(3.0)
         spec = dnl.SearchSpec(-5.0, 5.0)
-        profile = dnl.extract_greedy(model, ps, 0, spec, oracle, 3.0)
+        profile = dnl.extract_greedy(model, ps, 0, spec, oracle)
         assert profile.truncated
         # The breakpoint at 2 is nearest; beyond it items {0, 2} are worth 5.
         assert profile.intervals == ((2.0, 2.0),)
@@ -237,14 +237,14 @@ class TestExtractGreedy:
         )
         model = dnl.LinearModel([1.0], 0.0)
         spec = dnl.SearchSpec.from_parameter(1.0)
-        profile = dnl.extract_greedy(model, exact, 0, spec, oracle, 1.0)
+        profile = dnl.extract_greedy(model, exact, 0, spec, oracle)
         assert not profile.truncated
 
-    def test_beta_old_outside_region_rejected(self, oracle):
+    def test_current_value_outside_region_rejected(self, oracle):
         ps = example1_problem()
         spec = dnl.SearchSpec(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            dnl.extract_greedy(example1_model(0.0), ps, 0, spec, oracle, 5.0)
+        with pytest.raises(ValueError, match="current value"):
+            dnl.extract_greedy(example1_model(5.0), ps, 0, spec, oracle)
 
     def test_greedy_improves_whenever_full_does(self, oracle):
         # Truncated exactly when some piece of the full profile beats the old
@@ -258,7 +258,7 @@ class TestExtractGreedy:
             beta_old = float(model.coefficients[0])
             spec = dnl.SearchSpec.from_parameter(beta_old)
             full = dnl.extract_full(model, ps, 0, spec, oracle)
-            greedy = dnl.extract_greedy(model, ps, 0, spec, oracle, beta_old)
+            greedy = dnl.extract_greedy(model, ps, 0, spec, oracle)
             tov_old = dnl.tov(model, ps, 0, beta_old, oracle)
             full_improves = any(v > tov_old + OBJECTIVE_TOL for v in piece_values(full))
             assert greedy.truncated == full_improves
@@ -280,7 +280,7 @@ class TestExtractGreedy:
         model = dnl.LinearModel([0.2, 1.0], 0.0)
         spec = dnl.SearchSpec(-1.0, 6.0)
         full = dnl.extract_full(model, ps, 0, spec, oracle)
-        greedy = dnl.extract_greedy(model, ps, 0, spec, oracle, 0.2)
+        greedy = dnl.extract_greedy(model, ps, 0, spec, oracle)
         assert [t for t, _ in full.intervals] == pytest.approx([0.5, 1.5, 2.5, 3.5, 4.5])
         assert greedy.truncated
         assert greedy.intervals[0][0] == pytest.approx(0.5)
@@ -290,7 +290,7 @@ class TestExtractGreedy:
         ps = example1_problem()
         spec = dnl.SearchSpec(-5.0, 5.0)
         before = oracle.calls
-        profile = dnl.extract_greedy(example1_model(3.0), ps, 0, spec, oracle, 3.0)
+        profile = dnl.extract_greedy(example1_model(3.0), ps, 0, spec, oracle)
         assert profile.probe_count == oracle.calls - before
 
 
@@ -352,7 +352,7 @@ class TestMatchesReferenceSearch:
             spec = dnl.SearchSpec.from_parameter(current)
             for profile, beta_old in (
                 (dnl.extract_full(model, ps, k, spec, oracle), None),
-                (dnl.extract_greedy(model, ps, k, spec, oracle, current), current),
+                (dnl.extract_greedy(model, ps, k, spec, oracle), current),
             ):
                 expected = reference_search(model, ps, k, spec, reference_oracle, beta_old)
                 assert bitwise(profile.intervals) == bitwise(expected.intervals)
