@@ -38,14 +38,17 @@ __all__ = [
 OBJECTIVE_TOL = 1e-9
 
 
-def _frozen_array(values, dtype=float, ndim=1) -> np.ndarray:
-    """A read-only copy of `values`, or `values` itself when it already is a
-    read-only array of this dtype that owns its data (not a view of memory
-    that another array may write)."""
+_FLOAT = np.dtype(float)
+
+
+def _frozen_array(values, ndim=1) -> np.ndarray:
+    """A read-only float copy of `values`, or `values` itself when it already
+    is a read-only native float64 array that owns its data (not a view of
+    memory that another array may write)."""
     arr = values
-    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+    if not (isinstance(arr, np.ndarray) and arr.dtype is _FLOAT
             and arr.base is None and not arr.flags.writeable):
-        arr = np.array(values, dtype=dtype)
+        arr = np.array(values, dtype=float)
         arr.setflags(write=False)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
@@ -304,9 +307,15 @@ def validate_solution(solution: Solution, constraint: ConstraintData) -> None:
 
 
 def predict(model: LinearModel, problem: ProblemSet) -> np.ndarray:
-    """Predicted coefficient vector, one entry per item or period."""
+    """Predicted coefficient vector, one entry per item or period.
+
+    The hot products of the package are written `a.dot(b)`, which costs
+    less dispatch than `a @ b` for the same BLAS call. On one item or
+    period, `dot` multiplies instead, so a product of -0.0 keeps its sign
+    where `@`'s sum reads +0.0; adding +0.0 (here, to the intercept) gives
+    `@`'s bits in every case."""
     _check_dimension(model.coefficients, problem)
-    return problem.features @ model.coefficients + model.intercept
+    return problem.features.dot(model.coefficients) + (model.intercept + 0.0)
 
 
 def _check_dimension(coefficients: np.ndarray, problem: ProblemSet) -> None:
@@ -325,7 +334,7 @@ def solution_objective(solution: Solution, values) -> float:
             f"value vector shape {values.shape} does not match solution "
             f"vector shape {solution.vector.shape}"
         )
-    return float(solution.vector @ values)
+    return float(solution.vector.dot(values)) + 0.0  # `@`'s bits: see `predict`
 
 
 def save_model(model: LinearModel, path) -> None:

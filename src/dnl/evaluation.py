@@ -102,15 +102,16 @@ def _prober(
     coefficients = model.coefficients.copy()
     _check_dimension(coefficients, problem)
     current = float(coefficients[beta_index])
-    features, intercept, constraint = problem.features, model.intercept, problem.constraint
+    features, constraint = problem.features, problem.constraint
+    intercept = model.intercept + 0.0  # `@`'s bits, as in `predict`
 
     def solve_at(beta: float) -> OracleResult:
         if not math.isfinite(beta):
             raise ValueError(f"probed parameter value {beta} is not finite")
-        if _same_float(beta, current):
+        if beta == current and _same_float(beta, current):
             return _own_answer(model, problem, oracle)
         coefficients[beta_index] = beta
-        return oracle.solve(features @ coefficients + intercept, constraint)
+        return oracle.solve(features.dot(coefficients) + intercept, constraint)
 
     return solve_at
 

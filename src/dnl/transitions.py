@@ -34,17 +34,25 @@ swamps the rest of every prediction: that is a FloatingPointError naming
 the lost precision. Each probe goes through one `evaluation._prober`, built
 once per search.
 
+The full search resolves its spans first in, first out, from a deque. It
+resolves every span whatever the order, and sorts the breakpoints by t at
+the end. That sort is stable, so breakpoints found at one t (a repeated
+breakpoint) keep the order in which their spans were queued; a last-in,
+first-out stack would reorder them, and with them the profile's values.
+
 The greedy search also probes the old parameter value, takes its decision's
 true objective value (TOV) as the reference, and resolves spans nearest the
 old value first. It stops at the nearest breakpoint whose far-side piece
 raises TOV above the reference by more than `OBJECTIVE_TOL`; that profile is
-truncated and holds only this breakpoint. A greedy search that finds no such
-breakpoint is complete; the old-value probe raises its bound by one, to
-2m + 2 probes (three when m = 0).
+truncated and holds only this breakpoint. Only it needs a heap, keyed on the
+distance to the old value and then on queue order. A greedy search that
+finds no such breakpoint is complete; the old-value probe raises its bound
+by one, to 2m + 2 probes (three when m = 0).
 """
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
@@ -147,7 +155,7 @@ def _search(
     solve_at = _prober(model, problem, beta_index, oracle)
     rest = model.coefficients.copy()
     rest[beta_index] = 0.0
-    base = problem.features @ rest + model.intercept
+    base = problem.features.dot(rest) + (model.intercept + 0.0)  # `@`'s bits: `predict`
     direction = problem.features[:, beta_index]
     true_values = problem.true_values
     sign = _sign(problem.constraint)
@@ -160,8 +168,10 @@ def _search(
         key = x.tobytes()
         line = scored.get(key)
         if line is None:
-            a, s, true_value = sign * float(x @ base), sign * float(x @ direction), \
-                sign * float(x @ true_values)
+            # `+ 0.0` gives `@`'s bits on one item or period (`core.predict`).
+            a = sign * (float(x.dot(base)) + 0.0)
+            s = sign * (float(x.dot(direction)) + 0.0)
+            true_value = sign * (float(x.dot(true_values)) + 0.0)
             if not (math.isfinite(true_value) and math.isfinite(a + s * spec.lower)
                     and math.isfinite(a + s * spec.upper)):
                 raise FloatingPointError(
@@ -175,20 +185,29 @@ def _search(
     lines = [probe(b) for b in points]
     reference = lines[points.index(beta_old)][2] if beta_old is not None else None
 
-    # Entries are (distance to beta_old, tie order, lo, hi, left, right, at):
-    # a span to resolve when `at` is None, else a confirmed breakpoint lo == hi.
-    pending: list = []
-    order = itertools.count()
+    # Entries are (lo, hi, left, right, at): a span to resolve when `at` is
+    # None, else a confirmed breakpoint lo == hi. The full search takes them
+    # first in, first out; the greedy search nearest beta_old first, and
+    # first in, first out among equal distances.
+    if beta_old is None:
+        pending = collections.deque()
+        push, pop = pending.append, pending.popleft
+    else:
+        pending = []
+        order = itertools.count()
 
-    def push(lo, hi, left, right, at=None):
-        distance = 0.0 if beta_old is None else max(lo - beta_old, beta_old - hi, 0.0)
-        heapq.heappush(pending, (distance, next(order), lo, hi, left, right, at))
+        def push(entry):
+            distance = max(entry[0] - beta_old, beta_old - entry[1], 0.0)
+            heapq.heappush(pending, (distance, next(order), entry))
+
+        def pop():
+            return heapq.heappop(pending)[2]
 
     for lo, hi, left, right in zip(points, points[1:], lines, lines[1:]):
-        push(lo, hi, left, right)
+        push((lo, hi, left, right, None))
     found = []
     while pending:
-        _, _, lo, hi, left, right, at = heapq.heappop(pending)
+        lo, hi, left, right, at = pop()
         if at is not None:
             # Every span nearer beta_old is resolved, so no nearer breakpoint is left.
             if reference is not None:
@@ -214,10 +233,10 @@ def _search(
             )
         line = probe(t)
         if line[0] + line[1] * t <= max(a0 + s0 * t, a1 + s1 * t) + OBJECTIVE_TOL:
-            push(t, t, left, right, line)
+            push((t, t, left, right, line))
         else:
-            push(lo, t, left, line)
-            push(t, hi, line, right)
+            push((lo, t, left, line, None))
+            push((t, hi, line, right, None))
 
     found.sort(key=lambda b: b[0])
     values = [found[0][1][2] if found else lines[0][2]]

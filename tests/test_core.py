@@ -133,6 +133,42 @@ class TestPredict:
             ) * dnl.predict(dnl.LinearModel(b2, 0.0), ps)
             assert np.max(np.abs(mixed - combo)) <= 1e-9
 
+    @pytest.mark.parametrize("n", [1, 48, 300])
+    def test_ndarray_dot_matches_matmul_bit_for_bit(self, n):
+        # Predictions, solution objectives and the transition search's lines
+        # use `ndarray.dot`, which costs less dispatch than `@` for the same
+        # BLAS routine, plus 0.0 for `@`'s sign of a zero on one item. A
+        # build where the forms differ would move tie sides silently; this
+        # fails loudly instead. `util.reference_search` keeps `@`, so it
+        # stays an independent check of the search.
+        rng = np.random.default_rng(n)
+
+        def same(by_dot, by_matmul):
+            assert np.asarray(by_dot).tobytes() == np.asarray(by_matmul).tobytes()
+
+        for d in (1, 4, 9):
+            for trial in range(30):
+                features = rng.normal(size=(n, d))
+                features[rng.uniform(size=(n, d)) < 0.1] = -0.0
+                ps = dnl.ProblemSet(
+                    10.0 * rng.normal(size=n), features, dnl.Knapsack(np.ones(n), n // 4), f"n{n}"
+                )
+                beta = 3.0 * rng.normal(size=d)
+                beta[rng.integers(d)] = 0.0  # as the search's `rest`
+                b = (-0.0, 0.0, rng.normal())[trial % 3]
+                model = dnl.LinearModel(beta, b)
+                x = (rng.uniform(size=n) < 0.5).astype(float)  # a 0/1 selection
+                # A C-contiguous (n, d) product plus an intercept.
+                same(ps.features.dot(model.coefficients) + (b + 0.0), ps.features @ beta + b)
+                same(dnl.predict(model, ps), ps.features @ beta + b)
+                # A 0/1 vector against values, and against strided feature columns.
+                solution = dnl.Solution(tuple(x.astype(int).tolist()), x)
+                same(dnl.solution_objective(solution, ps.true_values), float(x @ ps.true_values))
+                for j in range(d):
+                    column = ps.features[:, j]
+                    same(float(x.dot(column)) + 0.0, float(x @ column))
+
+
 
 class TestSolutionEquality:
     def test_solver_answer_equals_a_hand_built_solution(self):

@@ -1106,6 +1106,18 @@ INPUT_CHECKS = {
     "bb value count": (
         lambda: dnl.solve_knapsack_bb([1.0, 2.0], dnl.Knapsack([1.0] * 3, 2.0)),
         ValueError, "values and weights must have equal length"),
+    "dp nan value": (
+        lambda: dnl.solve_knapsack_dp([1.0, np.nan, 2.0], dnl.Knapsack([1, 1, 1], 2)),
+        ValueError, "knapsack values must be finite"),
+    "dp infinite value": (
+        lambda: dnl.solve_knapsack_dp([np.inf, 1.0, 2.0], dnl.Knapsack([1, 1, 1], 2)),
+        ValueError, "knapsack values must be finite"),
+    "bb nan value": (
+        lambda: dnl.solve_knapsack_bb([1.0, np.nan, 2.0], dnl.Knapsack([1, 1, 1], 2)),
+        ValueError, "knapsack values must be finite"),
+    "bb infinite value": (
+        lambda: dnl.solve_knapsack_bb([np.inf, 1.0, 2.0], dnl.Knapsack([1, 1, 1], 2)),
+        ValueError, "knapsack values must be finite"),
     "price count": (
         lambda: dnl.solve_scheduling([1.0] * 3, random_schedule_constraint(np.random.default_rng(0))),
         ValueError, "one price per period required"),
