@@ -23,7 +23,6 @@ from .core import (
     ProblemSet,
     _check_dimension,
     predict,
-    solution_objective,
 )
 from .oracles import InexactOracleError, OracleResult, SolverOracle
 
@@ -46,8 +45,11 @@ def _signed_objective(result: OracleResult, problem: ProblemSet) -> float:
 
 
 def _true_value(result: OracleResult, problem: ProblemSet) -> float:
-    """The result's decision scored under the true coefficients."""
-    return _sign(problem.constraint) * solution_objective(result.solution, problem.true_values)
+    """The result's decision scored under the true coefficients:
+    `core.solution_objective`'s expression without its re-checks, as a
+    solver's answer always has the set's shape."""
+    value = float(result.solution.vector.dot(problem.true_values)) + 0.0
+    return _sign(problem.constraint) * value
 
 
 def _clamped_regret(true_optimal: float, achieved: float, problem: ProblemSet) -> float:

@@ -35,11 +35,15 @@ plan also keeps a bounded memo from each optimal assignment to its
 Unlike the plan, that memo grows after first use; concurrent calls store
 equal entries, so their writes are harmless. Options are tried in ascending
 cost, so a job's loop stops at the first option whose lower bound reaches
-the incumbent, an exact cut-off. A search that visits more than
-`SCHEDULING_MAX_NODES` nodes raises ValueError naming the budget and the job
-count. A solver's `OracleResult` computes its objective on each read and is
-never written after construction. All solvers are pure functions of their
-inputs and safe for concurrent use.
+the incumbent, an exact cut-off; the search stops at the first complete
+schedule that costs its floor, every job's cheapest option summed, which no
+schedule undercuts (`solve_scheduling` says why that is exact). The node
+budget counts visited nodes: a search that visits more than
+`SCHEDULING_MAX_NODES` raises ValueError naming the budget and the job
+count. The solvers reject values that are not 1-d by name and build their
+`OracleResult` in place; it computes its objective on each read and is never
+written after construction. All solvers are pure functions of their inputs
+and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -114,7 +118,8 @@ class OracleResult:
     caller that later writes to the array it passed does not change the
     answer; `objective`, `core.solution_objective(solution, _values)` without its
     shape check, is computed on each read. Nothing is written after
-    construction.
+    construction. The solvers build their answers in place (`_result`), as
+    `core.knapsack_solution` builds a `Solution`; the constructor stays public.
     """
 
     solution: Solution
@@ -123,6 +128,15 @@ class OracleResult:
     @property
     def objective(self) -> float:
         return float(self.solution.vector.dot(self._values)) + 0.0
+
+
+def _result(solution: Solution, values: np.ndarray) -> OracleResult:
+    """`OracleResult(solution, values)`, built without the frozen
+    dataclass's `__init__`: two writes to the new instance's `__dict__`."""
+    result = object.__new__(OracleResult)
+    result.__dict__["solution"] = solution
+    result.__dict__["_values"] = values
+    return result
 
 
 def _integerize(weights: np.ndarray, capacity: float):
@@ -380,14 +394,17 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     across classes the first best count vector in grid order wins. When one
     class holds every item, that is the table DP's own selection. Other
     loads run the table DP, whose ties prefer excluding the later item.
-    Raises ValueError on a NaN or infinite value, found by one BLAS call
-    (`_tiny_ones`). Finite values whose sum overflows are solved as before;
-    under `training.train` a numpy overflow stops training instead. Raises
+    Raises ValueError on values that are not 1-d, and on a NaN or infinite
+    value, found by one BLAS call (`_tiny_ones`). Finite values whose sum
+    overflows are solved as before; under `training.train` a numpy overflow
+    stops training instead. Raises
     ValueError on the loads `SolverOracle` routes to branch-and-bound:
     weights that do not scale to integers, or a table over
     `DP_TABLE_MAX_CELLS`.
     """
     values = np.array(values, dtype=float)  # the answer's own copy
+    if values.ndim != 1:
+        raise ValueError("knapsack values must be a 1-d array")
     weights, cap, route = _integer_form(constraint)
     if isinstance(route, str):
         raise ValueError(route)
@@ -404,7 +421,7 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     else:
         x = _knapsack_by_class(values, weights, route)
     x.setflags(write=False)  # handed to the solution without a copy
-    return OracleResult(knapsack_solution(x), values)
+    return _result(knapsack_solution(x), values)
 
 
 def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
@@ -414,11 +431,13 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
     1e-9; the selection itself may differ under ties. Items of positive
     value are ranked by value/weight; each node visits its include child
     before its exclude child and is pruned on entry when its bound cannot
-    beat the incumbent. Raises ValueError on a NaN or infinite value, as
-    `solve_knapsack_dp` does, and when the search visits more than
-    `KNAPSACK_BB_MAX_NODES` nodes.
+    beat the incumbent. Raises ValueError on values that are not 1-d or
+    hold a NaN or infinite value, as `solve_knapsack_dp` does, and when the
+    search visits more than `KNAPSACK_BB_MAX_NODES` nodes.
     """
     values = np.array(values, dtype=float)  # the answer's own copy
+    if values.ndim != 1:
+        raise ValueError("knapsack values must be a 1-d array")
     weights = np.asarray(constraint.weights, dtype=float)
     cap = float(constraint.capacity)
     n = values.shape[0]
@@ -485,7 +504,7 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
     for level in best_chosen:
         x[order[level]] = 1.0
     x.setflags(write=False)  # handed to the solution without a copy
-    return OracleResult(knapsack_solution(x), values)
+    return _result(knapsack_solution(x), values)
 
 
 class _SchedulingPlan(NamedTuple):
@@ -559,16 +578,26 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     conflicts. Options come in ascending cost and float addition is monotone,
     so the first option whose bound reaches the incumbent ends its job's
     loop: no later option can do better, and the cut-off is exact. The
-    search keeps one option cursor per job on an explicit stack. The
+    floor is every job's cheapest option cost, summed in search order from
+    0.0, the association a path's cost uses. Rounded addition is monotone,
+    so no schedule costs less than the floor, and the search ends at the
+    first complete schedule that costs it: a later schedule would replace it
+    only below its cost - 1e-12, so wherever the full search returns a
+    schedule, this one returns the same one, visiting no more nodes. On a
+    load whose cheapest options fit together the first dive ends the search.
+    The search keeps one option cursor per job on an explicit stack. The
     price-independent plan (options, job order, capacity limits) is built
     once per `Scheduling` and memoised on it, and an optimal schedule met
     before on the load returns its stored `Solution`; the objective is
-    always read under this call's prices. Raises ValueError on a non-finite
-    price or price total, InfeasibleInstanceError when no complete schedule
-    exists, and ValueError when the search visits more than
-    `SCHEDULING_MAX_NODES` nodes.
+    always read under this call's prices. Raises ValueError on prices that
+    are not 1-d, on a non-finite price or price total, InfeasibleInstanceError
+    when no complete schedule exists, and ValueError when the search visits
+    more than `SCHEDULING_MAX_NODES` nodes, counting the root and each placed
+    job.
     """
     prices = np.array(prices, dtype=float)  # the answer's own copy
+    if prices.ndim != 1:
+        raise ValueError("scheduling prices must be a 1-d array")
     if prices.shape[0] != constraint.periods:
         raise ValueError("one price per period required")
     plan = _scheduling_plan(constraint)
@@ -586,6 +615,9 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     suffix_min = [0.0] * (num_jobs + 1)
     for pos in range(num_jobs - 1, -1, -1):
         suffix_min[pos] = suffix_min[pos + 1] + option_cost[offsets[pos]]
+    floor = 0.0  # every job's cheapest option, summed as a path sums its costs
+    for pos in range(num_jobs):
+        floor += option_cost[offsets[pos]]
 
     max_nodes = SCHEDULING_MAX_NODES
     nodes = 1  # the root, which places no job
@@ -621,6 +653,9 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
             assignment[order[at]] = slot
             if at == last:  # a complete schedule below the incumbent's cost
                 best_cost, best = child_cost, tuple(assignment)
+                if child_cost <= floor:  # no schedule costs less: stop
+                    pos = -1
+                    break
                 continue
             row[start : start + d] = [u + r for u in window]
             undo[at] = (row, start, window)
@@ -641,7 +676,7 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
         solution = scheduling_solution(best, constraint)
         if len(answers) < SCHEDULING_MEMO_MAX:
             answers[best] = solution
-    return OracleResult(solution, prices)
+    return _result(solution, prices)
 
 
 class SolverOracle:

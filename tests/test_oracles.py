@@ -299,6 +299,64 @@ class TestScheduling:
             f"scheduling search exceeded the {nodes - 1}-node budget on a load of 5 jobs"
         )
 
+    def test_floor_stop_matches_the_reference(self, monkeypatch):
+        # The search stops at the first schedule that costs its floor, the
+        # jobs' cheapest options summed in search order. On loads where those
+        # options fit together (two machines that each hold every job) and
+        # loads where they conflict (unit machines, unit jobs, full windows),
+        # at tied integer prices and at scales where the reference's absolute
+        # 1e-12 slack lets tied nodes through, the solver returns the
+        # reference's schedule within the reference's node budget, and skips
+        # nodes the reference visits on some scaled loads.
+        rng = np.random.default_rng(67)
+        cases = skipped = 0
+        for _ in range(60):
+            periods, count = int(rng.integers(4, 9)), int(rng.integers(2, 5))
+            durations = rng.integers(1, 3, size=count)
+            conflicting = dnl.Scheduling(
+                (dnl.MachineSpec(1.0), dnl.MachineSpec(1.0)),
+                tuple(dnl.JobSpec(1.0, float(rng.integers(1, 4)), int(d), 0, periods) for d in durations),
+                periods,
+            )
+            jobs = random_schedule_constraint(rng, periods=periods, jobs=count).jobs
+            room = sum(job.resource for job in jobs)
+            fitting = dnl.Scheduling((dnl.MachineSpec(room), dnl.MachineSpec(room)), jobs, periods)
+            ties = rng.integers(0, 3, size=periods).astype(float)
+            normal = rng.normal(30.0, 10.0, size=periods)
+            for constraint in (fitting, conflicting):
+                for prices in (ties, normal * 1e3, normal * 1e6, normal * 1e9):
+                    _, reference, nodes = reference_schedule(prices, constraint)
+                    monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", nodes)
+                    res = dnl.solve_scheduling(prices, constraint)
+                    assert res.solution.assignment == tuple(reference)
+                    expected = float(dnl.scheduling_solution(reference, constraint).vector @ prices)
+                    assert res.objective.hex() == expected.hex()
+                    dnl.validate_solution(res.solution, constraint)
+                    monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", nodes - 1)
+                    try:
+                        dnl.solve_scheduling(prices, constraint)
+                    except ValueError:
+                        pass
+                    else:
+                        skipped += 1
+                    cases += 1
+        assert cases == 480 and skipped > 0
+
+    def test_floor_stop_needs_only_the_dive(self, monkeypatch):
+        # At 1e3 times N(30, 10) prices, rounding lets the reference search
+        # past its first schedule, which is already optimal, through tied
+        # nodes; the solver stops there, within the dive's own J + 1 nodes
+        # (the root and one per job).
+        rng = np.random.default_rng(0)
+        constraint = random_schedule_constraint(rng, periods=8, machines=2, jobs=4)
+        prices = rng.normal(30.0, 10.0, size=8) * 1e3
+        _, reference, nodes = reference_schedule(prices, constraint)
+        assert nodes > 5
+        monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", 5)
+        res = dnl.solve_scheduling(prices, constraint)
+        assert res.solution.assignment == tuple(reference)
+        dnl.validate_solution(res.solution, constraint)
+
     def test_each_load_keeps_its_own_stored_schedules(self):
         # The plan and its schedule memo live on the instance: an equal load
         # built separately starts empty and fills its own memo.
@@ -1097,6 +1155,24 @@ class TestOracleResult:
         assert low == high
         assert repr(low) == f"OracleResult(solution={low.solution!r})"
 
+    @pytest.mark.parametrize("solve", ["dp", "bb", "scheduling"])
+    def test_solvers_build_what_the_constructor_builds(self, solve):
+        # The solvers build their answers in place; each is still a frozen
+        # OracleResult holding what the constructor would store.
+        if solve == "scheduling":
+            constraint = dnl.Scheduling((dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 1.0, 1, 0, 3),), 3)
+            res = dnl.solve_scheduling([5.0, 2.0, 7.0], constraint)
+        else:
+            solver = dnl.solve_knapsack_dp if solve == "dp" else dnl.solve_knapsack_bb
+            res = solver([4.0, 5.0, 6.0], dnl.Knapsack([3.0, 5.0, 7.0], 8.0))
+        built = dnl.OracleResult(res.solution, res._values)
+        assert type(res) is dnl.OracleResult
+        assert vars(res).keys() == vars(built).keys()
+        assert res == built and repr(res) == repr(built)
+        assert res.objective == built.objective
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.solution = None
+
 
 # Each input check: (call, exception type, message fragment).
 INPUT_CHECKS = {
@@ -1118,6 +1194,18 @@ INPUT_CHECKS = {
     "bb infinite value": (
         lambda: dnl.solve_knapsack_bb([np.inf, 1.0, 2.0], dnl.Knapsack([1, 1, 1], 2)),
         ValueError, "knapsack values must be finite"),
+    "dp column of values": (
+        lambda: dnl.solve_knapsack_dp(np.ones((3, 1)), dnl.Knapsack([1, 1, 1], 2)),
+        ValueError, "knapsack values must be a 1-d array"),
+    "bb column of values": (
+        lambda: dnl.solve_knapsack_bb(np.ones((3, 1)), dnl.Knapsack([1, 1, 1], 2)),
+        ValueError, "knapsack values must be a 1-d array"),
+    "price column": (
+        lambda: dnl.solve_scheduling(
+            np.ones((3, 1)),
+            dnl.Scheduling((dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 1.0, 1, 0, 3),), 3),
+        ),
+        ValueError, "scheduling prices must be a 1-d array"),
     "price count": (
         lambda: dnl.solve_scheduling([1.0] * 3, random_schedule_constraint(np.random.default_rng(0))),
         ValueError, "one price per period required"),
