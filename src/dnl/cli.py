@@ -16,8 +16,6 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
 from .core import load_model, save_model
 from .data import (
     Fold,
@@ -29,7 +27,7 @@ from .data import (
     synthesize,
     write_series_csv,
 )
-from .evaluation import TrueOptimumCache, evaluate_model_regret
+from .evaluation import TrueOptimumCache, _mean_std, evaluate_model_regret
 from .oracles import SolverOracle
 from .ridge import select_ridge
 from .training import TrainConfig, Variant, train, write_trace_csv
@@ -140,8 +138,7 @@ def _load_series(args):
     return synthesize(args.days, args.features, args.noise, args.seed, args.group_size)
 
 
-def _build_dataset(args, capacity=None):
-    series = _load_series(args)
+def _build_dataset(args, series, capacity=None):
     problem = args.problem
     if problem == "scheduling":
         return make_scheduling(series, args.machines, args.jobs, seed=args.seed + 1)
@@ -191,6 +188,8 @@ def _check_flags(args) -> None:
         raise UsageError("--capacity must be positive")
     if not all(c > 0 for c in getattr(args, "capacities", [])):
         raise UsageError("--capacities must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
 
 
 def cmd_generate(args) -> int:
@@ -203,9 +202,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _variant_runs(fold, configs, warmstart, cache):
+    """Train each of `_configs`' variants from `warmstart` on a fresh oracle,
+    so its trace counts only its own calls, and score it on the fold's test
+    days through `cache`. Yields (variant, model, trace, test mean, test
+    std); ridge is the warm start, with no trace."""
+    for variant, config in configs.items():
+        oracle = SolverOracle()
+        model, trace = warmstart, None
+        if config is not None:
+            trace = train(fold.train, fold.val, config, oracle, warmstart)
+            model = trace.best_model
+        yield (variant, model, trace, *evaluate_model_regret(model, fold.test, oracle, cache))
+
+
 def cmd_train(args) -> int:
     configs = _configs(args)
-    folds = _folds(_build_dataset(args), args)
+    folds = _folds(_build_dataset(args, _load_series(args)), args)
     if not 0 <= args.fold < len(folds):
         raise UsageError(f"--fold must be in [0, {len(folds) - 1}]")
     fold = folds[args.fold]
@@ -214,18 +227,12 @@ def cmd_train(args) -> int:
     warmstart, penalty = select_ridge(fold.train, fold.val, SolverOracle(), cache)
     save_model(warmstart, os.path.join(args.out, "ridge_model.txt"))
     print(f"ridge warmstart saved (penalty {penalty:g})")
-    for variant, config in configs.items():
-        started = time.perf_counter()
-        oracle = SolverOracle()  # each trace counts only its own calls
-        model, trace = warmstart, None
-        if config is not None:
-            trace = train(fold.train, fold.val, config, oracle, warmstart)
-            model = trace.best_model
+    started = time.perf_counter()
+    for variant, model, trace, mean, std in _variant_runs(fold, configs, warmstart, cache):
+        line = f"{variant}: test regret {mean:.6g} (std {std:.6g})"
+        if trace is not None:
             save_model(model, os.path.join(args.out, f"{variant}_model.txt"))
             write_trace_csv(trace, os.path.join(args.out, f"{variant}_trace.csv"))
-        test_regret, test_std = evaluate_model_regret(model, fold.test, oracle, cache)
-        line = f"{variant}: test regret {test_regret:.6g} (std {test_std:.6g})"
-        if trace is not None:
             line += (
                 f", best epoch {trace.best_epoch}, "
                 f"val regret {trace.best_val_regret:.6g}, "
@@ -233,11 +240,12 @@ def cmd_train(args) -> int:
                 f"{time.perf_counter() - started:.1f}s wall"
             )
         print(line)
+        started = time.perf_counter()
     return 0
 
 
 def cmd_eval(args) -> int:
-    folds = _folds(_build_dataset(args), args)
+    folds = _folds(_build_dataset(args, _load_series(args)), args)
     oracle = SolverOracle()
     cache = TrueOptimumCache()
     rows = []
@@ -251,8 +259,7 @@ def cmd_eval(args) -> int:
             mean, std = evaluate_model_regret(model, fold.test, oracle, cache)
             rows.append((name, str(f), mean, std, len(fold.test)))
             fold_means.append(mean)
-        agg_std = float(np.std(fold_means, ddof=1)) if len(fold_means) > 1 else 0.0
-        rows.append((name, "all", float(np.mean(fold_means)), agg_std,
+        rows.append((name, "all", *_mean_std(fold_means),
                      sum(len(fold.test) for fold in folds)))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("model,fold,mean_regret,std_regret,problem_sets\n")
@@ -264,24 +271,16 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     configs = _configs(args)
+    series = _load_series(args)
     rows = []
     for capacity in sorted(args.capacities):
-        folds = _folds(_build_dataset(args, capacity=capacity), args)
-        per_variant: dict[str, list[float]] = {v: [] for v in configs}
-        for fold in folds:
-            oracle = SolverOracle()
+        fold_means: dict[str, list[float]] = {v: [] for v in configs}
+        for fold in _folds(_build_dataset(args, series, capacity), args):
             cache = TrueOptimumCache()
-            warmstart, _ = select_ridge(fold.train, fold.val, oracle, cache)
-            for variant, config in configs.items():
-                model = warmstart
-                if config is not None:
-                    model = train(fold.train, fold.val, config, oracle, warmstart).best_model
-                mean, _ = evaluate_model_regret(model, fold.test, oracle, cache)
-                per_variant[variant].append(mean)
-        for variant in configs:
-            regrets = per_variant[variant]
-            std = float(np.std(regrets, ddof=1)) if len(regrets) > 1 else 0.0
-            rows.append((capacity, variant, float(np.mean(regrets)), std))
+            warmstart, _ = select_ridge(fold.train, fold.val, SolverOracle(), cache)
+            for variant, _, _, mean, _ in _variant_runs(fold, configs, warmstart, cache):
+                fold_means[variant].append(mean)
+        rows += [(capacity, v, *_mean_std(means)) for v, means in fold_means.items()]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("capacity,variant,mean_regret,std_regret\n")
         for capacity, variant, mean, std in rows:

@@ -216,10 +216,12 @@ def evaluate_model_regret(
     """Mean and sample standard deviation of per-problem-set regret. A numpy
     overflow, such as a prediction that overflows to inf, raises
     FloatingPointError instead of warning, as it does under `training.train`."""
-    regrets = np.array(
-        [regret_of(model, ps, oracle, cache).regret for ps in problem_sets]
-    )
-    if regrets.size == 0:
+    if len(problem_sets) == 0:
         raise ValueError("at least one problem set required")
-    std = float(np.std(regrets, ddof=1)) if regrets.size > 1 else 0.0
-    return float(np.mean(regrets)), std
+    return _mean_std([regret_of(model, ps, oracle, cache).regret for ps in problem_sets])
+
+
+def _mean_std(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation of one or more values, 0.0 for one."""
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return float(np.mean(values)), std

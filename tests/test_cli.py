@@ -54,6 +54,20 @@ DATA_FLAGS = [
 TRAIN_FLAGS = [*DATA_FLAGS, "--epochs", "2"]
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "--days", "3"],
+    ["train", *TRAIN_FLAGS],
+    ["eval", *DATA_FLAGS, "--model", "absent.txt"],
+    ["sweep", "--days", "6", "--capacities", "2"],
+])
+def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "synthesize", None)
+    out = tmp_path / "out"
+    assert run([*command, "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "dnl: error: --seed must be nonnegative\n"
+    assert not out.exists()
+
+
 class TestTrain:
     def test_writes_model_and_trace(self, tmp_path):
         out = tmp_path / "run"
@@ -172,7 +186,7 @@ class TestTrain:
                 "--out", str(tmp_path)]
         assert run(argv) == 0
         args = cli.build_parser().parse_args(argv)
-        fold = cli._folds(cli._build_dataset(args), args)[0]
+        fold = cli._folds(cli._build_dataset(args, cli._load_series(args)), args)[0]
         assert len(fold.test) == 2
         assert [solved[ps.true_values.tobytes()] for ps in fold.test] == [1, 1]
         # `train` keeps its own cache: the ridge warm start and both trainings
@@ -249,6 +263,32 @@ class TestSweep:
         assert len(rows) == 3 * 2
         capacities = [float(r[0]) for r in rows]
         assert capacities == sorted(capacities)
+
+    def test_each_run_has_its_own_oracle_and_one_series(self, tmp_path, monkeypatch):
+        # Ridge selection and every training get a fresh oracle, so a trace
+        # counts only its own calls; the series is built once for all
+        # capacities.
+        starts, builds = [], []
+        original_train, original_synthesize = cli.train, cli.synthesize
+
+        def recording_train(train_sets, val_sets, config, oracle, warmstart):
+            starts.append(oracle.calls)
+            return original_train(train_sets, val_sets, config, oracle, warmstart)
+
+        def counting_synthesize(*args):
+            builds.append(args)
+            return original_synthesize(*args)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        monkeypatch.setattr(cli, "synthesize", counting_synthesize)
+        assert run([
+            "sweep", "--days", "6", "--features", "2", "--group-size", "8",
+            "--capacities", "2", "4", "--folds", "2", "--variant", "ridge",
+            "--variant", "dnl", "--variant", "dnl-max", "--epochs", "1",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+        assert starts == [0] * 2 * 2 * 2
+        assert len(builds) == 1
 
     def test_missing_capacities_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
