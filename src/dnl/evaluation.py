@@ -169,13 +169,22 @@ def regret_of(
     it has solved, which costs no oracle call; any other model, such as the
     returned `TrainTrace.best_model`, makes both calls.
     """
+    return RegretValue(*_regret(model, problem, oracle, cache))
+
+
+def _regret(
+    model: LinearModel,
+    problem: ProblemSet,
+    oracle: SolverOracle,
+    cache: Optional[TrueOptimumCache],
+) -> tuple[float, float, float]:
+    """`regret_of`'s (regret, true_optimal, achieved), with no `RegretValue`
+    built: the true optimum is solved first, then the model's own answer."""
     if cache is None:
         cache = TrueOptimumCache()
     true_optimal = cache.true_optimal(problem, oracle)
-    result = _own_answer(model, problem, oracle)
-    achieved = _true_value(result, problem)
-    regret = _clamped_regret(true_optimal, achieved, problem)
-    return RegretValue(regret, true_optimal, achieved)
+    achieved = _true_value(_own_answer(model, problem, oracle), problem)
+    return _clamped_regret(true_optimal, achieved, problem), true_optimal, achieved
 
 
 def pov(
@@ -218,7 +227,7 @@ def evaluate_model_regret(
     FloatingPointError instead of warning, as it does under `training.train`."""
     if len(problem_sets) == 0:
         raise ValueError("at least one problem set required")
-    return _mean_std([regret_of(model, ps, oracle, cache).regret for ps in problem_sets])
+    return _mean_std([_regret(model, ps, oracle, cache)[0] for ps in problem_sets])
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:

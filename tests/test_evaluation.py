@@ -4,7 +4,7 @@ import pytest
 import dnl
 from dnl.core import OBJECTIVE_TOL
 from dnl.core import solution_objective
-from dnl.evaluation import _clamped_regret, _memoised, _prober
+from dnl.evaluation import _clamped_regret, _mean_std, _memoised, _prober
 from dnl.training import _regret_scorer
 from util import (
     enumerate_knapsack,
@@ -368,11 +368,40 @@ class TestEvaluateModelRegret:
         with pytest.raises(FloatingPointError):
             dnl.evaluate_model_regret(dnl.LinearModel([10.0, 1.0]), [ps], oracle)
 
-    def test_matches_manual_computation(self, oracle):
+    def test_matches_manual_computation(self):
+        # Epoch scoring is `regret_of` per set, summarised by `_mean_std`: the
+        # same bits and the same oracle calls, with and without a shared cache,
+        # on random knapsack sets and on each maker's unit, weighted and
+        # scheduling days.
         rng = np.random.default_rng(113)
-        sets = [random_knapsack_problem(rng, ps_id=f"m{i}") for i in range(3)]
+        series = dnl.synthesize(6, 3, 0.5, seed=113, group_size=12)
+        corpora = {
+            "random": [random_knapsack_problem(rng, ps_id=f"m{i}") for i in range(3)],
+            "unit": dnl.make_knapsack(series, False, 5.0, seed=1),
+            "weighted": dnl.make_knapsack(series, True, 20.0, seed=1),
+            "scheduling": dnl.make_scheduling(series, 2, 4, seed=1),
+        }
+        for name, sets in corpora.items():
+            model = dnl.LinearModel(rng.normal(size=sets[0].feature_dim), float(rng.normal()))
+            for shared in (False, True):
+                manual = dnl.SolverOracle()
+                cache = dnl.TrueOptimumCache() if shared else None
+                regrets = [dnl.regret_of(model, ps, manual, cache).regret for ps in sets]
+                scored = dnl.SolverOracle()
+                cache = dnl.TrueOptimumCache() if shared else None
+                mean, std = dnl.evaluate_model_regret(model, sets, scored, cache)
+                want_mean, want_std = _mean_std(regrets)
+                assert (mean.hex(), std.hex()) == (want_mean.hex(), want_std.hex()), name
+                assert scored.calls == manual.calls == 2 * len(sets), name
+            assert any(r > 0.0 for r in regrets), name
+
+    def test_set_listed_twice_without_cache_solves_its_optimum_twice(self, oracle):
+        # Without a cache each set gets a fresh one, so a repeated set solves
+        # its true optimum again: two calls per listed set.
+        rng = np.random.default_rng(5)
+        ps = random_knapsack_problem(rng)
         model = dnl.LinearModel(rng.normal(size=3), 0.0)
-        regrets = [dnl.regret_of(model, ps, oracle).regret for ps in sets]
-        mean, std = dnl.evaluate_model_regret(model, sets, oracle)
-        assert mean == pytest.approx(float(np.mean(regrets)))
-        assert std == pytest.approx(float(np.std(regrets, ddof=1)))
+        mean, std = dnl.evaluate_model_regret(model, [ps, ps], oracle)
+        assert oracle.calls == 4
+        regret = dnl.regret_of(model, ps, dnl.SolverOracle()).regret
+        assert (mean.hex(), std.hex()) == (regret.hex(), (0.0).hex())

@@ -357,8 +357,17 @@ class TestScheduling:
             fitting = dnl.Scheduling((dnl.MachineSpec(room), dnl.MachineSpec(room)), jobs, periods)
             ties = rng.integers(0, 3, size=periods).astype(float)
             normal = rng.normal(30.0, 10.0, size=periods)
+            # Small ties after +1e16 keep only what sequential rounding leaves
+            # of them until -1e16 cancels it, so an exact, pairwise or
+            # right-to-left prefix sum prices options differently and picks
+            # another schedule on some of these loads. Signed ties mix -0.0
+            # with 0.0.
+            cancelling = ties.copy()
+            cancelling[0] += 1e16
+            cancelling[periods // 2] -= 1e16
+            signed = np.copysign(ties, rng.choice([-1.0, 1.0], size=periods))
             for constraint in (fitting, conflicting):
-                corpus = (ties, normal * 1e3, normal * 1e6, normal * 1e9)
+                corpus = (ties, normal * 1e3, normal * 1e6, normal * 1e9, cancelling, signed)
                 for prices in corpus:
                     _, reference, nodes = reference_schedule(prices, constraint)
                     monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", nodes)
@@ -377,7 +386,7 @@ class TestScheduling:
                     cases += 1
                 monkeypatch.setattr(oracles, "SCHEDULING_MAX_NODES", budget)
                 assert_rows_match_solve(corpus, constraint)
-        assert cases == 480 and skipped > 0
+        assert cases == 720 and skipped > 0
 
     def test_floor_stop_needs_only_the_dive(self, monkeypatch):
         # At 1e3 times N(30, 10) prices, rounding lets the reference search
