@@ -33,7 +33,7 @@ from .ridge import select_ridge
 from .training import TrainConfig, Variant, train, write_trace_csv
 
 PROBLEMS = ("unit-knapsack", "weighted-knapsack", "scheduling")
-VARIANTS = ("ridge", "dnl", "dnl-max", "dnl-greedy")
+VARIANTS = ("ridge", *(v.value for v in Variant))
 DEFAULT_CAPACITY = {"unit-knapsack": 24.0, "weighted-knapsack": 122.0}
 
 
@@ -63,12 +63,18 @@ def _finite(text: str) -> float:
     return value
 
 
-def _add_data_flags(sub):
-    sub.add_argument("--data", help="series CSV to load (omit to synthesize)")
-    sub.add_argument("--days", type=int, default=20, help="synthetic days")
+def _add_series_flags(sub):
     sub.add_argument("--features", type=int, default=4, help="synthetic feature count")
     sub.add_argument("--noise", type=_finite, default=0.5, help="synthetic noise sigma")
     sub.add_argument("--group-size", type=int, default=48, help="rows per problem set")
+    sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_data_flags(sub):
+    sub.add_argument("--data", help="series CSV to load (omit to synthesize)")
+    sub.add_argument("--days", type=int, default=20, help="synthetic days")
+    _add_series_flags(sub)
+    sub.add_argument("--folds", type=int, default=1)
 
 
 def _add_problem_flags(sub):
@@ -82,11 +88,12 @@ def _add_train_flags(sub):
     sub.add_argument(
         "--variant", action="append", choices=VARIANTS, help="repeatable; default dnl"
     )
-    sub.add_argument("--epochs", type=int, default=10)
-    sub.add_argument("--max-seconds", type=float, default=120.0)
-    sub.add_argument("--batch", type=int, default=32)
-    sub.add_argument("--lr", type=float, default=0.1)
-    sub.add_argument("--patience", type=int, default=5)
+    epochs = f"default %(default)s; the library's TrainConfig defaults to {TrainConfig.max_epochs}"
+    sub.add_argument("--epochs", type=int, default=10, help=epochs)
+    sub.add_argument("--max-seconds", type=float, default=TrainConfig.max_seconds)
+    sub.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    sub.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    sub.add_argument("--patience", type=int, default=TrainConfig.early_stop_patience)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,27 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("generate", help="write a synthetic series CSV")
     gen.add_argument("--days", type=int, required=True)
-    gen.add_argument("--features", type=int, default=4)
-    gen.add_argument("--noise", type=_finite, default=0.5)
-    gen.add_argument("--group-size", type=int, default=48)
-    gen.add_argument("--seed", type=int, default=0)
+    _add_series_flags(gen)
     gen.add_argument("--out", required=True)
 
     tr = subs.add_parser("train", help="warmstart and train variants on one fold")
     _add_data_flags(tr)
     _add_problem_flags(tr)
     _add_train_flags(tr)
-    tr.add_argument("--folds", type=int, default=1)
     tr.add_argument("--fold", type=int, default=0, help="fold index to train on")
-    tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True, help="output directory")
 
     ev = subs.add_parser("eval", help="regret table for saved models over all folds")
     _add_data_flags(ev)
     _add_problem_flags(ev)
     ev.add_argument("--model", action="append", required=True, help="model file; repeatable")
-    ev.add_argument("--folds", type=int, default=1)
-    ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", required=True, help="output CSV path")
 
     sw = subs.add_parser("sweep", help="train and evaluate across capacities")
@@ -123,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--problem", choices=PROBLEMS[:2], default="unit-knapsack")
     sw.add_argument("--capacities", type=_number, nargs="+", required=True)
     _add_train_flags(sw)
-    sw.add_argument("--folds", type=int, default=1)
-    sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--out", required=True, help="output CSV path")
     return parser
 

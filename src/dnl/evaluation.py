@@ -40,10 +40,6 @@ def _sign(constraint: ConstraintData) -> float:
     return 1.0 if isinstance(constraint, Knapsack) else -1.0
 
 
-def _signed_objective(result: OracleResult, problem: ProblemSet) -> float:
-    return _sign(problem.constraint) * result.objective
-
-
 def _true_value(result: OracleResult, problem: ProblemSet) -> float:
     """The result's decision scored under the true coefficients:
     `core.solution_objective`'s expression without its re-checks, as a
@@ -146,7 +142,7 @@ class TrueOptimumCache:
             value = self._values.get(problem)
         if value is not None:
             return value
-        value = _signed_objective(oracle.solve(problem.true_values, problem.constraint), problem)
+        value = _true_value(oracle.solve(problem.true_values, problem.constraint), problem)
         with self._lock:
             return self._values.setdefault(problem, value)
 
@@ -200,7 +196,8 @@ def pov(
     under those same predictions. Convex and piecewise linear in the probed
     parameter.
     """
-    return _signed_objective(_prober(model, problem, beta_index, oracle)(beta_value), problem)
+    answer = _prober(model, problem, beta_index, oracle)(beta_value)
+    return _sign(problem.constraint) * answer.objective
 
 
 def tov(
@@ -232,5 +229,6 @@ def evaluate_model_regret(
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     """Mean and sample standard deviation of one or more values, 0.0 for one."""
-    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return float(np.mean(values)), std
+    array = np.asarray(values, dtype=float)  # `np.mean`'s and `np.std`'s bits, one conversion
+    std = float(array.std(ddof=1)) if len(array) > 1 else 0.0
+    return float(array.mean()), std

@@ -144,9 +144,6 @@ class _ClassPlan(NamedTuple):
     counts: tuple  # items per class
     extents: tuple  # most items a class can take: min(count, cap // w), count at weight 0
     fill: np.ndarray | None  # with more than one class, its `_class_fill` table
-    # `_tiny_ones(items)`, for the finite check on values: read here in 69 ns,
-    # against 143 ns for the `_tiny_ones` call.
-    tiny_ones: np.ndarray
 
 
 def _class_plan(weights: np.ndarray, cap: int):
@@ -174,7 +171,7 @@ def _class_plan(weights: np.ndarray, cap: int):
         extents.append(extent)
     class_weights, extents = tuple(class_weights), tuple(extents)
     fill = _class_fill(cap, class_weights, extents) if len(extents) > 1 else None
-    return _ClassPlan(class_weights, tuple(counts), extents, fill, _tiny_ones(len(listed)))
+    return _ClassPlan(class_weights, tuple(counts), extents, fill)
 
 
 def _integer_form(constraint: Knapsack):
@@ -262,7 +259,7 @@ def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, plan: _ClassPlan
     cap // w), with the same sums. The selection does not depend on how far
     past them the grid reaches.
     """
-    class_weights, counts, extents, fill, _ = plan
+    class_weights, counts, extents, fill = plan
     order = np.lexsort((-values, weights))  # class-major, value-descending
     ranked = values.take(order)
     x = np.zeros(values.shape[0])
@@ -392,7 +389,7 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     n = values.shape[0]
     if weights.shape[0] != n:
         raise ValueError("values and weights must have equal length")
-    if not math.isfinite(values.dot(_tiny_ones(n) if route is None else route.tiny_ones)):
+    if not math.isfinite(values.dot(_tiny_ones(n))):
         raise ValueError("knapsack values must be finite")
 
     if route is None:
@@ -748,7 +745,7 @@ class SolverOracle:
             if isinstance(route, _ClassPlan) and route.fill is None:
                 if values.shape[1] != weights.shape[0]:
                     raise ValueError("values and weights must have equal length")
-                if not np.isfinite(values.dot(route.tiny_ones)).all():
+                if not np.isfinite(values.dot(_tiny_ones(values.shape[1]))).all():
                     raise ValueError("knapsack values must be finite")
                 x = _knapsack_top_k(values, weights, route)
                 return [_result(knapsack_solution(sel), row) for sel, row in zip(x, values)]

@@ -9,9 +9,7 @@ step). Both selectors take the batch's profiles and score candidates from
 complete ones without oracle calls; only truncated greedy profiles fall back
 to solving at the candidate, through the same probe route as the search
 (`evaluation._prober`, built once per set), so no model is built per
-candidate.
-Validation regret drives early stopping, and the `max_seconds` budget is
-checked before each parameter update.
+candidate. `TrainConfig` states when training stops.
 """
 
 from __future__ import annotations
@@ -57,6 +55,16 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """How `train` runs. `variant`: a `Variant` or its value. `batch_size`
+    (at least 1): problem sets per mini-batch. `learning_rate` (in (0, 1]):
+    the fraction of the way a parameter moves toward its selected candidate.
+    `max_epochs` (at least 1): most passes over the training sets.
+    `max_seconds` (positive): the wall-time budget, checked before each
+    parameter update. `early_stop_patience` (nonnegative): after an epoch
+    with no new least validation regret, training stops once that many
+    epochs in a row have not improved; 0 stops there, as 1 does.
+    `rng_seed` (nonnegative): seeds the mini-batch order."""
+
     variant: Variant = Variant.DNL
     batch_size: int = 32
     learning_rate: float = 0.1
@@ -77,6 +85,8 @@ class TrainConfig:
             raise ValueError("max_seconds must be positive")
         if self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be nonnegative")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -368,7 +378,7 @@ def train(
         if timed_out:
             stopped = "time"
             break
-        if since_improved >= config.early_stop_patience:
+        if since_improved >= max(config.early_stop_patience, 1):
             stopped = "patience"
             break
 

@@ -68,6 +68,25 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--out", "run"],
+    ["sweep", "--capacities", "2", "--out", "sweep.csv"],
+])
+def test_training_flags_follow_the_library(argv):
+    # The shared training defaults and the variant names come from
+    # `TrainConfig` and `Variant`; `--epochs` keeps its own default of 10.
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    config = dnl.TrainConfig()
+    assert (args.batch, args.lr, args.max_seconds, args.patience) == (
+        config.batch_size, config.learning_rate, config.max_seconds, config.early_stop_patience
+    )
+    assert args.epochs == 10
+    assert cli.VARIANTS == ("ridge", *(v.value for v in dnl.Variant))
+    for variant in cli.VARIANTS:
+        assert parser.parse_args([*argv, "--variant", variant]).variant == [variant]
+
+
 class TestTrain:
     def test_writes_model_and_trace(self, tmp_path):
         out = tmp_path / "run"

@@ -4,7 +4,7 @@ import pytest
 import dnl
 from dnl.core import OBJECTIVE_TOL
 from dnl.core import solution_objective
-from dnl.evaluation import _clamped_regret, _mean_std, _memoised, _prober
+from dnl.evaluation import _clamped_regret, _mean_std, _memoised, _prober, _sign
 from dnl.training import _regret_scorer
 from util import (
     enumerate_knapsack,
@@ -125,6 +125,23 @@ class TestRegret:
         assert oracle.calls == 2
         cache.true_optimal(twin, oracle)
         assert oracle.calls == 2
+
+    def test_true_optimum_is_the_signed_objective_of_the_true_solve(self):
+        # The cache scores the true-coefficient solve's decision under the
+        # true coefficients: the solver's own objective, bit for bit, on each
+        # maker's unit, weighted and scheduling days.
+        series = dnl.synthesize(6, 3, 0.5, seed=29, group_size=12)
+        corpora = {
+            "unit": dnl.make_knapsack(series, False, 5.0, seed=1),
+            "weighted": dnl.make_knapsack(series, True, 20.0, seed=1),
+            "scheduling": dnl.make_scheduling(series, 2, 4, seed=1),
+        }
+        for name, sets in corpora.items():
+            oracle = dnl.SolverOracle()
+            for ps in sets:
+                c = ps.constraint
+                want = _sign(c) * oracle.solve(ps.true_values, c).objective
+                assert dnl.TrueOptimumCache().true_optimal(ps, oracle).hex() == want.hex(), name
 
     def test_negative_regret_means_an_inexact_oracle(self):
         ps = example1_problem()
@@ -394,6 +411,18 @@ class TestEvaluateModelRegret:
                 assert (mean.hex(), std.hex()) == (want_mean.hex(), want_std.hex()), name
                 assert scored.calls == manual.calls == 2 * len(sets), name
             assert any(r > 0.0 for r in regrets), name
+
+    @pytest.mark.parametrize("count", [1, 2, 24, 157])
+    def test_mean_std_has_numpys_bits(self, count):
+        # One array conversion gives the bits of `np.mean` and
+        # `np.std(ddof=1)` on the list, signed zeros included.
+        rng = np.random.default_rng(count)
+        for _ in range(50):
+            values = rng.normal(size=count).tolist()
+            values[0] = float(rng.choice([0.0, -0.0, values[0]]))
+            mean, std = _mean_std(values)
+            want_std = float(np.std(values, ddof=1)) if count > 1 else 0.0
+            assert (mean.hex(), std.hex()) == (float(np.mean(values)).hex(), want_std.hex())
 
     def test_set_listed_twice_without_cache_solves_its_optimum_twice(self, oracle):
         # Without a cache each set gets a fresh one, so a repeated set solves

@@ -391,6 +391,24 @@ class TestTrain:
         assert trace.stopped == "patience"
         assert len(trace.epochs) <= 4  # warmstart row plus a few epochs
 
+    def test_patience_zero_trains_while_validation_improves(self):
+        # Validation regret falls over epochs 1 and 2 and rises at epoch 3:
+        # patience 0 stops at that first epoch without improvement, as
+        # patience 1 does, not after epoch 1.
+        series = dnl.synthesize(40, 4, 0.5, 0)
+        sets = dnl.make_knapsack(series, weighted=False, capacity=12.0)
+        (fold,) = dnl.split(sets, dnl.SplitSpec(folds=1))
+        warmstart, _ = dnl.select_ridge(fold.train, fold.val, dnl.SolverOracle())
+        runs = []
+        for patience in (0, 1):
+            config = dnl.TrainConfig(batch_size=8, max_epochs=4, early_stop_patience=patience)
+            trace = dnl.train(fold.train, fold.val, config, dnl.SolverOracle(), warmstart)
+            runs.append(([e.val_regret for e in trace.epochs], trace.stopped))
+        (regrets, stopped), other = runs
+        assert (regrets, stopped) == other
+        assert stopped == "patience" and len(regrets) == 4
+        assert regrets[0] > regrets[1] > regrets[2] <= regrets[3]
+
     def test_greedy_variant_runs_and_counts_calls(self, oracle):
         sets, hidden = realizable_sets(8)
         perturbed = dnl.LinearModel(hidden.coefficients * 1.5, 1.0)
@@ -759,6 +777,10 @@ class TestConfigValidation:
     def test_negative_patience(self):
         with pytest.raises(ValueError, match="early_stop_patience"):
             dnl.TrainConfig(early_stop_patience=-1)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="rng_seed"):
+            dnl.TrainConfig(rng_seed=-1)
 
     @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
     def test_nonpositive_time_budget(self, seconds):
