@@ -286,6 +286,7 @@ def validate_solution(solution: Solution, constraint: ConstraintData) -> None:
         if len(solution.assignment) != len(constraint.jobs):
             raise ValueError("one (machine, start) pair required per job")
         usage = np.zeros((len(constraint.machines), constraint.periods))
+        expected = np.zeros(constraint.periods)
         for j, (job, (machine, start)) in enumerate(
             zip(constraint.jobs, solution.assignment)
         ):
@@ -294,12 +295,10 @@ def validate_solution(solution: Solution, constraint: ConstraintData) -> None:
             if start < job.earliest_start or start + job.duration > job.latest_finish:
                 raise ValueError(f"job {j}: start {start} violates its time window")
             usage[machine, start : start + job.duration] += job.resource
+            expected[start : start + job.duration] += job.power
         caps = np.array([m.capacity for m in constraint.machines])
         if np.any(usage > caps[:, None] + OBJECTIVE_TOL):
             raise ValueError("machine resource capacity exceeded in some period")
-        expected = np.zeros(constraint.periods)
-        for job, (machine, start) in zip(constraint.jobs, solution.assignment):
-            expected[start : start + job.duration] += job.power
         if not np.allclose(expected, solution.vector, atol=OBJECTIVE_TOL):
             raise ValueError("consumption vector inconsistent with assignment")
         return

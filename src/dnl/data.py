@@ -93,6 +93,12 @@ class RawSeries:
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """How `split` divides time-ordered problem sets: fractions nonnegative
+    and summing to 1. `val_frac` sizes every validation split. With one fold
+    `test_frac` sizes its test split; with several, each test block is a
+    folds-th of the sets and `test_frac` is not read. `train_frac` is read
+    only in the sum: training takes the rest."""
+
     folds: int = 5
     train_frac: float = 0.70
     val_frac: float = 0.10

@@ -122,12 +122,11 @@ class TrainTrace:
 def candidate_betas(
     profiles: Sequence[TransitionProfile], current_beta: float
 ) -> list[float]:
-    """Midpoints of the piecewise intervals induced by each profile's
-    transition points and region endpoints, plus the current parameter value."""
+    """Midpoints of the pieces between each profile's region ends and
+    breakpoints, plus the current parameter value."""
     candidates = {float(current_beta)}
     for profile in profiles:
-        points = [(low + high) / 2.0 for low, high in profile.intervals]
-        knots = [profile.lower] + points + [profile.upper]
+        knots = [profile.lower, *profile.breakpoints, profile.upper]
         for a, b in zip(knots[:-1], knots[1:]):
             candidates.add((a + b) / 2.0)
     return sorted(candidates)
@@ -159,31 +158,27 @@ def _regret_scorer(
     if cache is None:
         cache = TrueOptimumCache()
     optima = [cache.true_optimal(ps, oracle) for ps in batch]
-    # Per set, a row of edges: the float below the region's lower end, the
-    # float below each distinct breakpoint t and t itself, the upper end, and
-    # +inf to one width. A candidate b passes k = #(edges < b) of them, as
-    # `searchsorted` counts, and lands at k in the rows of true values and
-    # regrets: below the region, piece 0, breakpoint 0, piece 1, ..., piece
-    # m, above the region. A repeated breakpoint keeps its first value and
-    # the piece after its last copy, as `bisect_left` over the breakpoints
-    # reads them. Rows hold nan, which `regret` solves or raises on, out of
-    # the region, for a profile without values (every candidate is solved)
-    # and where the regret is below -`OBJECTIVE_TOL` (it raises when scored).
-    width = 2 * max(len(p.intervals) for p in profiles) + 3
+    # Per set, a row of edges: the float below the region's lower end; per
+    # breakpoint t, the float below t (t itself where t repeats the edge
+    # before it) and t; the upper end; +inf to one width. A candidate b
+    # passes k = #(edges < b) of them, as `searchsorted` counts, and lands at
+    # k in the rows of true values and regrets: below the region, piece 0,
+    # breakpoint 0, piece 1, ..., piece m, above the region. A repeated
+    # breakpoint's later copies span no float, so a candidate at it reads the
+    # first copy's value and one past it the piece after the last copy, as
+    # `bisect_left` over the breakpoints reads them. Rows hold nan, which
+    # `regret` solves or raises on, out of the region, for a profile without
+    # values (every candidate is solved) and where the regret is below
+    # -`OBJECTIVE_TOL` (it raises when scored).
+    width = 2 * max(len(p.breakpoints) for p in profiles) + 3
     inf, nan = float("inf"), float("nan")
     edges, true_values = [], []
     for p in profiles:
-        row, values = [], []
-        if p.values:
-            row, values = [math.nextafter(p.lower, -inf)], [nan, p.values[0]]
-            for i, (t, _) in enumerate(p.intervals):
-                if t != row[-1]:
-                    row += [math.nextafter(t, -inf), t]
-                    values += p.values[2 * i + 1 : 2 * i + 3]
-                else:
-                    values[-1] = p.values[2 * i + 2]
-            row.append(p.upper)
-            values.append(nan)
+        row = [math.nextafter(p.lower, -inf)]
+        for t in p.breakpoints:
+            row += [t if t == row[-1] else math.nextafter(t, -inf), t]
+        row.append(p.upper)
+        values = [nan, *p.values, nan]
         edges.append(row + [inf] * (width - len(row)))
         true_values.append(values + [nan] * (width - len(values)))
     edges, true_values = np.array(edges), np.array(true_values)
@@ -293,9 +288,9 @@ def train(
     recorded validation regret, which carries no memo. A numpy overflow
     raises FloatingPointError instead of warning, as does a transition
     search whose own float arithmetic overflows. An inexact oracle, an
-    infeasible instance or an overflow, met while updating a parameter or
-    while scoring an epoch (the warm start included), raises TrainingError;
-    other errors propagate.
+    infeasible instance or an overflow, met while updating a parameter (a
+    search region bound included) or while scoring an epoch (the warm start
+    included), raises TrainingError; other errors propagate.
 
     Each decision is solved once per model: the model in training keeps the
     oracle's answer at its own coefficients for every set it has solved, so
@@ -352,7 +347,13 @@ def train(
                     timed_out = True
                     break
                 beta_old = float(model.coefficients[k])
-                spec = SearchSpec.from_parameter(beta_old)
+                try:
+                    spec = SearchSpec.from_parameter(beta_old)
+                except ValueError as exc:  # a bound overflowed
+                    raise TrainingError(
+                        f"epoch {epoch}: overflow building the search region of "
+                        f"parameter {k}: {exc}"
+                    ) from exc
                 try:
                     profiles = [extract(model, ps, k, spec, oracle) for ps in batch]
                     beta_opt = select(profiles, batch, model, k, oracle, cache)

@@ -115,16 +115,17 @@ class SearchSpec:
 class TransitionProfile:
     """Transition points found for one problem set and parameter.
 
-    Each breakpoint t is stored as the degenerate interval (t, t). A complete
-    profile also carries `values`: the true value (maximisation convention)
-    of the oracle's decision on each piece and at each breakpoint, in order
-    piece 0, breakpoint 0, piece 1, ..., piece m. Truncated greedy profiles,
-    and profiles built by hand, carry none. `probe_count` counts the search's
+    `breakpoints` ascend; a breakpoint the search confirmed more than once
+    (a repeated breakpoint) keeps every copy. A complete profile also
+    carries `values`: the true value (maximisation convention) of the
+    oracle's decision on each piece and at each breakpoint, in order piece
+    0, breakpoint 0, piece 1, ..., piece m. Truncated greedy profiles, and
+    profiles built by hand, carry none. `probe_count` counts the search's
     oracle calls: a probe at the value of a model that `training.train`
     works with, answered from that model's memo, costs none.
     """
 
-    intervals: tuple[tuple[float, float], ...]
+    breakpoints: tuple[float, ...]
     probe_count: int
     lower: float
     upper: float
@@ -132,15 +133,17 @@ class TransitionProfile:
     values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        prev_high = None
-        for low, high in self.intervals:
-            if not (self.lower - 1e-12 <= low <= high <= self.upper + 1e-12):
-                raise ValueError(f"interval ({low}, {high}) outside region")
-            if prev_high is not None and low < prev_high - 1e-12:
-                raise ValueError("transition intervals must be sorted and disjoint")
-            prev_high = high
-        if self.values and len(self.values) != 2 * len(self.intervals) + 1:
+        knots = (self.lower - 1e-12, *self.breakpoints, self.upper + 1e-12)
+        if not all(a <= b for a, b in zip(knots, knots[1:])):
+            raise ValueError("breakpoints must ascend within the region")
+        if self.values and len(self.values) != 2 * len(self.breakpoints) + 1:
             raise ValueError("one value per piece and per breakpoint required")
+
+    @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        """Each breakpoint t as (t, t), as `perfbench/tracer.py` counts
+        them; it goes once the benchmark reads `breakpoints`."""
+        return tuple((t, t) for t in self.breakpoints)
 
 
 def _search(
@@ -214,7 +217,7 @@ def _search(
                 far = ([left] if lo <= beta_old else []) + ([right] if lo >= beta_old else [])
                 if any(line[2] > reference + OBJECTIVE_TOL for line in far):
                     return TransitionProfile(
-                        ((lo, lo),), oracle.calls - calls_before,
+                        (lo,), oracle.calls - calls_before,
                         spec.lower, spec.upper, truncated=True,
                     )
             found.append((lo, left, at, right))
@@ -243,7 +246,7 @@ def _search(
     for _, _, at, right in found:
         values += [at[2], right[2]]
     return TransitionProfile(
-        tuple((t, t) for t, *_ in found),
+        tuple(t for t, *_ in found),
         oracle.calls - calls_before,
         spec.lower,
         spec.upper,

@@ -293,6 +293,18 @@ class TestValidateSolution:
                 dnl.scheduling_solution([(0, 0), (0, 0)], constraint), constraint
             )
 
+    def test_schedule_capacity_checked_before_consumption(self):
+        constraint = dnl.Scheduling(
+            (dnl.MachineSpec(1.0),),
+            (dnl.JobSpec(1.0, 1.0, 1, 0, 2), dnl.JobSpec(1.0, 1.0, 1, 0, 2)),
+            2,
+        )
+        with pytest.raises(ValueError, match="capacity exceeded"):
+            dnl.validate_solution(dnl.Solution(((0, 0), (0, 0)), [0.0, 0.0]), constraint)
+        with pytest.raises(ValueError, match="consumption vector inconsistent"):
+            dnl.validate_solution(dnl.Solution(((0, 0), (0, 1)), [2.0, 0.0]), constraint)
+        dnl.validate_solution(dnl.Solution(((0, 0), (0, 1)), [1.0, 1.0]), constraint)
+
 
 def test_model_roundtrip(tmp_path):
     model = dnl.LinearModel([0.25, -1.5, 3.0], 0.125)

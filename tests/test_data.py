@@ -283,6 +283,15 @@ class TestSplit:
         with pytest.raises(ValueError):
             dnl.SplitSpec(train_frac=-0.3, val_frac=0.1, test_frac=1.2)
 
+    def test_several_folds_read_only_the_validation_fraction(self):
+        # Each test block is n / folds whatever test_frac says, and training
+        # takes the rest: 13 / 2 / 5 of 20, as with the default fractions.
+        sets = self.problem_sets(20)
+        for spec in (dnl.SplitSpec(folds=4, train_frac=0.5, test_frac=0.4),
+                     dnl.SplitSpec(folds=4)):
+            for fold in dnl.split(sets, spec):
+                assert (len(fold.train), len(fold.val), len(fold.test)) == (13, 2, 5)
+
     def test_more_folds_than_problem_sets_rejected(self):
         # Every fold would need a nonempty test block.
         assert len(dnl.split(self.problem_sets(5), dnl.SplitSpec(folds=5))) == 5

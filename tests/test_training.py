@@ -18,8 +18,8 @@ def oracle():
     return dnl.SolverOracle()
 
 
-def profile_of(intervals, lower=-5.0, upper=5.0):
-    return dnl.TransitionProfile(tuple(intervals), 0, lower, upper)
+def profile_of(breakpoints, lower=-5.0, upper=5.0):
+    return dnl.TransitionProfile(tuple(breakpoints), 0, lower, upper)
 
 
 def realizable_sets(num_sets=12, seed=5):
@@ -37,7 +37,7 @@ def realizable_sets(num_sets=12, seed=5):
 
 class TestCandidateBetas:
     def test_known_transitions_give_piecewise_midpoints(self):
-        profile = profile_of([(-0.01, 0.01), (1.99, 2.01)])
+        profile = profile_of([0.0, 2.0])
         cands = dnl.candidate_betas([profile], current_beta=1.0)
         assert cands == pytest.approx([-2.5, 1.0, 3.5])
 
@@ -47,8 +47,8 @@ class TestCandidateBetas:
         assert cands == pytest.approx([0.0, 3.25])
 
     def test_union_of_two_profiles(self):
-        a = profile_of([(-0.005, 0.005)])
-        b = profile_of([(1.995, 2.005)])
+        a = profile_of([0.0])
+        b = profile_of([2.0])
         cands = dnl.candidate_betas([a, b], current_beta=0.0)
         assert cands == pytest.approx([-2.5, -1.5, 0.0, 2.5, 3.5])
 
@@ -57,7 +57,7 @@ class TestSelectBetaFull:
     def test_example1_reaches_zero_regret_plateau(self, oracle):
         ps = example1_problem()
         model = example1_model(3.0)
-        profile = profile_of([(-0.01, 0.01), (1.99, 2.01)])
+        profile = profile_of([0.0, 2.0])
         beta = dnl.select_beta_full([profile], [ps], model, 0, oracle)
         assert 0.0 < beta < 2.0
         assert dnl.regret_of(model.with_coefficient(0, beta), ps, oracle).regret == 0.0
@@ -87,7 +87,7 @@ class TestSelectBetaFull:
             [1.0, 2.0], [[0.0], [0.0]], dnl.Knapsack([1.0, 1.0], 1.0), "tie"
         )
         model = dnl.LinearModel([0.5], 0.0)
-        profile = profile_of([(1.0, 1.0)])
+        profile = profile_of([1.0])
         assert dnl.candidate_betas([profile], 0.5) == [-2.0, 0.5, 3.0]
         for selector in (dnl.select_beta_full, dnl.select_beta_max):
             assert selector([profile], [ps], model, 0, oracle) == 0.5
@@ -173,9 +173,7 @@ class TestLookupScoring:
                     continue
                 cache = dnl.TrueOptimumCache() if cached else None
                 regret = _regret_scorer([profile], [ps], model, 0, oracle, cache)
-                points = dnl.candidate_betas([profile], current) + [
-                    (lo + hi) / 2.0 for lo, hi in profile.intervals
-                ]
+                points = dnl.candidate_betas([profile], current) + list(profile.breakpoints)
                 for beta in points:
                     before = oracle.calls
                     lookup = regret(0, np.array([beta]))[0]
@@ -224,7 +222,7 @@ class TestLookupScoring:
             spec = dnl.SearchSpec.from_parameter(float(model.coefficients[1]))
             profile = dnl.extract_full(model, ps, 1, spec, oracle)
             width = spec.upper - spec.lower
-            breakpoints = [(lo + hi) / 2.0 for lo, hi in profile.intervals]
+            breakpoints = list(profile.breakpoints)
             knots = [spec.lower, *breakpoints, spec.upper]
             inside = [(a + b) / 2.0 for a, b in zip(knots, knots[1:])]
             beyond = [spec.lower - 0.25 * width, spec.upper + 0.5 * width]
@@ -268,20 +266,30 @@ class TestLookupScoring:
 
     def test_repeated_breakpoint_reads_as_one(self, oracle):
         # A candidate at a repeated breakpoint takes the first copy's value,
-        # one past it the piece after the last copy.
+        # one past it the piece after the last copy; the region's ends read
+        # as inside it. Values are the optimum less 1, 2, ..., 2m + 1.
         ps = example1_problem()
         optimum = dnl.TrueOptimumCache().true_optimal(ps, oracle)
-        values = tuple(optimum - r for r in (1.0, 2.0, 3.0, 4.0, 5.0))
-        profile = dnl.TransitionProfile(((0.0, 0.0), (0.0, 0.0)), 3, -1.0, 1.0, values=values)
-        regret = _regret_scorer([profile], [ps], example1_model(0.0), 0, oracle, None)
-        before = oracle.calls
-        assert regret(0, np.array([-0.5, 0.0, 0.5])).tolist() == [1.0, 2.0, 5.0]
-        assert oracle.calls == before
+        betas = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        for breakpoints, expected in (
+            ((0.0, 0.0), [1.0, 1.0, 2.0, 5.0, 5.0]),
+            ((0.0, 0.0, 0.0), [1.0, 1.0, 2.0, 7.0, 7.0]),
+            ((-1.0, -1.0), [2.0, 5.0, 5.0, 5.0, 5.0]),
+            ((1.0, 1.0), [1.0, 1.0, 1.0, 1.0, 2.0]),
+        ):
+            values = tuple(optimum - r for r in range(1, 2 * len(breakpoints) + 2))
+            profile = dnl.TransitionProfile(breakpoints, 3, -1.0, 1.0, values=values)
+            regret = _regret_scorer([profile], [ps], example1_model(0.0), 0, oracle, None)
+            before = oracle.calls
+            assert regret(0, betas).tolist() == expected, breakpoints
+            assert oracle.calls == before
+            regret(0, np.array([-1.5, 1.5]))
+            assert oracle.calls == before + 2
 
     def test_negative_regret_names_the_set(self, oracle):
         ps = example1_problem()
         optimum = dnl.TrueOptimumCache().true_optimal(ps, oracle)
-        beyond = dnl.TransitionProfile(((0.0, 0.0),), 3, -1.0, 1.0, values=(
+        beyond = dnl.TransitionProfile((0.0,), 3, -1.0, 1.0, values=(
             optimum, optimum, optimum + 1.0,
         ))
         regret = _regret_scorer([beyond], [ps], example1_model(0.0), 0, oracle, None)
@@ -524,6 +532,19 @@ class TestTrain:
         constraint = dnl.Knapsack([1.0, 1.0, 1.0, 1.0], 2.0)
         failure = "epoch 1: oracle failure while updating parameter 0: overflow scoring a decision"
         self.stops_at_overflow(constraint, 4, 5e307, 101, oracle, failure)
+
+    def test_overflowing_search_region_becomes_a_training_error(self, oracle):
+        # The warm start scores, but parameter 0's region ends at
+        # 8e307 + 1.5 * 8e307, past the largest float.
+        sets, _ = realizable_sets(8)
+        warmstart = dnl.LinearModel([8e307, 1.0], 0.0)
+        failure = (
+            "epoch 1: overflow building the search region of parameter 0: "
+            "search region upper bound inf is not finite"
+        )
+        with pytest.raises(TrainingError, match=failure) as info:
+            dnl.train(sets[:6], sets[6:], dnl.TrainConfig(max_epochs=1), oracle, warmstart)
+        assert type(info.value.__cause__) is ValueError
 
     @pytest.mark.parametrize("seed", range(6))
     def test_swamping_feature_is_a_precision_error(self, oracle, seed):

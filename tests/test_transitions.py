@@ -74,7 +74,7 @@ class TestExtractFull:
         ps = example1_problem()
         spec = dnl.SearchSpec(-5.0, 5.0)
         profile = dnl.extract_full(example1_model(1.0), ps, 0, spec, oracle)
-        assert profile.intervals == ((0.0, 0.0), (2.0, 2.0))
+        assert profile.breakpoints == (0.0, 2.0)
         # Items {0, 1}, {0, 2} and {1, 2} hold the three pieces.
         assert piece_values(profile) == (3.0, 5.0, 4.0)
 
@@ -141,7 +141,7 @@ class TestExtractFull:
         )
         spec = dnl.SearchSpec(-3.0, 3.0)
         profile = dnl.extract_full(dnl.LinearModel([0.0, 1.0], 0.0), ps, 0, spec, oracle)
-        assert profile.intervals == ()
+        assert profile.breakpoints == ()
         assert profile.probe_count == 2
 
     def test_intervals_bracket_solution_changes(self, oracle):
@@ -152,11 +152,11 @@ class TestExtractFull:
             spec = dnl.SearchSpec(-1.5, 1.5)
             profile = dnl.extract_full(model, ps, 0, spec, oracle)
             changes = sweep_solution_changes(model, ps, 0, -1.5, 1.5, 0.005)
-            for a, b in profile.intervals:
-                hit = any(hi >= a - 0.005 and lo <= b + 0.005 for lo, hi in changes)
-                assert hit, f"interval ({a}, {b}) brackets no solution change"
+            for t in profile.breakpoints:
+                hit = any(lo - 0.005 <= t <= hi + 0.005 for lo, hi in changes)
+                assert hit, f"breakpoint {t} lies near no solution change"
             for lo, hi in changes:
-                covered = any(hi >= a and lo <= b for a, b in profile.intervals)
+                covered = any(lo <= t <= hi for t in profile.breakpoints)
                 assert covered, f"solution change in ({lo}, {hi}) was missed"
 
     def test_scheduling_breakpoints_match_vector_changes(self, oracle):
@@ -172,11 +172,10 @@ class TestExtractFull:
                 solve=dnl.solve_scheduling, key=lambda s: tuple(s.vector),
             )
             assert changes, "the sweep should see the schedule move"
-            points = [t for t, _ in profile.intervals]
-            for t in points:
+            for t in profile.breakpoints:
                 assert any(lo - 1e-9 <= t <= hi + 1e-9 for lo, hi in changes), t
             for lo, hi in changes:
-                assert any(lo - 1e-9 <= t <= hi + 1e-9 for t in points), (lo, hi)
+                assert any(lo - 1e-9 <= t <= hi + 1e-9 for t in profile.breakpoints), (lo, hi)
 
     def test_default_train_data_transitions(self, oracle):
         # `dnl train`'s default data and ridge warm start: a shallow kink of
@@ -191,7 +190,7 @@ class TestExtractFull:
         days = {ps.id: ps for ps in fold.train}
         for day, point in (("day0002", 0.2053), ("day0004", 2.6005)):
             profile = dnl.extract_full(warm, days[day], 3, spec, oracle)
-            assert any(a - 5e-4 <= point <= b + 5e-4 for a, b in profile.intervals), day
+            assert any(t - 5e-4 <= point <= t + 5e-4 for t in profile.breakpoints), day
 
     def test_probe_budget(self, oracle):
         # Each probe finds a new piece or confirms a breakpoint: at most
@@ -206,7 +205,7 @@ class TestExtractFull:
             cases.append((model, random_knapsack_problem(rng, ps_id=f"b{i}"), spec))
         for model, ps, spec in cases:
             profile = dnl.extract_full(model, ps, 0, spec, oracle)
-            assert profile.probe_count <= max(2, 2 * len(profile.intervals) + 1)
+            assert profile.probe_count <= max(2, 2 * len(profile.breakpoints) + 1)
 
     def test_probe_count_matches_oracle_calls(self, oracle):
         ps = example1_problem()
@@ -224,7 +223,7 @@ class TestExtractGreedy:
         profile = dnl.extract_greedy(model, ps, 0, spec, oracle)
         assert profile.truncated
         # The breakpoint at 2 is nearest; beyond it items {0, 2} are worth 5.
-        assert profile.intervals == ((2.0, 2.0),)
+        assert profile.breakpoints == (2.0,)
         assert profile.values == ()
         assert dnl.tov(model, ps, 0, 1.0, oracle) > dnl.tov(model, ps, 0, 3.0, oracle)
 
@@ -264,13 +263,13 @@ class TestExtractGreedy:
             assert greedy.truncated == full_improves
             if greedy.truncated:
                 truncations += 1
-                ((t, _),) = greedy.intervals
-                i = [a for a, _ in full.intervals].index(t)
+                (t,) = greedy.breakpoints
+                i = full.breakpoints.index(t)
                 far = piece_values(full)[i if t < beta_old else i + 1]
                 assert far > tov_old + OBJECTIVE_TOL
             else:
-                assert greedy.intervals == full.intervals
-                assert greedy.probe_count <= max(3, 2 * len(greedy.intervals) + 2)
+                assert greedy.breakpoints == full.breakpoints
+                assert greedy.probe_count <= max(3, 2 * len(greedy.breakpoints) + 2)
         assert 0 < truncations < len(problems)
 
     def test_truncation_skips_the_second_transition(self, oracle):
@@ -281,9 +280,9 @@ class TestExtractGreedy:
         spec = dnl.SearchSpec(-1.0, 6.0)
         full = dnl.extract_full(model, ps, 0, spec, oracle)
         greedy = dnl.extract_greedy(model, ps, 0, spec, oracle)
-        assert [t for t, _ in full.intervals] == pytest.approx([0.5, 1.5, 2.5, 3.5, 4.5])
+        assert full.breakpoints == pytest.approx([0.5, 1.5, 2.5, 3.5, 4.5])
         assert greedy.truncated
-        assert greedy.intervals[0][0] == pytest.approx(0.5)
+        assert greedy.breakpoints == pytest.approx([0.5])
         assert greedy.probe_count < full.probe_count
 
     def test_greedy_probe_count_matches_oracle_calls(self, oracle):
@@ -302,20 +301,18 @@ class TestProfileInvariants:
             model = dnl.LinearModel(rng.normal(size=3), 0.0)
             spec = dnl.SearchSpec(-2.0, 2.0)
             profile = dnl.extract_full(model, ps, 0, spec, oracle)
-            prev = spec.lower
-            for a, b in profile.intervals:
-                assert spec.lower <= a <= b <= spec.upper
-                assert a >= prev
-                prev = b
-            assert len(profile.values) == 2 * len(profile.intervals) + 1
+            knots = [spec.lower, *profile.breakpoints, spec.upper]
+            assert knots == sorted(knots)
+            assert len(profile.values) == 2 * len(profile.breakpoints) + 1
+            assert profile.intervals == tuple((t, t) for t in profile.breakpoints)
 
     def test_constructor_rejects_overlaps(self):
         with pytest.raises(ValueError):
-            dnl.TransitionProfile(((0.0, 0.5), (0.4, 0.9)), 0, -1.0, 1.0)
+            dnl.TransitionProfile((0.5, 0.4), 0, -1.0, 1.0)
         with pytest.raises(ValueError):
-            dnl.TransitionProfile(((-2.0, 0.5),), 0, -1.0, 1.0)
+            dnl.TransitionProfile((-2.0, 0.5), 0, -1.0, 1.0)
         with pytest.raises(ValueError):
-            dnl.TransitionProfile(((0.0, 0.0),), 0, -1.0, 1.0, values=(1.0, 2.0))
+            dnl.TransitionProfile((0.0,), 0, -1.0, 1.0, values=(1.0, 2.0))
 
 
 def random_unit_knapsack_problem(rng, ps_id="unit"):
@@ -355,12 +352,12 @@ class TestMatchesReferenceSearch:
                 (dnl.extract_greedy(model, ps, k, spec, oracle), current),
             ):
                 expected = reference_search(model, ps, k, spec, reference_oracle, beta_old)
-                assert bitwise(profile.intervals) == bitwise(expected.intervals)
+                assert bitwise(profile.breakpoints) == bitwise(expected.breakpoints)
                 assert bitwise(profile.values) == bitwise(expected.values)
                 assert profile.probe_count == expected.probe_count
                 assert profile.truncated == expected.truncated
                 truncated += profile.truncated
-                breakpoints += len(profile.intervals)
+                breakpoints += len(profile.breakpoints)
         assert oracle.calls == reference_oracle.calls
         assert breakpoints > 40
         if make is not random_scheduling_problem:

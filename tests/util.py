@@ -247,9 +247,9 @@ def random_scheduling_problem(rng, ps_id="sched"):
 
 
 # The supporting-line search as it stood before its lines became plain
-# tuples, kept verbatim (apart from its name) as the reference that
-# `dnl.transitions._search` must match bit for bit: same breakpoints, values,
-# probe counts and truncation.
+# tuples, kept verbatim (apart from its name and the profile's form) as the
+# reference that `dnl.transitions._search` must match bit for bit: same
+# breakpoints, values, probe counts and truncation.
 @dataclass(frozen=True)
 class _Line:
     """One probe's decision as a line in the free parameter."""
@@ -309,7 +309,7 @@ def reference_search(
                 far = ([left] if lo <= beta_old else []) + ([right] if lo >= beta_old else [])
                 if any(line.true_value > reference + OBJECTIVE_TOL for line in far):
                     return TransitionProfile(
-                        ((lo, lo),), oracle.calls - calls_before,
+                        (lo,), oracle.calls - calls_before,
                         spec.lower, spec.upper, truncated=True,
                     )
             found.append((lo, left, at, right))
@@ -334,7 +334,7 @@ def reference_search(
     for _, _, at, right in found:
         values += [at.true_value, right.true_value]
     return TransitionProfile(
-        tuple((t, t) for t, *_ in found),
+        tuple(t for t, *_ in found),
         oracle.calls - calls_before,
         spec.lower,
         spec.upper,
