@@ -11,6 +11,7 @@ no arrays and compare and hash by value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -66,7 +67,7 @@ class Knapsack:
     def __post_init__(self):
         object.__setattr__(self, "weights", _frozen_array(self.weights))
         object.__setattr__(self, "capacity", float(self.capacity))
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
+        if not np.isfinite(self.weights).all() or (self.weights < 0).any():
             raise ValueError("knapsack weights must be finite and nonnegative")
         if np.isnan(self.capacity) or self.capacity < 0:  # inf means no limit
             raise ValueError("knapsack capacity must be a nonnegative number")
@@ -193,7 +194,7 @@ class LinearModel:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _frozen_array(self.coefficients))
         object.__setattr__(self, "intercept", float(self.intercept))
-        if not np.all(np.isfinite(self.coefficients)) or not np.isfinite(self.intercept):
+        if not np.isfinite(self.coefficients).all() or not math.isfinite(self.intercept):
             raise ValueError("model parameters must be finite")
 
     @property

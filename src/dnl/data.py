@@ -206,17 +206,22 @@ def make_knapsack(
     once for all of them.
     Weighted mode: item weights are drawn from {3, 5, 7}, value equals
     weight times price, and the weight joins the feature vector; each day
-    has its own `Knapsack`.
+    has its own `Knapsack`. Every day's weights come from one
+    `rng.choice(WEIGHT_CHOICES, size=(days, group_size))` draw, which reads
+    the generator's stream as one draw of `group_size` per day would, so a
+    seed gives the same days either way.
     """
     if capacity <= 0:
         raise ValueError("capacity must be positive")
     groups = series.groups()
     rng = np.random.default_rng(seed)
     unit = None if weighted else Knapsack(np.ones(series.group_size), capacity)
+    if weighted:  # every day's weights in one draw, a row per day
+        day_weights = rng.choice(WEIGHT_CHOICES, size=(len(groups), series.group_size))
     problem_sets = []
     for g, (features, prices) in enumerate(groups):
         if weighted:
-            weights = rng.choice(WEIGHT_CHOICES, size=series.group_size)
+            weights = day_weights[g]
             values = weights * prices
             features = np.hstack([features, weights[:, None]])
             constraint = Knapsack(weights, capacity)

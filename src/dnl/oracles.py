@@ -11,7 +11,10 @@ sort (`_knapsack_top_k`); a count grid over the classes of at most
 `KNAPSACK_BB_MAX_NODES` nodes. A `Scheduling` runs `solve_scheduling` over
 a plan memoised on the load (`_scheduling_plan`), capped at
 `SCHEDULING_MAX_NODES` nodes; the plan keeps up to `SCHEDULING_MEMO_MAX`
-schedules built. `SolverOracle` picks the route and counts calls. All
+schedules built. `SolverOracle` picks the route and counts calls; its
+`solve_rows` hands a block of value rows for one load to both class
+routes, and to the scheduling pricing (`_scheduling_rows`), in one call,
+while the table DP and branch-and-bound solve row by row. All
 solvers are pure functions of their inputs and safe for concurrent use.
 Timings beside the routes that stay were taken at seed 0 on a 2-vCPU Xeon.
 """
@@ -258,30 +261,63 @@ def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, plan: _ClassPlan
     of the grid that spans each class only up to its positive values (and
     cap // w), with the same sums. The selection does not depend on how far
     past them the grid reaches.
+
+    Given a 2-d array of value rows, one call selects for every row: one
+    stable lexsort ranks each row, and the sums, the grid and the fill
+    lookup carry a trailing row axis. These are the 1-d operations along
+    each row (a stable sort's order is unique, and accumulation adds in
+    sequence), so each row's selection is the one its own call gives. A
+    1-d call keeps its own read-back on Python ints: 15 us on a 48-item
+    {3, 5, 7} load at capacity 122, against 31 us as a one-row block.
     """
     class_weights, counts, extents, fill = plan
-    order = np.lexsort((-values, weights))  # class-major, value-descending
+    # `rows` is the trailing row axis of the arrays below, () for one row;
+    # `new_axis` adds a class axis to the grid, before the rows.
+    if values.ndim == 2:  # each row ranked as alone, indexed into the flat block
+        order = np.lexsort((-values, np.broadcast_to(weights, values.shape))).T
+        order += np.arange(0, values.size, values.shape[1])
+        rows, new_axis = values.shape[:1], (..., None, slice(None))
+    else:
+        order = np.lexsort((-values, weights))  # class-major, value-descending
+        rows, new_axis = (), (..., None)
     ranked = values.take(order)
-    x = np.zeros(values.shape[0])
     grid, lo = None, 0
     for w, count, extent in zip(class_weights[:-1], counts, extents):
-        prefix = np.zeros(extent + 1)  # sums of the class's top 0..extent values
+        prefix = np.zeros((extent + 1,) + rows)  # sums of the class's top 0..extent values
         top = prefix[1:]
         if w:
             np.add.accumulate(ranked[lo : lo + extent], out=top)
         else:  # one cell: the sum of its positive values
             np.add.accumulate(np.maximum(ranked[:count], 0.0), out=top)
             prefix = prefix[count:]
-        grid = prefix if grid is None else grid[..., None] + prefix
+        grid = prefix if grid is None else grid[new_axis] + prefix
         lo += count
     extent = extents[-1]
-    last = np.zeros(extent + 2)  # the heaviest class's sums, then -inf
+    last = np.zeros((extent + 2,) + rows)  # the heaviest class's sums, then -inf
     top = last[1:-1]
     np.maximum(ranked[lo : lo + extent], 0.0, out=top)
     np.add.accumulate(top, out=top)
     last[-1] = -np.inf
-    best = int((grid + last.take(fill)).argmax())
-    x[order[lo : lo + _positives(ranked, lo, int(fill.flat[best]))]] = 1.0
+    grid += last.take(fill, axis=0)  # each cell's score
+    if rows:  # the 1-d read-back below, on every row at once, as masks in rank order
+        best = grid.reshape((-1,) + rows).argmax(axis=0)
+        span = np.arange(values.shape[1])[:, None]
+        chosen = np.zeros(ranked.shape, dtype=bool)
+        count = counts[-1]
+        chosen[lo : lo + count] = (span[:count] < fill.take(best)) & (ranked[lo : lo + count] > 0.0)
+        for w, count, extent in zip(class_weights[-2::-1], counts[-2::-1], extents[-2::-1]):
+            lo -= count
+            if w:
+                best, take = np.divmod(best, extent + 1)
+                chosen[lo : lo + count] = span[:count] < take
+            else:
+                chosen[lo : lo + count] = ranked[lo : lo + count] > 0.0
+        x = np.zeros(values.shape)
+        x.put(order, chosen)
+        return x
+    x = np.zeros(values.shape[0])
+    best = int(grid.argmax())
+    x[order[lo : lo + _positives(ranked, lo, fill.item(best))]] = 1.0
     for w, count, extent in zip(class_weights[-2::-1], counts[-2::-1], extents[-2::-1]):
         lo -= count
         if w:  # row-major: the last axis varies fastest
@@ -727,14 +763,18 @@ class SolverOracle:
         """`solve` on each row of a 2-d array of coefficient vectors for one
         load, counted as one call per row; answers in row order. Each row's
         answer has the vector, assignment and objective bits `solve` gives
-        it, and a faulty row raises `solve`'s error. Unit top-k loads and
-        scheduling loads answer every row together (one stable sort; one
+        it, unless a sum of its values overflows (`train` and `select_ridge`
+        raise FloatingPointError there), and a faulty row raises `solve`'s
+        error. Both class routes and scheduling loads answer every row
+        together (one call of `_knapsack_top_k` or `_knapsack_by_class`; one
         pricing and ranking, then a search per row): a `select_ridge` round
         took 20.6 ms on unit-dnl's loads and 120 ms on scheduling-max's so,
-        against 29.2 and 162 ms with `solve` per row. Other knapsack routes
-        solve row by row. `train` keeps scalar `solve`, one backend call per
-        counted call, which `--trace 1` checks until the benchmark's tracer
-        counts calls instead of backend spans."""
+        against 29.2 and 162 ms with `solve` per row. On a 48-item {3, 5, 7}
+        load at capacity 122, 5 rows take 64 us and 33 rows 206 us, against
+        94 and 612 us with `solve` per row. The table DP and
+        branch-and-bound solve row by row. `train` keeps scalar `solve`, one
+        backend call per counted call, which `--trace 1` checks until the
+        benchmark's tracer counts calls instead of backend spans."""
         values = np.array(values, dtype=float)  # the answers' own copy
         if values.ndim != 2:
             raise ValueError("coefficient rows must be a 2-d array")
@@ -742,12 +782,13 @@ class SolverOracle:
             self.calls += values.shape[0]
         if isinstance(constraint, Knapsack):
             weights, _, route = _integer_form(constraint)
-            if isinstance(route, _ClassPlan) and route.fill is None:
+            if isinstance(route, _ClassPlan):
                 if values.shape[1] != weights.shape[0]:
                     raise ValueError("values and weights must have equal length")
                 if not np.isfinite(values.dot(_tiny_ones(values.shape[1]))).all():
                     raise ValueError("knapsack values must be finite")
-                x = _knapsack_top_k(values, weights, route)
+                solver = _knapsack_top_k if route.fill is None else _knapsack_by_class
+                x = solver(values, weights, route)
                 return [_result(knapsack_solution(sel), row) for sel, row in zip(x, values)]
             solve = solve_knapsack_bb if isinstance(route, str) else solve_knapsack_dp
             return [solve(row, constraint) for row in values]

@@ -57,9 +57,25 @@ class TestTypes:
         with pytest.raises(ValueError, match="problem set bad: .* must be finite"):
             dnl.ProblemSet(values, features, dnl.Knapsack([1.0, 1.0], 1.0), "bad")
 
+    @pytest.mark.parametrize("weights", [[1.0, np.nan], [np.inf, 1.0], [1.0, -1.0], [-0.5]])
+    def test_knapsack_weight_check_names_the_fault(self, weights):
+        with pytest.raises(ValueError) as info:
+            dnl.Knapsack(weights, 2.0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "knapsack weights must be finite and nonnegative"
+
     def test_model_rejects_nan(self):
         with pytest.raises(ValueError):
             dnl.LinearModel([np.nan], 0.0)
+
+    @pytest.mark.parametrize(
+        "coefficients, intercept", [([np.inf], 0.0), ([1.0, -np.inf], 0.0), ([1.0], np.nan), ([1.0], -np.inf)]
+    )
+    def test_model_check_names_the_fault(self, coefficients, intercept):
+        with pytest.raises(ValueError) as info:
+            dnl.LinearModel(coefficients, intercept)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "model parameters must be finite"
 
     def test_job_window_validated(self):
         with pytest.raises(ValueError):

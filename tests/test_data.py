@@ -176,6 +176,29 @@ class TestMakeKnapsack:
         for x, y in zip(a, b):
             assert np.array_equal(x.constraint.weights, y.constraint.weights)
 
+    @pytest.mark.parametrize("seed", [0, 61])
+    @pytest.mark.parametrize("group_size", [12, 47])
+    def test_weighted_days_match_a_draw_per_day(self, seed, group_size):
+        # The maker draws every day's weights in one call; each day must hold
+        # the bytes that one `rng.choice` per day gives, on every numpy the
+        # package runs on. A trailing partial group is dropped, drawing nothing.
+        rows = 5 * group_size + group_size // 2
+        data = np.random.default_rng(seed + 1)
+        series = dnl.RawSeries(data.uniform(size=(rows, 3)), data.normal(5.0, 2.0, size=rows), group_size)
+        dataset = dnl.make_knapsack(series, True, 60.0, seed=seed)
+        assert len(dataset) == 5
+        rng = np.random.default_rng(seed)
+        for g, ps in enumerate(dataset):
+            block = slice(g * group_size, (g + 1) * group_size)
+            weights = rng.choice(dnl.WEIGHT_CHOICES, size=group_size)
+            features = np.hstack([series.features[block], weights[:, None]])
+            assert ps.features.tobytes() == features.tobytes()
+            assert ps.features.shape == features.shape
+            assert ps.true_values.tobytes() == (weights * series.prices[block]).tobytes()
+            assert ps.constraint.weights.tobytes() == weights.tobytes()
+            assert ps.id == f"day{g:04d}"
+            assert ps.constraint.capacity.hex() == (60.0).hex()
+
     def test_unit_days_share_one_constraint(self):
         # One `Knapsack` per unit series, whose integer form is computed
         # once; weighted days draw their own weights, so each has its own.

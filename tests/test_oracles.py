@@ -781,6 +781,74 @@ class TestClassSolver:
             assert res.objective == pytest.approx(best_val, abs=1e-9)
 
 
+def value_rows(rng, values, size):
+    """`size` rows from one load's values: the values, their negation and
+    their reversal, then shuffles of them with random signs, so that zeros
+    of both signs and ties recur across rows."""
+    rows = [values, -values, values[::-1]]
+    while len(rows) < size:
+        rows.append(rng.permutation(values) * rng.choice([-1.0, 1.0], size=values.shape))
+    return np.stack(rows[:size])
+
+
+class TestClassRows:
+    """`SolverOracle.solve_rows` answers a block of rows on a class plan (the
+    count grid, or one class's top-k) in one call of its solver, and gives
+    each row the bits its own `solve` gives."""
+
+    def test_rows_match_solve(self):
+        rng = np.random.default_rng(163)
+        seen = dict.fromkeys(["grid", "zero class", "too heavy", "nothing fits"], 0)
+        for i in range(240):
+            if i % 3 == 0:
+                values, constraint = random_class_load(rng, max_items=14)
+            elif i % 3 == 1:
+                values, constraint = edge_class_load(rng)
+            else:  # `TestClassSolver.test_tie_rule`'s tie-heavy loads
+                n = int(rng.integers(2, 13))
+                weights = rng.choice([1.0, 2.0, 3.0], size=n)
+                values = rng.integers(-1, 4, size=n).astype(float)
+                constraint = dnl.Knapsack(weights, float(rng.integers(0, int(weights.sum()) + 1)))
+            for size in (1, 2, 5, 33):
+                assert_rows_match_solve(value_rows(rng, values, size), constraint)
+            weights, cap, plan = oracles._integer_form(constraint)
+            if plan is None:
+                continue
+            seen["grid"] += plan.fill is not None
+            seen["zero class"] += plan.fill is not None and plan.weights[0] == 0
+            seen["too heavy"] += plan.fill is not None and int(weights.max()) > cap
+            seen["nothing fits"] += not plan.weights
+        assert min(seen.values()) >= 15 and seen["grid"] > 150, seen
+
+    def test_rows_on_a_count_grid(self, monkeypatch):
+        # A block of rows costs one call of the class solver.
+        rng = np.random.default_rng(157)
+        constraint = dnl.Knapsack(rng.choice([3.0, 5.0, 7.0], size=48), 122.0)
+        plan = oracles._integer_form(constraint)[2]
+        assert isinstance(plan, oracles._ClassPlan) and plan.fill is not None
+        rows = rng.normal(2.0, 3.0, size=(6, constraint.weights.shape[0]))
+        rows[3:] = np.round(rows[3:])  # tied values
+        assert_rows_match_solve(rows, constraint)
+        solver, shapes = oracles._knapsack_by_class, []
+        monkeypatch.setattr(
+            oracles, "_knapsack_by_class", lambda v, *a: shapes.append(v.shape) or solver(v, *a)
+        )
+        dnl.SolverOracle().solve_rows(rows, constraint)
+        assert shapes == [rows.shape]
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "length"])
+    def test_row_errors_match_solve(self, fault):
+        rng = np.random.default_rng(167)
+        constraint = dnl.Knapsack(rng.choice([3.0, 5.0, 7.0], size=48), 122.0)
+        rows = rng.normal(2.0, 3.0, size=(5, 49 if fault == "length" else 48))
+        if fault != "length":
+            rows[3, 7] = np.nan if fault == "nan" else np.inf
+        message = "equal length" if fault == "length" else "must be finite"
+        with pytest.raises(ValueError, match=message):
+            dnl.SolverOracle().solve_rows(rows, constraint)
+        assert_rows_match_solve(rows, constraint)
+
+
 class TestZeroWeightItemsOnTheTableDP:
     """The table DP's general update keeps a zero-weight item of positive
     value on every capacity, and never one of value zero or below."""
@@ -1055,23 +1123,17 @@ class TestSolverOracle:
         oracle.solve_rows(np.empty((0, ps.true_values.shape[0])), ps.constraint)
         assert oracle.calls == 5
 
-    @pytest.mark.parametrize("route", ["count grid", "table DP", "branch-and-bound"])
+    @pytest.mark.parametrize("route", ["table DP", "branch-and-bound"])
     def test_rows_on_scalar_routes(self, route):
         # Knapsack loads with no row form of their own answer each row
         # through their backend, as `solve` does.
         rng = np.random.default_rng(157)
-        if route == "count grid":
-            constraint = dnl.Knapsack(rng.choice([3.0, 5.0, 7.0], size=48), 122.0)
-        elif route == "table DP":
+        if route == "table DP":
             constraint = dnl.Knapsack(np.arange(1.0, 18.0), 200.0)
         else:
             constraint = dnl.Knapsack(rng.uniform(0.5, 3.0, size=20), 12.0)
         plan = oracles._integer_form(constraint)[2]
-        assert {
-            "count grid": isinstance(plan, oracles._ClassPlan) and plan.fill is not None,
-            "table DP": plan is None,
-            "branch-and-bound": isinstance(plan, str),
-        }[route]
+        assert {"table DP": plan is None, "branch-and-bound": isinstance(plan, str)}[route]
         rows = rng.normal(2.0, 3.0, size=(6, constraint.weights.shape[0]))
         rows[3:] = np.round(rows[3:])  # tied values
         assert_rows_match_solve(rows, constraint)
