@@ -5,18 +5,20 @@ the load) runs `solve_knapsack_dp` by one of three routes: a load where at
 most one weight class fits, a unit knapsack among them, takes one stable
 sort (`_knapsack_top_k`); a count grid over the classes of at most
 `CLASS_GRID_MAX_CELLS` cells, and no larger than the table, takes
-`_knapsack_by_class`; other loads run the table DP, capped at
-`DP_TABLE_MAX_CELLS` cells. Weights that do not scale to int64 integers
-(`_integerize`), or a larger table, go to `solve_knapsack_bb`, capped at
-`KNAPSACK_BB_MAX_NODES` nodes. A `Scheduling` runs `solve_scheduling` over
-a plan memoised on the load (`_scheduling_plan`), capped at
-`SCHEDULING_MAX_NODES` nodes; the plan keeps up to `SCHEDULING_MEMO_MAX`
-schedules built. `SolverOracle` picks the route and counts calls; its
-`solve_rows` hands a block of value rows for one load to both class
-routes, and to the scheduling pricing (`_scheduling_rows`), in one call,
-while the table DP and branch-and-bound solve row by row. All
-solvers are pure functions of their inputs and safe for concurrent use.
-Timings beside the routes that stay were taken at seed 0 on a 2-vCPU Xeon.
+`_knapsack_by_class`, which raises FloatingPointError when class sums
+overflow; other loads run the table DP, capped at `DP_TABLE_MAX_CELLS`
+cells. Weights that do not scale to int64 integers (`_integerize`), or a
+larger table, go to `solve_knapsack_bb`, capped at `KNAPSACK_BB_MAX_NODES`
+nodes. A `Scheduling` runs `solve_scheduling` over a plan memoised on the
+load (`_scheduling_plan`), capped at `SCHEDULING_MAX_NODES` nodes; the plan
+keeps up to `SCHEDULING_MEMO_MAX` schedules built. A search past its node
+cap raises NodeBudgetError, an oracle failure to `training.train`.
+`SolverOracle` picks the route and counts calls; its `solve_rows` hands a
+block of value rows for one load to both class routes, and to the
+scheduling pricing (`_scheduling_rows`), in one call, while the table DP
+and branch-and-bound solve row by row. All solvers are pure functions of
+their inputs and safe for concurrent use. Timings beside the routes that
+stay were taken at seed 0 on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "OracleResult",
     "InfeasibleInstanceError",
     "InexactOracleError",
+    "NodeBudgetError",
     "solve_knapsack_dp",
     "solve_knapsack_bb",
     "solve_scheduling",
@@ -77,6 +80,11 @@ MAX_SCALE_SHIFT = 6
 
 class InfeasibleInstanceError(ValueError):
     """Raised when a scheduling instance admits no feasible schedule."""
+
+
+class NodeBudgetError(ValueError):
+    """Raised when a branch-and-bound search visits more nodes than its
+    budget, `KNAPSACK_BB_MAX_NODES` or `SCHEDULING_MAX_NODES`."""
 
 
 class InexactOracleError(RuntimeError):
@@ -260,7 +268,10 @@ def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, plan: _ClassPlan
     never counts past a class's positive values: it is the first best cell
     of the grid that spans each class only up to its positive values (and
     cap // w), with the same sums. The selection does not depend on how far
-    past them the grid reaches.
+    past them the grid reaches. Finite values whose class sums overflow can
+    leave a NaN (inf - inf) or +inf first best cell, which reads no
+    feasible selection: the solver raises FloatingPointError there, as
+    numpy does on the overflow under `training.train`.
 
     Given a 2-d array of value rows, one call selects for every row: one
     stable lexsort ranks each row, and the sums, the grid and the fill
@@ -300,6 +311,8 @@ def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, plan: _ClassPlan
     last[-1] = -np.inf
     grid += last.take(fill, axis=0)  # each cell's score
     if rows:  # the 1-d read-back below, on every row at once, as masks in rank order
+        if not math.isfinite(grid.max()):  # a NaN or +inf is its row's first best cell
+            raise FloatingPointError("knapsack class sums overflow")
         best = grid.reshape((-1,) + rows).argmax(axis=0)
         span = np.arange(values.shape[1])[:, None]
         chosen = np.zeros(ranked.shape, dtype=bool)
@@ -317,6 +330,8 @@ def _knapsack_by_class(values: np.ndarray, weights: np.ndarray, plan: _ClassPlan
         return x
     x = np.zeros(values.shape[0])
     best = int(grid.argmax())
+    if not math.isfinite(grid.item(best)):  # a NaN (inf - inf) is the first best cell
+        raise FloatingPointError("knapsack class sums overflow")
     x[order[lo : lo + _positives(ranked, lo, fill.item(best))]] = 1.0
     for w, count, extent in zip(class_weights[-2::-1], counts[-2::-1], extents[-2::-1]):
         lo -= count
@@ -409,12 +424,12 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     class holds every item, that is the table DP's own selection. Other
     loads run the table DP, whose ties prefer excluding the later item.
     Raises ValueError on values that are not 1-d, and on a NaN or infinite
-    value, found by one BLAS call (`_tiny_ones`). Finite values whose sum
-    overflows are solved as before; under `training.train` a numpy overflow
-    stops training instead. Raises
-    ValueError on the loads `SolverOracle` routes to branch-and-bound:
-    weights that do not scale to integers, or a table over
-    `DP_TABLE_MAX_CELLS`.
+    value, found by one BLAS call (`_tiny_ones`). On finite values whose
+    sums overflow, the count grid raises FloatingPointError, which numpy
+    raises under `training.train`'s error state; the table DP solves them
+    outside that state. Raises ValueError on the loads `SolverOracle`
+    routes to branch-and-bound: weights that do not scale to integers, or a
+    table over `DP_TABLE_MAX_CELLS`.
     """
     values = np.array(values, dtype=float)  # the answer's own copy
     if values.ndim != 1:
@@ -447,8 +462,9 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
     before its exclude child and is pruned on entry when its bound cannot
     beat the incumbent, on an explicit stack, so no item count overflows the
     interpreter stack. Raises ValueError on values that are not 1-d or
-    hold a NaN or infinite value, as `solve_knapsack_dp` does, and when the
-    search visits more than `KNAPSACK_BB_MAX_NODES` nodes.
+    hold a NaN or infinite value, as `solve_knapsack_dp` does, and
+    NodeBudgetError when the search visits more than
+    `KNAPSACK_BB_MAX_NODES` nodes.
     """
     values = np.array(values, dtype=float)  # the answer's own copy
     if values.ndim != 1:
@@ -502,7 +518,7 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
         level, value, weight, took = stack.pop()
         nodes += 1
         if nodes > max_nodes:
-            raise ValueError(
+            raise NodeBudgetError(
                 f"knapsack branch-and-bound exceeded the {max_nodes}-node budget "
                 f"on a load of {n} items"
             )
@@ -608,9 +624,9 @@ def solve_scheduling(prices, constraint: Scheduling) -> OracleResult:
     before on the load returns its stored `Solution`; the objective is
     always read under this call's prices. Raises ValueError on prices that
     are not 1-d, on a non-finite price or price total, InfeasibleInstanceError
-    when no complete schedule exists, and ValueError when the search visits
-    more than `SCHEDULING_MAX_NODES` nodes, counting the root and each placed
-    job.
+    when no complete schedule exists, and NodeBudgetError when the search
+    visits more than `SCHEDULING_MAX_NODES` nodes, counting the root and
+    each placed job.
     """
     prices = np.array(prices, dtype=float)  # the answer's own copy
     if prices.ndim != 1:
@@ -700,7 +716,7 @@ def _scheduling_search(
                 continue
             nodes += 1
             if nodes > max_nodes:
-                raise ValueError(
+                raise NodeBudgetError(
                     f"scheduling search exceeded the {max_nodes}-node budget "
                     f"on a load of {num_jobs} jobs"
                 )
@@ -739,7 +755,10 @@ class SolverOracle:
     Knapsack takes the route its memoised integer form chose once per load:
     the DP (count grid or table), or branch-and-bound when the weights do not
     integerize or the DP table would exceed its budget. Scheduling runs
-    branch-and-bound. One oracle may be shared across threads: the call
+    branch-and-bound. The solvers' errors propagate: ValueError on faulty
+    input, FloatingPointError on overflowing class sums, and the oracle
+    failures `training.train` names (InfeasibleInstanceError,
+    NodeBudgetError). One oracle may be shared across threads: the call
     counter is updated under a lock, and the memos on a load race harmlessly
     (`_integer_form`, `_scheduling_plan`).
     """
@@ -763,9 +782,9 @@ class SolverOracle:
         """`solve` on each row of a 2-d array of coefficient vectors for one
         load, counted as one call per row; answers in row order. Each row's
         answer has the vector, assignment and objective bits `solve` gives
-        it, unless a sum of its values overflows (`train` and `select_ridge`
-        raise FloatingPointError there), and a faulty row raises `solve`'s
-        error. Both class routes and scheduling loads answer every row
+        it, and a faulty row raises `solve`'s error for the block (on the
+        count grid, class sums that overflow raise FloatingPointError). Both
+        class routes and scheduling loads answer every row
         together (one call of `_knapsack_top_k` or `_knapsack_by_class`; one
         pricing and ranking, then a search per row): a `select_ridge` round
         took 20.6 ms on unit-dnl's loads and 120 ms on scheduling-max's so,

@@ -14,6 +14,7 @@ candidate. `TrainConfig` states when training stops.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .evaluation import (
     TrueOptimumCache, _clamped_regret, _memoised, _prober, _same_float, _true_value,
     evaluate_model_regret,
 )
-from .oracles import InexactOracleError, InfeasibleInstanceError, SolverOracle
+from .oracles import InexactOracleError, InfeasibleInstanceError, NodeBudgetError, SolverOracle
 from .transitions import SearchSpec, TransitionProfile, extract_full, extract_greedy
 
 __all__ = [
@@ -50,7 +51,21 @@ class Variant(str, Enum):
 
 
 class TrainingError(RuntimeError):
-    """Raised when an oracle failure or a numpy overflow aborts a training epoch."""
+    """A failed step of `train`, from its cause: "epoch E: floating-point
+    error while DOING: cause" (an overflow or lost precision) or "epoch E:
+    oracle failure while DOING: cause" (`_failures`)."""
+
+
+@contextlib.contextmanager
+def _failures(epoch: int, doing: str):
+    """Re-raise a FloatingPointError or an oracle failure in the block as a
+    TrainingError from it, named by its kind; other errors propagate."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise TrainingError(f"epoch {epoch}: floating-point error while {doing}: {exc}") from exc
+    except (InexactOracleError, InfeasibleInstanceError, NodeBudgetError) as exc:
+        raise TrainingError(f"epoch {epoch}: oracle failure while {doing}: {exc}") from exc
 
 
 @dataclass
@@ -286,11 +301,11 @@ def train(
     The intercept stays at its warmstart value; only the coefficient vector
     is trained. Returns the trace with the model attaining the lowest
     recorded validation regret, which carries no memo. A numpy overflow
-    raises FloatingPointError instead of warning, as does a transition
-    search whose own float arithmetic overflows. An inexact oracle, an
-    infeasible instance or an overflow, met while updating a parameter (a
-    search region bound included) or while scoring an epoch (the warm start
-    included), raises TrainingError; other errors propagate.
+    raises FloatingPointError instead of warning, as do a search region and
+    a transition search whose own float arithmetic overflows. Scoring an
+    epoch (the warm start included) or updating a parameter (region,
+    extraction, selection) raises TrainingError from a FloatingPointError
+    or an oracle failure; other errors propagate.
 
     Each decision is solved once per model: the model in training keeps the
     oracle's answer at its own coefficients for every set it has solved, so
@@ -313,17 +328,9 @@ def train(
     start_time = time.perf_counter()
 
     def snapshot(epoch: int) -> EpochStats:
-        try:
+        with _failures(epoch, "scoring the model"):
             train_regret, _ = evaluate_model_regret(model, train_sets, oracle, cache)
             val_regret, _ = evaluate_model_regret(model, val_sets, oracle, cache)
-        except FloatingPointError as exc:
-            raise TrainingError(
-                f"epoch {epoch}: overflow while scoring the model: {exc}"
-            ) from exc
-        except (InexactOracleError, InfeasibleInstanceError) as exc:
-            raise TrainingError(
-                f"epoch {epoch}: oracle failure while scoring the model: {exc}"
-            ) from exc
         return EpochStats(
             epoch,
             train_regret,
@@ -347,21 +354,10 @@ def train(
                     timed_out = True
                     break
                 beta_old = float(model.coefficients[k])
-                try:
+                with _failures(epoch, f"updating parameter {k}"):
                     spec = SearchSpec.from_parameter(beta_old)
-                except ValueError as exc:  # a bound overflowed
-                    raise TrainingError(
-                        f"epoch {epoch}: overflow building the search region of "
-                        f"parameter {k}: {exc}"
-                    ) from exc
-                try:
                     profiles = [extract(model, ps, k, spec, oracle) for ps in batch]
                     beta_opt = select(profiles, batch, model, k, oracle, cache)
-                except (InexactOracleError, InfeasibleInstanceError, FloatingPointError) as exc:
-                    raise TrainingError(
-                        f"epoch {epoch}: oracle failure while updating "
-                        f"parameter {k}: {exc}"
-                    ) from exc
                 if config.learning_rate == 1.0:
                     beta_new = beta_opt
                 else:

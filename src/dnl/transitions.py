@@ -26,7 +26,8 @@ has already scored: it still costs its oracle call, but no dot product. The sear
 arithmetic on lines is plain Python floats, which overflow to inf silently,
 so a new line must be finite at both ends of the region (and so everywhere
 in it) and a crossing must be a number; otherwise the search raises
-FloatingPointError, as a numpy overflow does under `training.train`. End
+FloatingPointError, as a numpy overflow does under `training.train` and an
+overflowing region bound does in `SearchSpec.from_parameter`. End
 lines that cross the wrong way mean an inexact oracle (InexactOracleError),
 unless they do so by no more than a bound on the rounding error of the
 predictions and line values (`_not_convex`), as when one feature term
@@ -103,11 +104,13 @@ class SearchSpec:
     def from_parameter(cls, beta: float) -> "SearchSpec":
         """Region centered on the current parameter, with half-width 1.5
         times its magnitude. Near zero the relative rule degenerates, so a
-        fixed symmetric region is substituted. Raises ValueError when a
-        bound overflows to infinity."""
+        fixed symmetric region is substituted. Raises FloatingPointError
+        when a bound of a finite parameter overflows to infinity."""
         if abs(beta) < ZERO_PARAM_THRESHOLD:
             return cls(*ZERO_PARAM_BOUNDS)
         lo, hi = sorted((beta - RELATIVE_SPAN * beta, beta + RELATIVE_SPAN * beta))
+        if math.isfinite(beta) and not (math.isfinite(lo) and math.isfinite(hi)):
+            raise FloatingPointError(f"search region [{lo}, {hi}] of {beta!r} overflows")
         return cls(lo, hi)
 
 

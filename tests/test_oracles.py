@@ -768,6 +768,34 @@ class TestClassSolver:
         best_val, _ = enumerate_knapsack(values, small.weights, 5.0)
         assert res.objective == pytest.approx(best_val, abs=1e-9)
 
+    def test_overflowing_class_sums_answer_feasibly_or_raise(self):
+        # Values of 1e307-5e307 times small integers are finite, but class
+        # sums of them overflow. Outside `train`'s error state numpy only
+        # warns there, and every route either answers feasibly or raises the
+        # FloatingPointError numpy raises under it.
+        rng = np.random.default_rng(173)
+        outcomes = {"feasible": 0, "overflow": 0}
+        for _ in range(150):
+            values, constraint = edge_class_load(rng)
+            rows = np.stack([values, rng.permutation(values)]) * rng.choice([1e307, 3e307, 5e307])
+            calls = [
+                lambda: [dnl.solve_knapsack_dp(rows[0], constraint)],
+                lambda: [dnl.SolverOracle().solve(rows[1], constraint)],
+                lambda: dnl.SolverOracle().solve_rows(rows, constraint),
+            ]
+            for call in calls:
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        answers = call()
+                except FloatingPointError as exc:
+                    assert str(exc) == "knapsack class sums overflow"
+                    outcomes["overflow"] += 1
+                    continue
+                for answer in answers:
+                    dnl.validate_solution(answer.solution, constraint)
+                outcomes["feasible"] += 1
+        assert min(outcomes.values()) > 50, outcomes
+
     def test_grid_budget_falls_back_to_table_dp(self, monkeypatch):
         monkeypatch.setattr(oracles, "CLASS_GRID_MAX_CELLS", 4)
         rng = np.random.default_rng(101)
@@ -1317,8 +1345,40 @@ class TestOracleResult:
             res.solution = None
 
 
+def under_overflow(solve, values, weights, capacity):
+    """An INPUT_CHECKS case: `solve(values, Knapsack(weights, capacity))`
+    outside `train`'s error state, where numpy's overflow only warns (and
+    pytest would turn the warning into an error)."""
+    def call():
+        with np.errstate(over="ignore", invalid="ignore"):
+            solve(values, dnl.Knapsack(weights, capacity))
+    return call, FloatingPointError, "knapsack class sums overflow"
+
+
+# Two loads whose class sums overflow on finite values: the first best cell
+# of the count grid is a NaN (+inf + -inf), which read an index past a class
+# (the first load) or an infeasible selection (the second).
+OVERFLOWING_LOADS = {
+    "past a class": (
+        [5e307, -1.5e308, 1e308, 1e308, -5e307, -5e307, 1e308, 5e307, 0.0],
+        [3, 2, 1, 3, 3, 4, 3, 1, 1], 6),
+    "infeasible cell": (
+        [0, 0, 0, -1e307, 1e308, -0.0, -1e307, 1.5e308, -1.5e308, 3e307],
+        [4, 1, 0, 0, 7, 1, 0, 1, 3, 0], 5),
+}
+OVERFLOW_ROUTES = {
+    "dp": dnl.solve_knapsack_dp,
+    "oracle": lambda values, constraint: dnl.SolverOracle().solve(values, constraint),
+    "rows": lambda values, constraint: dnl.SolverOracle().solve_rows([values, values], constraint),
+}
+
 # Each input check: (call, exception type, message fragment).
 INPUT_CHECKS = {
+    **{
+        f"{route} class sums overflow {load}": under_overflow(solve, *OVERFLOWING_LOADS[load])
+        for route, solve in OVERFLOW_ROUTES.items()
+        for load in OVERFLOWING_LOADS
+    },
     "dp value count": (
         lambda: dnl.solve_knapsack_dp([1.0, 2.0], dnl.Knapsack([1.0] * 3, 2.0)),
         ValueError, "values and weights must have equal length"),

@@ -433,6 +433,7 @@ class TestTrain:
             for error, wrapped in (
                 (dnl.InexactOracleError, True),
                 (dnl.InfeasibleInstanceError, True),
+                (dnl.NodeBudgetError, True),
                 (ValueError, False),
                 (RuntimeError, False),
                 (FloatingPointError, True),
@@ -455,7 +456,9 @@ class TestTrain:
             assert type(info.value) is TrainingError
             assert type(info.value.__cause__) is error
             where = "updating parameter 0" if phase == "extract_full" else "scoring the model"
-            assert where in str(info.value)
+            kind = "floating-point error" if error is FloatingPointError else "oracle failure"
+            epoch = 1 if phase == "extract_full" else 0
+            assert str(info.value) == f"epoch {epoch}: {kind} while {where}: raised in {phase}"
         else:
             assert type(info.value) is error
 
@@ -482,11 +485,11 @@ class TestTrain:
     @staticmethod
     def stops_at_overflow(
         constraint, size, feature, seed, oracle,
-        failure="epoch 1: oracle failure while updating parameter 0: overflow",
+        failure="epoch 1: floating-point error while updating parameter 0: overflow",
     ):
         """Train on sets whose feature 0 is `feature`; training must stop on
-        an overflow, by default in the update of parameter 0, as a
-        TrainingError with the `failure` message."""
+        a FloatingPointError, by default in the update of parameter 0, as a
+        TrainingError from it whose message starts with `failure`."""
         rng = np.random.default_rng(seed)
         sets = [
             dnl.ProblemSet(
@@ -498,8 +501,9 @@ class TestTrain:
             for i in range(4)
         ]
         warmstart = dnl.LinearModel([1.0, 1.0], 0.0)
-        with pytest.raises(TrainingError, match=failure) as info:
+        with pytest.raises(TrainingError) as info:
             dnl.train(sets[:3], sets[3:], dnl.TrainConfig(max_epochs=1), oracle, warmstart)
+        assert str(info.value).startswith(failure)
         assert type(info.value.__cause__) is FloatingPointError
 
     def test_overflowing_predicted_prices_become_a_training_error(self, oracle):
@@ -522,7 +526,7 @@ class TestTrain:
         # The warm start's values are finite, but two of weight 1 sum past
         # the largest float in the class solver's prefix sums.
         constraint = dnl.Knapsack([1.0, 2.0, 3.0, 1.0], 4.0)
-        failure = "epoch 0: overflow while scoring the model: overflow encountered"
+        failure = "epoch 0: floating-point error while scoring the model: overflow encountered"
         self.stops_at_overflow(constraint, 4, 1e308, 97, oracle, failure)
 
     def test_overflowing_search_line_becomes_a_training_error(self, oracle):
@@ -530,7 +534,9 @@ class TestTrain:
         # overflows at the top of the search region (2.5): a Python float
         # overflow, which numpy's error state does not see.
         constraint = dnl.Knapsack([1.0, 1.0, 1.0, 1.0], 2.0)
-        failure = "epoch 1: oracle failure while updating parameter 0: overflow scoring a decision"
+        failure = (
+            "epoch 1: floating-point error while updating parameter 0: overflow scoring a decision"
+        )
         self.stops_at_overflow(constraint, 4, 5e307, 101, oracle, failure)
 
     def test_overflowing_search_region_becomes_a_training_error(self, oracle):
@@ -539,12 +545,13 @@ class TestTrain:
         sets, _ = realizable_sets(8)
         warmstart = dnl.LinearModel([8e307, 1.0], 0.0)
         failure = (
-            "epoch 1: overflow building the search region of parameter 0: "
-            "search region upper bound inf is not finite"
+            "epoch 1: floating-point error while updating parameter 0: "
+            "search region [-3.9999999999999994e+307, inf] of 8e+307 overflows"
         )
-        with pytest.raises(TrainingError, match=failure) as info:
+        with pytest.raises(TrainingError) as info:
             dnl.train(sets[:6], sets[6:], dnl.TrainConfig(max_epochs=1), oracle, warmstart)
-        assert type(info.value.__cause__) is ValueError
+        assert str(info.value) == failure
+        assert type(info.value.__cause__) is FloatingPointError
 
     @pytest.mark.parametrize("seed", range(6))
     def test_swamping_feature_is_a_precision_error(self, oracle, seed):
@@ -554,8 +561,33 @@ class TestTrain:
         # decisions has equal slopes. That is lost precision, not an
         # inexact oracle.
         constraint = dnl.Knapsack([1.0, 1.0, 1.0, 1.0], 2.0)
-        failure = "epoch 1: oracle failure while updating parameter 0: precision lost"
+        failure = "epoch 1: floating-point error while updating parameter 0: precision lost"
         self.stops_at_overflow(constraint, 4, 2e307, seed, oracle, failure)
+
+    @pytest.mark.parametrize("load", ["scheduling", "real-weight knapsack"])
+    def test_node_budget_overrun_becomes_a_training_error(self, oracle, monkeypatch, load):
+        # A budget of one node, the root, is overrun by the first solve,
+        # while the warm start is scored. Real-valued weights do not scale
+        # to integers, so the knapsack runs branch-and-bound.
+        rng = np.random.default_rng(7)
+        if load == "scheduling":
+            monkeypatch.setattr(dnl.oracles, "SCHEDULING_MAX_NODES", 1)
+            sets = [random_scheduling_problem(rng, f"s{i}") for i in range(4)]
+            cause = "scheduling search exceeded the 1-node budget on a load of 3 jobs"
+        else:
+            monkeypatch.setattr(dnl.oracles, "KNAPSACK_BB_MAX_NODES", 1)
+            sets = []
+            for i in range(4):
+                ps = random_knapsack_problem(rng, 6, f"s{i}")
+                weights = ps.constraint.weights + rng.uniform(0.1, 0.9, 6).round(9)
+                sets.append(dnl.ProblemSet(
+                    ps.true_values, ps.features, dnl.Knapsack(weights, 0.45 * weights.sum()), ps.id))
+            cause = "knapsack branch-and-bound exceeded the 1-node budget on a load of 6 items"
+        warmstart = dnl.LinearModel([1.0, 1.0, 1.0], 0.0)
+        with pytest.raises(TrainingError) as info:
+            dnl.train(sets[:3], sets[3:], dnl.TrainConfig(max_epochs=1), oracle, warmstart)
+        assert str(info.value) == f"epoch 0: oracle failure while scoring the model: {cause}"
+        assert type(info.value.__cause__) is dnl.NodeBudgetError
 
     @pytest.mark.parametrize("variant", ["dnl", "dnl-max", "dnl-greedy"])
     def test_shared_unit_knapsack_trains_as_one_per_day(self, variant):

@@ -63,10 +63,13 @@ class TestSearchSpec:
             dnl.SearchSpec(lower, upper)
 
     def test_overflowing_parameter_rejected(self):
-        with pytest.raises(ValueError, match="upper bound inf is not finite"):
+        with pytest.raises(FloatingPointError, match=r"search region \[-5e\+307, inf\] of 1e\+308"):
             dnl.SearchSpec.from_parameter(1e308)
-        with pytest.raises(ValueError, match="lower bound -inf is not finite"):
+        with pytest.raises(FloatingPointError, match=r"search region \[-inf, 5e\+307\] of -1e\+308"):
             dnl.SearchSpec.from_parameter(-1e308)
+        # A non-finite parameter overflows nothing: its region is not finite.
+        with pytest.raises(ValueError, match="lower bound nan is not finite"):
+            dnl.SearchSpec.from_parameter(np.inf)
 
 
 class TestExtractFull:
