@@ -12,19 +12,19 @@ larger table, go to `solve_knapsack_bb`, capped at `KNAPSACK_BB_MAX_NODES`
 nodes. A `Scheduling` runs `solve_scheduling` over a plan memoised on the
 load (`_scheduling_plan`), capped at `SCHEDULING_MAX_NODES` nodes; the plan
 keeps up to `SCHEDULING_MEMO_MAX` schedules built. A search past its node
-cap raises NodeBudgetError, an oracle failure to `training.train`.
-`SolverOracle` picks the route and counts calls; its `solve_rows` hands a
-block of value rows for one load to both class routes, and to the
-scheduling pricing (`_scheduling_rows`), in one call, while the table DP
-and branch-and-bound solve row by row. All solvers are pure functions of
-their inputs and safe for concurrent use. Timings beside the routes that
-stay were taken at seed 0 on a 2-vCPU Xeon.
+cap raises NodeBudgetError, an oracle failure to `training.train`. Every
+knapsack entry holds values to one contract, kept in `_check_values`: a
+value per item, each finite, or ValueError. `SolverOracle` picks the route
+and counts calls; its `solve_rows` hands a block of value rows for one load
+to both class routes, and to the scheduling pricing (`_scheduling_rows`),
+in one call, while the table DP and branch-and-bound solve row by row. All
+solvers are pure functions of their inputs and safe for concurrent use.
+Timings beside the routes that stay were taken at seed 0 on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -394,6 +394,16 @@ def _tiny_ones(n: int) -> np.ndarray:
     return row
 
 
+def _check_values(values: np.ndarray, n: int) -> None:
+    """The knapsack value contract, on one value vector or each row of a
+    block: n values, each finite (by `_tiny_ones`), or ValueError."""
+    if values.shape[-1] != n:
+        raise ValueError("values and weights must have equal length")
+    sums = values.dot(_tiny_ones(n))  # one per row, non-finite where a value is
+    if not (math.isfinite(sums) if values.ndim == 1 else np.isfinite(sums).all()):
+        raise ValueError("knapsack values must be finite")
+
+
 # One entry per load shape, looked up once per load: the 1,376 loads of the
 # weighted benchmark at seed 0 hold 231 shapes (231 misses, 1,145 hits).
 @functools.lru_cache(maxsize=256)
@@ -423,13 +433,13 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     across classes the first best count vector in grid order wins. When one
     class holds every item, that is the table DP's own selection. Other
     loads run the table DP, whose ties prefer excluding the later item.
-    Raises ValueError on values that are not 1-d, and on a NaN or infinite
-    value, found by one BLAS call (`_tiny_ones`). On finite values whose
-    sums overflow, the count grid raises FloatingPointError, which numpy
-    raises under `training.train`'s error state; the table DP solves them
-    outside that state. Raises ValueError on the loads `SolverOracle`
-    routes to branch-and-bound: weights that do not scale to integers, or a
-    table over `DP_TABLE_MAX_CELLS`.
+    Raises ValueError on values that are not 1-d or break the value contract
+    (`_check_values`). On finite values whose sums overflow, the count grid
+    raises FloatingPointError, which numpy raises under `training.train`'s
+    error state; the table DP solves them outside that state. Raises
+    ValueError on the loads `SolverOracle` routes to branch-and-bound:
+    weights that do not scale to integers, or a table over
+    `DP_TABLE_MAX_CELLS`.
     """
     values = np.array(values, dtype=float)  # the answer's own copy
     if values.ndim != 1:
@@ -437,11 +447,7 @@ def solve_knapsack_dp(values, constraint: Knapsack) -> OracleResult:
     weights, cap, route = _integer_form(constraint)
     if isinstance(route, str):
         raise ValueError(route)
-    n = values.shape[0]
-    if weights.shape[0] != n:
-        raise ValueError("values and weights must have equal length")
-    if not math.isfinite(values.dot(_tiny_ones(n))):
-        raise ValueError("knapsack values must be finite")
+    _check_values(values, weights.shape[0])
 
     if route is None:
         x = _knapsack_table_dp(values, weights, cap)
@@ -462,20 +468,15 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
     before its exclude child and is pruned on entry when its bound cannot
     beat the incumbent, on an explicit stack, so no item count overflows the
     interpreter stack. Raises ValueError on values that are not 1-d or
-    hold a NaN or infinite value, as `solve_knapsack_dp` does, and
-    NodeBudgetError when the search visits more than
-    `KNAPSACK_BB_MAX_NODES` nodes.
+    break the value contract (`_check_values`), and NodeBudgetError when
+    the search visits more than `KNAPSACK_BB_MAX_NODES` nodes.
     """
     values = np.array(values, dtype=float)  # the answer's own copy
     if values.ndim != 1:
         raise ValueError("knapsack values must be a 1-d array")
-    weights = np.asarray(constraint.weights, dtype=float)
-    cap = float(constraint.capacity)
-    n = values.shape[0]
-    if weights.shape[0] != n:
-        raise ValueError("values and weights must have equal length")
-    if not math.isfinite(values.dot(_tiny_ones(n))):
-        raise ValueError("knapsack values must be finite")
+    weights, cap = constraint.weights, constraint.capacity
+    n = weights.shape[0]
+    _check_values(values, n)
 
     x = np.zeros(n)
     base_value = 0.0
@@ -494,8 +495,7 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
     m = len(order)
 
     best_value = base_value
-    best_chosen: list[int] = []
-    taken = [False] * m  # taken[j]: the current path includes ranked item j
+    best_chain = None
     max_nodes = KNAPSACK_BB_MAX_NODES
     nodes = 0
 
@@ -510,29 +510,27 @@ def solve_knapsack_bb(values, constraint: Knapsack) -> OracleResult:
                 break
         return value
 
-    # Depth first over (level, value, weight, took), where took says whether
-    # the node includes item level - 1. The include child is pushed last, so
-    # it is visited, with its whole subtree, before the exclude child.
-    stack = [(0, base_value, 0.0, False)]
+    # Depth first over (level, value, weight, chain), chain the included
+    # levels as nested (level, rest) pairs, last first. The include child is
+    # pushed last, so its whole subtree is visited before the exclude child.
+    stack = [(0, base_value, 0.0, None)]
     while stack:
-        level, value, weight, took = stack.pop()
+        level, value, weight, chain = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             raise NodeBudgetError(
                 f"knapsack branch-and-bound exceeded the {max_nodes}-node budget "
                 f"on a load of {n} items"
             )
-        if level:
-            taken[level - 1] = took
         if value > best_value:
-            best_value = value
-            best_chosen = list(itertools.compress(range(level), taken))
+            best_value, best_chain = value, chain
         if level == m or bound(level, value, weight) <= best_value + 1e-12:
             continue
-        stack.append((level + 1, value, weight, False))
+        stack.append((level + 1, value, weight, chain))
         if weight + ww[level] <= cap + OBJECTIVE_TOL:
-            stack.append((level + 1, value + vv[level], weight + ww[level], True))
-    for level in best_chosen:
+            stack.append((level + 1, value + vv[level], weight + ww[level], (level, chain)))
+    while best_chain is not None:
+        level, best_chain = best_chain
         x[order[level]] = 1.0
     x.setflags(write=False)  # handed to the solution without a copy
     return _result(knapsack_solution(x), values)
@@ -780,20 +778,21 @@ class SolverOracle:
 
     def solve_rows(self, values, constraint: ConstraintData) -> list[OracleResult]:
         """`solve` on each row of a 2-d array of coefficient vectors for one
-        load, counted as one call per row; answers in row order. Each row's
-        answer has the vector, assignment and objective bits `solve` gives
-        it, and a faulty row raises `solve`'s error for the block (on the
-        count grid, class sums that overflow raise FloatingPointError). Both
-        class routes and scheduling loads answer every row
-        together (one call of `_knapsack_top_k` or `_knapsack_by_class`; one
-        pricing and ranking, then a search per row): a `select_ridge` round
-        took 20.6 ms on unit-dnl's loads and 120 ms on scheduling-max's so,
-        against 29.2 and 162 ms with `solve` per row. On a 48-item {3, 5, 7}
-        load at capacity 122, 5 rows take 64 us and 33 rows 206 us, against
-        94 and 612 us with `solve` per row. The table DP and
-        branch-and-bound solve row by row. `train` keeps scalar `solve`, one
-        backend call per counted call, which `--trace 1` checks until the
-        benchmark's tracer counts calls instead of backend spans."""
+        load, counted as one call per row; answers in row order, and `[]` for
+        a block of no rows. Each row's answer has the vector, assignment and
+        objective bits `solve` gives it, and a faulty row raises `solve`'s
+        error for the block: on both class routes, the value contract
+        (`_check_values`) checks the whole block at once. Both class routes
+        and scheduling loads answer every row together (one call of
+        `_knapsack_top_k` or `_knapsack_by_class`; one pricing and ranking,
+        then a search per row): a `select_ridge` round took 20.6 ms on
+        unit-dnl's loads and 120 ms on scheduling-max's so, against 29.2 and
+        162 ms with `solve` per row. On a 48-item {3, 5, 7} load at capacity
+        122, 5 rows take 64 us and 33 rows 206 us, against 94 and 612 us with
+        `solve` per row. The table DP and branch-and-bound solve row by row.
+        `train` keeps scalar `solve`, one backend call per counted call, which
+        `--trace 1` checks until the benchmark's tracer counts calls instead
+        of backend spans."""
         values = np.array(values, dtype=float)  # the answers' own copy
         if values.ndim != 2:
             raise ValueError("coefficient rows must be a 2-d array")
@@ -802,10 +801,9 @@ class SolverOracle:
         if isinstance(constraint, Knapsack):
             weights, _, route = _integer_form(constraint)
             if isinstance(route, _ClassPlan):
-                if values.shape[1] != weights.shape[0]:
-                    raise ValueError("values and weights must have equal length")
-                if not np.isfinite(values.dot(_tiny_ones(values.shape[1]))).all():
-                    raise ValueError("knapsack values must be finite")
+                _check_values(values, weights.shape[0])
+                if not values.shape[0]:  # the count grid has no rows to reduce
+                    return []
                 solver = _knapsack_top_k if route.fill is None else _knapsack_by_class
                 x = solver(values, weights, route)
                 return [_result(knapsack_solution(sel), row) for sel, row in zip(x, values)]

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,43 @@ class TestRegret:
                 c = ps.constraint
                 want = _sign(c) * oracle.solve(ps.true_values, c).objective
                 assert dnl.TrueOptimumCache().true_optimal(ps, oracle).hex() == want.hex(), name
+
+    def test_cache_is_exact_across_threads(self):
+        # Four threads read the true optima of shared sets through one cache
+        # and one oracle, racing on the first solve of each set and on the
+        # memos of its load: every value is the single-threaded one, bit for
+        # bit, and each set keeps one entry.
+        def corpus():
+            series = dnl.synthesize(6, 3, 0.5, seed=29, group_size=12)
+            return [
+                *dnl.make_knapsack(series, False, 5.0, seed=1),
+                *dnl.make_knapsack(series, True, 20.0, seed=1),
+                *dnl.make_scheduling(series, 2, 4, seed=1),
+            ]
+
+        reference = dnl.TrueOptimumCache()
+        want = [reference.true_optimal(ps, dnl.SolverOracle()).hex() for ps in corpus()]
+        sets, cache, oracle = corpus(), dnl.TrueOptimumCache(), dnl.SolverOracle()
+        results = [[] for _ in range(4)]
+
+        def work(out):
+            for _ in range(20):
+                out.append([cache.true_optimal(ps, oracle).hex() for ps in sets])
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in results:
+            assert out == [want] * 20
+        assert len(cache) == len(sets)
 
     def test_negative_regret_means_an_inexact_oracle(self):
         ps = example1_problem()

@@ -816,7 +816,7 @@ def value_rows(rng, values, size):
     rows = [values, -values, values[::-1]]
     while len(rows) < size:
         rows.append(rng.permutation(values) * rng.choice([-1.0, 1.0], size=values.shape))
-    return np.stack(rows[:size])
+    return np.stack(rows)[:size]
 
 
 class TestClassRows:
@@ -837,7 +837,7 @@ class TestClassRows:
                 weights = rng.choice([1.0, 2.0, 3.0], size=n)
                 values = rng.integers(-1, 4, size=n).astype(float)
                 constraint = dnl.Knapsack(weights, float(rng.integers(0, int(weights.sum()) + 1)))
-            for size in (1, 2, 5, 33):
+            for size in (0, 1, 2, 5, 33):
                 assert_rows_match_solve(value_rows(rng, values, size), constraint)
             weights, cap, plan = oracles._integer_form(constraint)
             if plan is None:
@@ -1139,6 +1139,25 @@ class TestCapacityAtOrAboveTotalWeight:
         assert res.objective == pytest.approx(sum(v for v in values if v > 0), abs=1e-9)
 
 
+# One load per knapsack route.
+KNAPSACK_ROUTE_LOADS = {
+    "top-k": dnl.Knapsack(np.ones(9), 4.0),
+    "count grid": dnl.Knapsack(np.resize([3.0, 5.0, 7.0], 48), 122.0),
+    "table DP": dnl.Knapsack(np.arange(1.0, 18.0), 200.0),
+    "branch-and-bound": dnl.Knapsack([1.0, 1.0 / 3.0, 2.0, 0.5, 1.5], 2.0),
+}
+
+
+def knapsack_route(constraint):
+    """The name of the route `SolverOracle` takes on a knapsack load."""
+    plan = oracles._integer_form(constraint)[2]
+    if isinstance(plan, str):
+        return "branch-and-bound"
+    if plan is None:
+        return "table DP"
+    return "top-k" if plan.fill is None else "count grid"
+
+
 class TestSolverOracle:
     def test_counts_calls(self):
         oracle = dnl.SolverOracle()
@@ -1165,6 +1184,25 @@ class TestSolverOracle:
         rows = rng.normal(2.0, 3.0, size=(6, constraint.weights.shape[0]))
         rows[3:] = np.round(rows[3:])  # tied values
         assert_rows_match_solve(rows, constraint)
+
+    @pytest.mark.parametrize("route", [*KNAPSACK_ROUTE_LOADS, "scheduling"])
+    def test_empty_block_answers_nothing(self, route):
+        # A block of no rows answers [] and counts no call on every route; on
+        # the class routes and scheduling, its width is still checked.
+        if route == "scheduling":
+            constraint = random_schedule_constraint(np.random.default_rng(0))
+            width = constraint.periods
+        else:
+            constraint = KNAPSACK_ROUTE_LOADS[route]
+            assert knapsack_route(constraint) == route
+            width = constraint.num_items
+        oracle = dnl.SolverOracle()
+        assert oracle.solve_rows(np.empty((0, width)), constraint) == []
+        assert oracle.calls == 0
+        if route in ("top-k", "count grid", "scheduling"):
+            message = "one price per period" if route == "scheduling" else "equal length"
+            with pytest.raises(ValueError, match=message):
+                oracle.solve_rows(np.empty((0, width + 1)), constraint)
 
     def test_auto_falls_back_to_bb(self):
         constraint = dnl.Knapsack([1.0, 1.0 / 3.0], 2.0)
@@ -1463,3 +1501,36 @@ def test_input_check_names_the_fault(case):
         call()
     assert type(info.value) is error
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("load", KNAPSACK_ROUTE_LOADS)
+@pytest.mark.parametrize("fault", ["short vector", "nan", "+inf", "-inf"])
+def test_knapsack_entries_agree_on_faulty_values(load, fault):
+    # Every knapsack entry holds values to one contract: on each route, the
+    # same faulty values raise the same type and message from each entry.
+    constraint = KNAPSACK_ROUTE_LOADS[load]
+    assert knapsack_route(constraint) == load
+    good = np.linspace(-1.0, 2.0, constraint.num_items)
+    if fault == "short vector":  # every row of a block has the block's width
+        bad = good[:-1]
+        block = np.stack([good[1:], bad])
+    else:
+        bad = good.copy()
+        bad[1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[fault]
+        block = np.stack([good, bad])
+    entries = {
+        "dp": lambda: dnl.solve_knapsack_dp(bad, constraint),
+        "bb": lambda: dnl.solve_knapsack_bb(bad, constraint),
+        "solve": lambda: dnl.SolverOracle().solve(bad, constraint),
+        "rows": lambda: dnl.SolverOracle().solve_rows(block, constraint),
+    }
+    if load == "branch-and-bound":  # the DP refuses the load by route
+        del entries["dp"]
+    raised = {}
+    for name, call in entries.items():
+        with pytest.raises(Exception) as info:
+            call()
+        raised[name] = (type(info.value), str(info.value))
+    message = "values and weights must have equal length" if fault == "short vector" else (
+        "knapsack values must be finite")
+    assert raised == dict.fromkeys(entries, (ValueError, message))
