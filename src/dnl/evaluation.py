@@ -130,7 +130,11 @@ class TrueOptimumCache:
     True optima never change during training; caching them halves the oracle
     calls of every regret evaluation. Keyed on the problem set, which hashes
     by identity, so two sets with equal ids or values keep separate entries.
-    Safe for concurrent readers.
+    Safe for concurrent readers: every read (`true_optimal`, `_lookup`) and
+    every store (`_store`) holds the lock, and a store keeps the value
+    already there, so all readers see one value per set.
+    `ridge.select_ridge` solves the optima it lacks itself, as rows, and
+    stores them.
     """
 
     def __init__(self):
@@ -142,7 +146,16 @@ class TrueOptimumCache:
             value = self._values.get(problem)
         if value is not None:
             return value
-        value = _true_value(oracle.solve(problem.true_values, problem.constraint), problem)
+        answer = oracle.solve(problem.true_values, problem.constraint)
+        return self._store(problem, _true_value(answer, problem))
+
+    def _lookup(self, problems: Sequence[ProblemSet]) -> dict[ProblemSet, Optional[float]]:
+        """Each distinct set's cached optimum, or None, read under one lock."""
+        with self._lock:
+            return {problem: self._values.get(problem) for problem in problems}
+
+    def _store(self, problem: ProblemSet, value: float) -> float:
+        """Cache `value` unless the set already has one; returns the cached one."""
         with self._lock:
             return self._values.setdefault(problem, value)
 

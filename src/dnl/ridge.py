@@ -72,14 +72,16 @@ def select_ridge(
     The grid shares one set of normal equations. Validation days that share
     a load are solved together: every penalty's predictions on them are rows
     of one `SolverOracle.solve_rows` call, each row computed with `predict`'s
-    operands, so each answer and each call count is the one that a `solve`
-    per (penalty, day) gives. Each day's regret is `regret_of`'s, its true
-    optimum read through `cache` (solved once per day on a fresh cache), and
-    a penalty's score is the mean over the days in validation order, as
-    `evaluate_model_regret` computes it. Each load's answers are scored as
-    soon as they are solved, so only one load's are held at a time. A numpy
-    overflow while scoring raises FloatingPointError; no validation day
-    raises ValueError."""
+    operands, penalty-major, followed by the true values of each of its days
+    whose true optimum `cache` lacks, in validation order. So each answer and
+    each call count is the one that a `solve` per (penalty, day), and one per
+    uncached true optimum, gives; the optima solved are stored in `cache`,
+    and a warm cache solves none again. Each day's optimum is read from the
+    cache once, its regret is `regret_of`'s, and a penalty's score is the
+    mean over the days in validation order, as `evaluate_model_regret`
+    computes it. Each load's answers are scored as soon as they are solved,
+    so only one load's are held at a time. A numpy overflow while scoring
+    raises FloatingPointError; no validation day raises ValueError."""
     if cache is None:
         cache = TrueOptimumCache()
     system = _normal_equations(train_sets)
@@ -95,15 +97,22 @@ def select_ridge(
     with np.errstate(over="raise"):
         for days in loads.values():
             problems = [val_sets[i] for i in days]
-            rows = np.empty((len(models) * len(days), problems[0].true_values.shape[0]))
+            optima = cache._lookup(problems)
+            missing = [problem for problem, value in optima.items() if value is None]
+            predicted = len(models) * len(days)
+            rows = np.empty((predicted + len(missing), problems[0].true_values.shape[0]))
             for row, (model, problem) in zip(rows, itertools.product(models, problems)):
                 problem.features.dot(model.coefficients, out=row)
                 row += model.intercept + 0.0  # `predict`'s bits
+            for row, problem in zip(rows[predicted:], missing):
+                row[:] = problem.true_values
             solved = oracle.solve_rows(rows, problems[0].constraint)
+            for problem, result in zip(missing, solved[predicted:]):
+                optima[problem] = cache._store(problem, _true_value(result, problem))
             for (k, i), result in zip(itertools.product(range(len(models)), days), solved):
                 problem = val_sets[i]
                 regrets[k, i] = _clamped_regret(
-                    cache.true_optimal(problem, oracle), _true_value(result, problem), problem
+                    optima[problem], _true_value(result, problem), problem
                 )
         best_model, best_penalty, best_regret = None, None, np.inf
         for model, penalty, per_day in zip(models, penalties, regrets):

@@ -192,14 +192,20 @@ class TestTrain:
 
     def test_each_test_set_solved_once(self, tmp_path, monkeypatch):
         # One cache serves the warm start and every variant's test regret.
+        # Each row of a `solve_rows` block counts as a solve of that row.
         solved = Counter()
-        original = dnl.SolverOracle.solve
+        original, original_rows = dnl.SolverOracle.solve, dnl.SolverOracle.solve_rows
 
         def counting(self, values, constraint):
             solved[np.asarray(values, dtype=float).tobytes()] += 1
             return original(self, values, constraint)
 
+        def counting_rows(self, values, constraint):
+            solved.update(row.tobytes() for row in np.asarray(values, dtype=float))
+            return original_rows(self, values, constraint)
+
         monkeypatch.setattr(dnl.SolverOracle, "solve", counting)
+        monkeypatch.setattr(dnl.SolverOracle, "solve_rows", counting_rows)
         argv = ["train", *TRAIN_FLAGS, "--days", "12", "--epochs", "1",
                 "--variant", "dnl", "--variant", "dnl-max", "--variant", "ridge",
                 "--out", str(tmp_path)]

@@ -149,26 +149,39 @@ class TestRegret:
     def test_cache_is_exact_across_threads(self):
         # Four threads read the true optima of shared sets through one cache
         # and one oracle, racing on the first solve of each set and on the
-        # memos of its load: every value is the single-threaded one, bit for
-        # bit, and each set keeps one entry.
-        def corpus():
+        # memos of its load; two of them first run `select_ridge`, which
+        # stores the optima it solves as rows. Every value is the
+        # single-threaded one, bit for bit, each set keeps one entry, and
+        # every warm start is the single-threaded one.
+        def corpus():  # one list of sets per family, as ridge fits one family
             series = dnl.synthesize(6, 3, 0.5, seed=29, group_size=12)
             return [
-                *dnl.make_knapsack(series, False, 5.0, seed=1),
-                *dnl.make_knapsack(series, True, 20.0, seed=1),
-                *dnl.make_scheduling(series, 2, 4, seed=1),
+                dnl.make_knapsack(series, False, 5.0, seed=1),
+                dnl.make_knapsack(series, True, 20.0, seed=1),
+                dnl.make_scheduling(series, 2, 4, seed=1),
             ]
 
-        reference = dnl.TrueOptimumCache()
-        want = [reference.true_optimal(ps, dnl.SolverOracle()).hex() for ps in corpus()]
-        sets, cache, oracle = corpus(), dnl.TrueOptimumCache(), dnl.SolverOracle()
-        results = [[] for _ in range(4)]
+        def warm_starts_of(families, *args):
+            fits = [dnl.select_ridge(sets, sets, *args) for sets in families]
+            return [(m.coefficients.tobytes(), m.intercept.hex(), lam) for m, lam in fits]
 
-        def work(out):
+        reference = dnl.TrueOptimumCache()
+        want = [reference.true_optimal(ps, dnl.SolverOracle()).hex() for f in corpus() for ps in f]
+        want_ridge = warm_starts_of(corpus(), dnl.SolverOracle())
+        families, cache, oracle = corpus(), dnl.TrueOptimumCache(), dnl.SolverOracle()
+        sets = [ps for family in families for ps in family]
+        results = [[] for _ in range(4)]
+        warm_starts = []
+
+        def work(out, ridge):
             for _ in range(20):
+                if ridge:
+                    warm_starts.append(warm_starts_of(families, oracle, cache))
                 out.append([cache.true_optimal(ps, oracle).hex() for ps in sets])
 
-        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        threads = [
+            threading.Thread(target=work, args=(out, k % 2)) for k, out in enumerate(results)
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -182,6 +195,7 @@ class TestRegret:
         for out in results:
             assert out == [want] * 20
         assert len(cache) == len(sets)
+        assert warm_starts == [want_ridge] * 40
 
     def test_negative_regret_means_an_inexact_oracle(self):
         ps = example1_problem()

@@ -1187,8 +1187,9 @@ class TestSolverOracle:
 
     @pytest.mark.parametrize("route", [*KNAPSACK_ROUTE_LOADS, "scheduling"])
     def test_empty_block_answers_nothing(self, route):
-        # A block of no rows answers [] and counts no call on every route; on
-        # the class routes and scheduling, its width is still checked.
+        # A block of no rows answers [] and counts no call on every route, and
+        # its width is checked on every route, the table DP and
+        # branch-and-bound included, though they solve the rows one by one.
         if route == "scheduling":
             constraint = random_schedule_constraint(np.random.default_rng(0))
             width = constraint.periods
@@ -1199,10 +1200,9 @@ class TestSolverOracle:
         oracle = dnl.SolverOracle()
         assert oracle.solve_rows(np.empty((0, width)), constraint) == []
         assert oracle.calls == 0
-        if route in ("top-k", "count grid", "scheduling"):
-            message = "one price per period" if route == "scheduling" else "equal length"
-            with pytest.raises(ValueError, match=message):
-                oracle.solve_rows(np.empty((0, width + 1)), constraint)
+        message = "one price per period" if route == "scheduling" else "equal length"
+        with pytest.raises(ValueError, match=message):
+            oracle.solve_rows(np.empty((0, width + 1)), constraint)
 
     def test_auto_falls_back_to_bb(self):
         constraint = dnl.Knapsack([1.0, 1.0 / 3.0], 2.0)

@@ -154,7 +154,8 @@ class RowRecordingOracle(dnl.SolverOracle):
 def test_select_ridge_matches_fit_and_evaluate(problem):
     # Solving every penalty's predictions on a load as rows of one call
     # selects what a fit and a scalar evaluation per penalty select, bit for
-    # bit; each load's rows are `predict`'s vectors, penalty-major.
+    # bit; each load's rows are `predict`'s vectors, penalty-major, then the
+    # true values of its days, whose optima a fresh cache lacks.
     chosen = set()
     penalties = sorted(dnl.ridge.DEFAULT_PENALTY_GRID)
     for seed in range(8):
@@ -168,7 +169,7 @@ def test_select_ridge_matches_fit_and_evaluate(problem):
             days = [ps for ps in fold.val if ps.constraint is constraint]
             expected_rows = [
                 dnl.predict(dnl.fit_ridge(fold.train, lam), ps) for lam in penalties for ps in days
-            ]
+            ] + [ps.true_values for ps in days]
             assert rows.tobytes() == np.stack(expected_rows).tobytes()
         expected, expected_penalty = select_by_fit_and_evaluate(
             fold.train, fold.val, dnl.SolverOracle()
@@ -190,6 +191,42 @@ def test_select_ridge_counts_a_call_per_penalty_and_day(problem):
     assert oracle.calls == 6 * len(fold.val)
     dnl.select_ridge(fold.train, fold.val, oracle, cache)
     assert oracle.calls == 11 * len(fold.val)
+
+
+@pytest.mark.parametrize("problem", ["unit", "weighted", "scheduling"])
+def test_select_ridge_solves_only_uncached_optima(problem):
+    # On a partly warm cache, each load's block ends in one true-value row
+    # per day whose optimum the cache lacks, in validation order; the cached
+    # optima are left as they were.
+    fold = synthetic_fold(problem, 0)
+    cache = dnl.TrueOptimumCache()
+    warm = fold.val[::2]
+    cached = [cache.true_optimal(ps, dnl.SolverOracle()).hex() for ps in warm]
+    oracle = RowRecordingOracle()
+    dnl.select_ridge(fold.train, fold.val, oracle, cache)
+    empty = dnl.SolverOracle()
+    assert [cache.true_optimal(ps, empty).hex() for ps in warm] == cached
+    assert empty.calls == 0 and len(cache) == len(fold.val)
+    predicted = len(dnl.ridge.DEFAULT_PENALTY_GRID)
+    for rows, constraint in oracle.row_calls:
+        days = [ps for ps in fold.val if ps.constraint is constraint]
+        uncached = [ps.true_values for ps in days if not any(ps is w for w in warm)]
+        assert len(rows) == predicted * len(days) + len(uncached)
+        assert rows[predicted * len(days):].tobytes() == np.array(uncached).tobytes()
+    assert oracle.calls == predicted * len(fold.val) + len(fold.val) - len(warm)
+
+
+@pytest.mark.parametrize("problem", ["unit", "weighted", "scheduling"])
+def test_select_ridge_caches_each_true_optimum_as_solve_gives_it(problem):
+    # The optima solved as rows are the ones a scalar solve caches, bit for bit.
+    fold = synthetic_fold(problem, 0)
+    cache = dnl.TrueOptimumCache()
+    dnl.select_ridge(fold.train, fold.val, dnl.SolverOracle(), cache)
+    empty = dnl.SolverOracle()
+    for ps in fold.val:
+        expected = dnl.TrueOptimumCache().true_optimal(ps, dnl.SolverOracle())
+        assert cache.true_optimal(ps, empty).hex() == expected.hex()
+    assert empty.calls == 0
 
 
 def test_select_ridge_overflowing_predictions_raise():
