@@ -250,7 +250,6 @@ def make_scheduling(
     groups = series.groups()
     rng = np.random.default_rng(seed)
     periods = series.group_size
-    constraint = None
     for _ in range(MAX_LOAD_ATTEMPTS):
         machines = tuple(MachineSpec(float(rng.integers(2, 5))) for _ in range(num_machines))
         max_cap = max(m.capacity for m in machines)
@@ -268,14 +267,13 @@ def make_scheduling(
                     latest_finish=latest,
                 )
             )
-        candidate = Scheduling(machines, tuple(jobs), periods)
+        constraint = Scheduling(machines, tuple(jobs), periods)
         try:
-            solve_scheduling(np.zeros(periods), candidate)
+            solve_scheduling(np.zeros(periods), constraint)
         except InfeasibleInstanceError:
             continue
-        constraint = candidate
         break
-    if constraint is None:
+    else:
         raise InfeasibleInstanceError(
             f"could not generate a feasible load in {MAX_LOAD_ATTEMPTS} attempts"
         )

@@ -114,10 +114,9 @@ def select_ridge(
                 regrets[k, i] = _clamped_regret(
                     optima[problem], _true_value(result, problem), problem
                 )
-        best_model, best_penalty, best_regret = None, None, np.inf
-        for model, penalty, per_day in zip(models, penalties, regrets):
-            regret = float(np.mean(per_day))
-            if regret < best_regret - 1e-12:
-                best_model, best_penalty, best_regret = model, penalty, regret
-    assert best_model is not None
-    return best_model, float(best_penalty)
+        scores = [float(np.mean(per_day)) for per_day in regrets]
+    best = 0
+    for k, score in enumerate(scores):
+        if score < scores[best] - 1e-12:
+            best = k
+    return models[best], float(penalties[best])

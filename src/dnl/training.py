@@ -15,6 +15,7 @@ candidate. `TrainConfig` states when training stops.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -340,42 +341,36 @@ def train(
         )
 
     stats = [snapshot(0)]
-    best_model, best_epoch, best_val = model, 0, stats[0].val_regret
-    since_improved = 0
+    best_model, best_epoch = model, 0
     stopped = "max_epochs"
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_sets))
-        timed_out = False
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_sets[i] for i in order[start : start + config.batch_size]]
-            for k in range(model.num_parameters):
-                if time.perf_counter() - start_time > config.max_seconds:
-                    timed_out = True
-                    break
-                beta_old = float(model.coefficients[k])
-                with _failures(epoch, f"updating parameter {k}"):
-                    spec = SearchSpec.from_parameter(beta_old)
-                    profiles = [extract(model, ps, k, spec, oracle) for ps in batch]
-                    beta_opt = select(profiles, batch, model, k, oracle, cache)
-                if config.learning_rate == 1.0:
-                    beta_new = beta_opt
-                else:
-                    beta_new = beta_old + config.learning_rate * (beta_opt - beta_old)
-                if not _same_float(beta_new, beta_old):
-                    model = _memoised(model.with_coefficient(k, beta_new))
-            if timed_out:
+        batches = [
+            [train_sets[i] for i in order[start : start + config.batch_size]]
+            for start in range(0, len(order), config.batch_size)
+        ]
+        for batch, k in itertools.product(batches, range(model.num_parameters)):
+            if time.perf_counter() - start_time > config.max_seconds:
+                stopped = "time"
                 break
+            beta_old = float(model.coefficients[k])
+            with _failures(epoch, f"updating parameter {k}"):
+                spec = SearchSpec.from_parameter(beta_old)
+                profiles = [extract(model, ps, k, spec, oracle) for ps in batch]
+                beta_opt = select(profiles, batch, model, k, oracle, cache)
+            if config.learning_rate == 1.0:
+                beta_new = beta_opt
+            else:
+                beta_new = beta_old + config.learning_rate * (beta_opt - beta_old)
+            if not _same_float(beta_new, beta_old):
+                model = _memoised(model.with_coefficient(k, beta_new))
         stats.append(snapshot(epoch))
-        if stats[-1].val_regret < best_val - 1e-12:
-            best_model, best_epoch, best_val = model, epoch, stats[-1].val_regret
-            since_improved = 0
-        else:
-            since_improved += 1
-        if timed_out:
-            stopped = "time"
+        if stats[-1].val_regret < stats[best_epoch].val_regret - 1e-12:
+            best_model, best_epoch = model, epoch
+        if stopped == "time":
             break
-        if since_improved >= max(config.early_stop_patience, 1):
+        if epoch - best_epoch >= max(config.early_stop_patience, 1):
             stopped = "patience"
             break
 
