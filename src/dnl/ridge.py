@@ -21,20 +21,25 @@ def fit_ridge(problem_sets: Sequence[ProblemSet], l2_penalty: float = 0.0) -> Li
     """Closed-form ridge fit over all (feature row, true value) pairs.
 
     The penalty excludes the intercept. At zero penalty a singular system is
-    resolved by the least-norm solution. `select_ridge` fits through the
-    same two steps, so its models are this function's bit for bit.
+    resolved by the least-norm solution. A fit whose system overflows raises
+    FloatingPointError. `select_ridge` fits through the same steps, so its
+    models are this function's bit for bit.
     """
     if math.isnan(l2_penalty):
         raise ValueError("l2_penalty must not be NaN")
     if l2_penalty < 0:
         raise ValueError("l2_penalty must be nonnegative")
-    return _ridge_model(_normal_equations(problem_sets), l2_penalty)
+    return _ridge_models(problem_sets, [l2_penalty])[0]
 
 
-def _normal_equations(problem_sets: Sequence[ProblemSet]):
-    """The design matrix A (features, then a column of ones for the
-    intercept), the targets y, and the normal equations' A.T @ A and
-    A.T @ y, which every positive penalty shares."""
+def _ridge_models(
+    problem_sets: Sequence[ProblemSet], penalties: Sequence[float]
+) -> list[LinearModel]:
+    """The ridge model at each penalty, on the design matrix A (features,
+    then a column of ones for the intercept) and the targets y. Penalty 0
+    solves least squares on A; the positive penalties share the normal
+    equations' A.T @ A and A.T @ y, which only they form. A numpy overflow
+    raises FloatingPointError."""
     if not problem_sets:
         raise ValueError("at least one problem set required")
     X = np.vstack([ps.features for ps in problem_sets])
@@ -43,20 +48,19 @@ def _normal_equations(problem_sets: Sequence[ProblemSet]):
     if X.shape[0] < p + 1:
         raise ValueError(f"need at least {p + 1} rows to fit {p} coefficients")
     A = np.hstack([X, np.ones((X.shape[0], 1))])
-    return A, y, A.T @ A, A.T @ y
-
-
-def _ridge_model(system, l2_penalty: float) -> LinearModel:
-    """The ridge model at one penalty from `_normal_equations`' output."""
-    A, y, gram, moment = system
-    p = A.shape[1] - 1
-    if l2_penalty == 0.0:
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    else:
-        penalty = np.full(p + 1, l2_penalty)
-        penalty[-1] = 0.0
-        coef = np.linalg.solve(gram + np.diag(penalty), moment)
-    return LinearModel(coef[:p], float(coef[p]))
+    models = []
+    with np.errstate(over="raise"):
+        if any(penalties):  # a positive penalty, which reads the gram
+            gram, moment = A.T @ A, A.T @ y
+        for penalty in penalties:
+            if penalty == 0.0:
+                coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+            else:
+                diagonal = np.full(p + 1, penalty)
+                diagonal[-1] = 0.0
+                coef = np.linalg.solve(gram + np.diag(diagonal), moment)
+            models.append(LinearModel(coef[:p], float(coef[p])))
+    return models
 
 
 def select_ridge(
@@ -69,7 +73,8 @@ def select_ridge(
     regret (ties favor the smallest penalty). Returns the refit model and the
     chosen penalty.
 
-    The grid shares one set of normal equations. Validation days that share
+    The grid's positive penalties share one set of normal equations, and a
+    fit that overflows raises FloatingPointError. Validation days that share
     a load are solved together: every penalty's predictions on them are rows
     of one `SolverOracle.solve_rows` call, each row computed with `predict`'s
     operands, penalty-major, followed by the true values of each of its days
@@ -84,9 +89,8 @@ def select_ridge(
     raises FloatingPointError; no validation day raises ValueError."""
     if cache is None:
         cache = TrueOptimumCache()
-    system = _normal_equations(train_sets)
     penalties = sorted(DEFAULT_PENALTY_GRID)
-    models = [_ridge_model(system, penalty) for penalty in penalties]
+    models = _ridge_models(train_sets, penalties)
     if not val_sets:
         raise ValueError("at least one problem set required")
     loads: dict[int, list[int]] = {}  # each load's validation days, by index

@@ -9,7 +9,7 @@ step). Both selectors take the batch's profiles and score candidates from
 complete ones without oracle calls; only truncated greedy profiles fall back
 to solving at the candidate, through the same probe route as the search
 (`evaluation._prober`, built once per set), so no model is built per
-candidate. `TrainConfig` states when training stops.
+candidate. `train` states when training stops.
 """
 
 from __future__ import annotations
@@ -308,6 +308,15 @@ def train(
     extraction, selection) raises TrainingError from a FloatingPointError
     or an oracle failure; other errors propagate.
 
+    Each epoch updates every parameter of every mini-batch in turn, then is
+    scored. Training stops (`TrainTrace.stopped`) on "time" when the budget
+    is spent before a parameter update; an epoch so cut short is scored
+    unless it made no update, so every epoch in the trace after the warm
+    start made one. Otherwise it stops on "patience" once
+    max(`early_stop_patience`, 1) epochs have passed since the best epoch
+    (an improvement is a validation regret more than 1e-12 below the best
+    epoch's), or on "max_epochs".
+
     Each decision is solved once per model: the model in training keeps the
     oracle's answer at its own coefficients for every set it has solved, so
     an epoch snapshot of an unmoved model, or a greedy probe or selector
@@ -350,7 +359,8 @@ def train(
             [train_sets[i] for i in order[start : start + config.batch_size]]
             for start in range(0, len(order), config.batch_size)
         ]
-        for batch, k in itertools.product(batches, range(model.num_parameters)):
+        updates = itertools.product(batches, range(model.num_parameters))
+        for update, (batch, k) in enumerate(updates):
             if time.perf_counter() - start_time > config.max_seconds:
                 stopped = "time"
                 break
@@ -365,6 +375,8 @@ def train(
                 beta_new = beta_old + config.learning_rate * (beta_opt - beta_old)
             if not _same_float(beta_new, beta_old):
                 model = _memoised(model.with_coefficient(k, beta_new))
+        if stopped == "time" and update == 0:  # nothing new to score
+            break
         stats.append(snapshot(epoch))
         if stats[-1].val_regret < stats[best_epoch].val_regret - 1e-12:
             best_model, best_epoch = model, epoch

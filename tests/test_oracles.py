@@ -1026,6 +1026,18 @@ class TestDPTableBudget:
         assert entered == ["solve_knapsack_bb"] * 3
         assert "budget" in oracles._integer_form(constraint)[2]
 
+    def test_a_made_weighted_day_reaches_bb(self):
+        # `dnl train --problem weighted-knapsack --group-size 3000` with a
+        # capacity of 10^4 builds such days: the count grid and the table
+        # both refuse them, so branch-and-bound is the solver that answers.
+        series = dnl.synthesize(1, 4, 0.5, 0, group_size=3000)
+        (day,) = dnl.make_knapsack(series, True, 10000.0, seed=1)
+        route = oracles._integer_form(day.constraint)[2]
+        assert route.startswith("knapsack DP table of 3000 x 10001 cells exceeds")
+        with pytest.raises(ValueError) as info:
+            dnl.solve_knapsack_dp(day.true_values, day.constraint)
+        assert str(info.value) == route
+
 
 class TestBruteForce:
     """The exhaustive enumerators in util.py are the ground truth the

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -229,14 +231,38 @@ def test_select_ridge_caches_each_true_optimum_as_solve_gives_it(problem):
     assert empty.calls == 0
 
 
+def overflowing_set():
+    """A day whose first feature is 1e308: its normal equations overflow
+    (A.T @ A holds 6e616), and so does a prediction with a coefficient of 2."""
+    return dnl.ProblemSet(
+        np.ones(6), [[1e308, 1.0, 1.0]] * 6, dnl.Knapsack(np.ones(6), 3.0), "big"
+    )
+
+
 def test_select_ridge_overflowing_predictions_raise():
     rng = np.random.default_rng(415)
     train, _, _ = linear_problem_sets(rng, hidden=np.array([2.0, 1.0, 1.0]))
-    big = dnl.ProblemSet(
-        np.ones(6), [[1e308, 1.0, 1.0]] * 6, dnl.Knapsack(np.ones(6), 3.0), "big"
-    )
     with pytest.raises(FloatingPointError):
-        dnl.select_ridge(train, [big], dnl.SolverOracle())
+        dnl.select_ridge(train, [overflowing_set()], dnl.SolverOracle())
+
+
+def test_zero_penalty_fit_forms_no_normal_equations():
+    # Least squares on the design matrix never reads A.T @ A, so its
+    # overflow neither warns nor raises here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = dnl.fit_ridge([overflowing_set()], 0.0)
+    assert np.isfinite(model.coefficients).all()
+
+
+def test_overflowing_normal_equations_raise():
+    with pytest.raises(FloatingPointError, match="overflow"):
+        dnl.fit_ridge([overflowing_set()], 1.0)
+    sets, _, _ = linear_problem_sets(np.random.default_rng(419))
+    oracle = dnl.SolverOracle()
+    with pytest.raises(FloatingPointError, match="overflow"):
+        dnl.select_ridge([*sets[:3], overflowing_set()], sets[3:], oracle)
+    assert oracle.calls == 0
 
 
 def test_select_ridge_needs_a_validation_day():

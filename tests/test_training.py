@@ -312,11 +312,9 @@ class TestLookupScoring:
 
 
 class TestTrain:
-    def test_time_budget_checked_before_each_parameter(self, oracle, monkeypatch):
-        # The clock crosses the budget once parameter 0 is updated, inside
-        # the first batch: parameter 1 is not updated, and the epoch is still
-        # scored before training stops.
-        sets, hidden = realizable_sets(8)
+    @pytest.fixture
+    def updated(self, monkeypatch):
+        """The index of each parameter that "dnl" training updates, in order."""
         updated = []
         select = dnl.training.select_beta_full
 
@@ -325,10 +323,31 @@ class TestTrain:
             return select(profiles, batch, model, beta_index, *args)
 
         monkeypatch.setattr(dnl.training, "select_beta_full", recording_select)
+        return updated
+
+    def test_time_budget_checked_before_each_parameter(self, oracle, monkeypatch, updated):
+        # The clock crosses the budget once parameter 0 is updated, inside
+        # the first batch: parameter 1 is not updated, and the epoch is still
+        # scored before training stops.
+        sets, hidden = realizable_sets(8)
         monkeypatch.setattr(time, "perf_counter", lambda: 100.0 if updated else 0.0)
         config = dnl.TrainConfig(variant="dnl", max_epochs=3, max_seconds=50.0, rng_seed=1)
         trace = dnl.train(sets[:6], sets[6:], config, oracle, hidden)
         assert updated == [0]
+        assert trace.stopped == "time"
+        assert [e.epoch for e in trace.epochs] == [0, 1]
+
+    def test_budget_spent_by_an_epochs_last_update_adds_no_row(
+        self, oracle, monkeypatch, updated
+    ):
+        # The clock crosses the budget once epoch 1's third and last update
+        # is made: epoch 2 makes no update, so it is neither scored nor
+        # recorded.
+        sets = dnl.make_knapsack(dnl.synthesize(8, 3, 0.5, 7, group_size=12), False, 5.0)
+        monkeypatch.setattr(time, "perf_counter", lambda: 100.0 if len(updated) >= 3 else 0.0)
+        config = dnl.TrainConfig(variant="dnl", max_epochs=5, max_seconds=50.0)
+        trace = dnl.train(sets[:5], sets[5:], config, oracle, dnl.fit_ridge(sets[:5]))
+        assert updated == [0, 1, 2]
         assert trace.stopped == "time"
         assert [e.epoch for e in trace.epochs] == [0, 1]
 
@@ -416,6 +435,48 @@ class TestTrain:
         assert (regrets, stopped) == other
         assert stopped == "patience" and len(regrets) == 4
         assert regrets[0] > regrets[1] > regrets[2] <= regrets[3]
+
+    @pytest.mark.parametrize(
+        "val_regrets, max_epochs, patience, stopped, best_epoch, last_epoch",
+        [
+            # Improve, stall twice, improve, then stall.
+            *(
+                pytest.param(
+                    (5.0, 4.0, 4.0, 4.0, 3.0, 3.0, 3.0, 3.0, 3.0), 8, patience,
+                    "patience", best, last, id=f"stalls-patience{patience}",
+                )
+                for patience, best, last in ((0, 1, 2), (1, 1, 2), (2, 1, 3), (3, 4, 7))
+            ),
+            # Drops smaller than 1e-12 below the best epoch's regret are no
+            # improvement, even where each follows a smaller one.
+            pytest.param(
+                (5.0, 4.0, 4.0 - 6e-13, 4.0 - 9e-13, 4.0 - 9e-13), 4, 2,
+                "patience", 1, 3, id="sub-tolerance-drops",
+            ),
+            pytest.param(
+                (5.0, 4.0, 4.0 - 6e-13, 4.0 - 1.2e-12, 4.0 - 1.2e-12, 4.0 - 1.2e-12), 5, 2,
+                "patience", 3, 5, id="drops-add-up-past-the-tolerance",
+            ),
+            pytest.param((5.0, 4.0, 3.0, 2.0), 3, 1, "max_epochs", 3, 3, id="max-epochs"),
+        ],
+    )
+    def test_stop_rule_on_scripted_regrets(
+        self, oracle, monkeypatch, val_regrets, max_epochs, patience, stopped, best_epoch,
+        last_epoch,
+    ):
+        # Each snapshot scores the training sets, then the validation sets.
+        scores = iter([s for val in val_regrets for s in (val + 1.0, val)])
+        monkeypatch.setattr(
+            dnl.training, "evaluate_model_regret", lambda *args: (next(scores), [])
+        )
+        sets, hidden = realizable_sets(8)
+        config = dnl.TrainConfig(max_epochs=max_epochs, early_stop_patience=patience)
+        trace = dnl.train(sets[:6], sets[6:], config, oracle, hidden)
+        assert trace.stopped == stopped
+        assert trace.best_epoch == best_epoch
+        assert [e.epoch for e in trace.epochs] == list(range(last_epoch + 1))
+        assert [e.val_regret for e in trace.epochs] == list(val_regrets[: last_epoch + 1])
+        assert trace.best_val_regret == val_regrets[best_epoch]
 
     def test_greedy_variant_runs_and_counts_calls(self, oracle):
         sets, hidden = realizable_sets(8)
