@@ -4,7 +4,8 @@ Subcommands: generate (synthetic series CSV), train (warmstart plus a
 training variant per flag), eval (per-fold regret tables), sweep (train and
 evaluate across a capacity list). All outputs are CSV with a header row and
 are deterministic for a fixed seed. Exit codes: 0 success, 1 usage error,
-2 runtime failure.
+2 runtime failure. Every out-of-range data flag, NaN and infinity included, is
+a usage error reported before any work; an infinite capacity means no limit.
 """
 
 from __future__ import annotations
@@ -47,25 +48,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _number(text: str) -> float:
-    """A float flag value; nan is a usage error, inf passes (no capacity limit)."""
-    value = float(text)
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError(f"{text} is not a number")
-    return value
-
-
-def _finite(text: str) -> float:
-    """A float flag value; nan and inf are usage errors."""
-    value = _number(text)
-    if math.isinf(value):
-        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
-    return value
-
-
 def _add_series_flags(sub):
     sub.add_argument("--features", type=int, default=4, help="synthetic feature count")
-    sub.add_argument("--noise", type=_finite, default=0.5, help="synthetic noise sigma")
+    sub.add_argument("--noise", type=float, default=0.5, help="synthetic noise sigma")
     sub.add_argument("--group-size", type=int, default=48, help="rows per problem set")
     sub.add_argument("--seed", type=int, default=0)
 
@@ -79,7 +64,7 @@ def _add_data_flags(sub):
 
 def _add_problem_flags(sub):
     sub.add_argument("--problem", choices=PROBLEMS, default="unit-knapsack")
-    sub.add_argument("--capacity", type=_number, help="knapsack capacity")
+    sub.add_argument("--capacity", type=float, help="knapsack capacity; inf means no limit")
     sub.add_argument("--machines", type=int, default=2, help="scheduling machines")
     sub.add_argument("--jobs", type=int, default=4, help="scheduling jobs")
 
@@ -121,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = subs.add_parser("sweep", help="train and evaluate across capacities")
     _add_data_flags(sw)
     sw.add_argument("--problem", choices=PROBLEMS[:2], default="unit-knapsack")
-    sw.add_argument("--capacities", type=_number, nargs="+", required=True)
+    sw.add_argument("--capacities", type=float, nargs="+", required=True)
     _add_train_flags(sw)
     sw.add_argument("--out", required=True, help="output CSV path")
     return parser
@@ -149,7 +134,7 @@ def _build_dataset(args, series, capacity=None):
 def _folds(problem_sets, args) -> list[Fold]:
     try:
         return split(problem_sets, SplitSpec(folds=args.folds))
-    except ValueError as exc:  # --folds or the data size admits no split
+    except ValueError as exc:  # the data size admits no split into --folds
         raise UsageError(str(exc)) from exc
 
 
@@ -174,20 +159,34 @@ def _configs(args) -> dict[str, Optional[TrainConfig]]:
 
 
 def _check_flags(args) -> None:
-    """Reject out-of-range data and problem flags before any work."""
-    for flag in ("days", "features", "group_size", "machines"):
+    """Reject every out-of-range data flag, NaN and infinity included, as a
+    usage error before any work; a capacity may be infinite (no limit).
+    More folds than problem sets is refused once the sets are built."""
+    for flag in ("days", "features", "group_size", "machines", "folds"):
         if getattr(args, flag, 1) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be at least 1")
     if getattr(args, "jobs", 0) < 0:
         raise UsageError("--jobs must be nonnegative")
-    if args.noise < 0:
-        raise UsageError("--noise must be nonnegative")
+    if not 0 <= args.noise < math.inf:
+        raise UsageError("--noise must be finite and nonnegative")
     if getattr(args, "capacity", None) is not None and not args.capacity > 0:
         raise UsageError("--capacity must be positive")
     if not all(c > 0 for c in getattr(args, "capacities", [])):
         raise UsageError("--capacities must be positive")
+    if not 0 <= getattr(args, "fold", 0) < getattr(args, "folds", 1):
+        raise UsageError(f"--fold must be in [0, {args.folds - 1}]")
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
+
+
+def _write_table(path, header, rows) -> None:
+    """Write `header` and `rows` as CSV lines, floats as `.12g` and other
+    cells as `str`, and report the row count."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in (header, *rows):
+            cells = (f"{c:.12g}" if isinstance(c, float) else str(c) for c in row)
+            fh.write(",".join(cells) + "\n")
+    print(f"wrote {len(rows)} rows to {path}")
 
 
 def cmd_generate(args) -> int:
@@ -216,10 +215,7 @@ def _variant_runs(fold, configs, warmstart, cache):
 
 def cmd_train(args) -> int:
     configs = _configs(args)
-    folds = _folds(_build_dataset(args, _load_series(args)), args)
-    if not 0 <= args.fold < len(folds):
-        raise UsageError(f"--fold must be in [0, {len(folds) - 1}]")
-    fold = folds[args.fold]
+    fold = _folds(_build_dataset(args, _load_series(args)), args)[args.fold]
     os.makedirs(args.out, exist_ok=True)
     cache = TrueOptimumCache()  # `train` keeps its own, so its call counts stay comparable
     warmstart, penalty = select_ridge(fold.train, fold.val, SolverOracle(), cache)
@@ -255,15 +251,11 @@ def cmd_eval(args) -> int:
         fold_means = []
         for f, fold in enumerate(folds):
             mean, std = evaluate_model_regret(model, fold.test, oracle, cache)
-            rows.append((name, str(f), mean, std, len(fold.test)))
+            rows.append((name, f, mean, std, len(fold.test)))
             fold_means.append(mean)
         rows.append((name, "all", *_mean_std(fold_means),
                      sum(len(fold.test) for fold in folds)))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("model,fold,mean_regret,std_regret,problem_sets\n")
-        for name, fold_id, mean, std, count in rows:
-            fh.write(f"{name},{fold_id},{mean:.12g},{std:.12g},{count}\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    _write_table(args.out, ("model", "fold", "mean_regret", "std_regret", "problem_sets"), rows)
     return 0
 
 
@@ -279,11 +271,7 @@ def cmd_sweep(args) -> int:
             for variant, _, _, mean, _ in _variant_runs(fold, configs, warmstart, cache):
                 fold_means[variant].append(mean)
         rows += [(capacity, v, *_mean_std(means)) for v, means in fold_means.items()]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("capacity,variant,mean_regret,std_regret\n")
-        for capacity, variant, mean, std in rows:
-            fh.write(f"{capacity:.12g},{variant},{mean:.12g},{std:.12g}\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    _write_table(args.out, ("capacity", "variant", "mean_regret", "std_regret"), rows)
     return 0
 
 

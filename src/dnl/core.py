@@ -42,13 +42,18 @@ OBJECTIVE_TOL = 1e-9
 _FLOAT = np.dtype(float)
 
 
+def _is_frozen(values) -> bool:
+    """Whether `values` is a read-only native float64 array that owns its
+    data (not a view of memory that another array may write)."""
+    return (isinstance(values, np.ndarray) and values.dtype is _FLOAT
+            and values.base is None and not values.flags.writeable)
+
+
 def _frozen_array(values, ndim=1) -> np.ndarray:
-    """A read-only float copy of `values`, or `values` itself when it already
-    is a read-only native float64 array that owns its data (not a view of
-    memory that another array may write)."""
+    """A read-only float copy of `values`, or `values` itself when it is
+    already frozen (`_is_frozen`)."""
     arr = values
-    if not (isinstance(arr, np.ndarray) and arr.dtype is _FLOAT
-            and arr.base is None and not arr.flags.writeable):
+    if not _is_frozen(arr):
         arr = np.array(values, dtype=float)
         arr.setflags(write=False)
     if arr.ndim != ndim:
@@ -205,6 +210,7 @@ class LinearModel:
         """Return a copy with one coefficient replaced."""
         coef = self.coefficients.copy()
         coef[index] = value
+        coef.setflags(write=False)  # frozen, so the new model keeps it uncopied
         return LinearModel(coef, self.intercept)
 
 

@@ -38,6 +38,7 @@ from .core import (
     OBJECTIVE_TOL,
     Scheduling,
     Solution,
+    _is_frozen,
     knapsack_solution,
     scheduling_solution,
 )
@@ -96,11 +97,13 @@ class InexactOracleError(RuntimeError):
 class OracleResult:
     """An optimal solution and its objective under the queried coefficients.
 
-    `_values` is the solver's own contiguous copy of the coefficients, so a
-    caller that later writes to the array it passed does not change the
-    answer; `objective`, `core.solution_objective(solution, _values)` without its
-    shape check, is computed on each read. Nothing is written after
-    construction. The solvers build their answers in place (`_result`), as
+    `_values` is the solver's own contiguous copy of the coefficients, or a
+    row of a block `SolverOracle.solve_rows` was given already frozen
+    (`core._is_frozen`), so a caller that later writes to the array it
+    passed does not change the answer; `objective`,
+    `core.solution_objective(solution, _values)` without its shape check, is
+    computed on each read. Nothing is written after construction. The
+    solvers build their answers in place (`_result`), as
     `core.knapsack_solution` builds a `Solution`; the constructor stays public.
     """
 
@@ -779,23 +782,26 @@ class SolverOracle:
     def solve_rows(self, values, constraint: ConstraintData) -> list[OracleResult]:
         """`solve` on each row of a 2-d array of coefficient vectors for one
         load, counted as one call per row; answers in row order, and `[]` for
-        a block of no rows. Each row's answer has the vector, assignment and
-        objective bits `solve` gives it, and a faulty row raises `solve`'s
-        error for the block: on every knapsack route, the value contract
-        (`_check_values`) checks the whole block at once, an empty one too,
-        before any row is solved. Both class routes and scheduling loads
-        answer every row together (one call of `_knapsack_top_k` or
-        `_knapsack_by_class`; one pricing and ranking, then a search per row):
-        a `select_ridge` round, true optima included, took 17 ms on
-        unit-dnl's seed-0 loads, 67 ms on weighted-greedy's and 72 ms on
-        scheduling-max's, against 25, 95 and 101 ms with `solve` per row
-        (minimum of 15 rounds). On a 48-item {3, 5, 7} load at capacity
+        a block of no rows. A block that is already frozen (`core._is_frozen`,
+        the rule of every core type) is kept, and the class and scheduling
+        answers view its rows; any other block is copied first. Each row's
+        answer has the vector, assignment and objective bits `solve` gives
+        it, and a faulty row raises `solve`'s error for the block: on every
+        knapsack route, the value contract (`_check_values`) checks the whole
+        block at once, an empty one too, before any row is solved. Both class
+        routes and scheduling loads answer every row together (one call of
+        `_knapsack_top_k` or `_knapsack_by_class`; one pricing and ranking,
+        then a search per row): a `select_ridge` round, true optima included,
+        took 17 ms on unit-dnl's seed-0 loads, 67 ms on weighted-greedy's and
+        72 ms on scheduling-max's, against 25, 95 and 101 ms with `solve` per
+        row (minimum of 15 rounds). On a 48-item {3, 5, 7} load at capacity
         122, 5 rows take 64 us and 33 rows 206 us, against 94 and 612 us with
         `solve` per row. The table DP and branch-and-bound solve row by row.
         `train` keeps scalar `solve`, one backend call per counted call, which
         `--trace 1` checks until the benchmark's tracer counts calls instead
         of backend spans."""
-        values = np.array(values, dtype=float)  # the answers' own copy
+        if not _is_frozen(values):
+            values = np.array(values, dtype=float)  # the answers' own copy
         if values.ndim != 2:
             raise ValueError("coefficient rows must be a 2-d array")
         with self._lock:

@@ -110,6 +110,7 @@ def select_ridge(
                 row += model.intercept + 0.0  # `predict`'s bits
             for row, problem in zip(rows[predicted:], missing):
                 row[:] = problem.true_values
+            rows.setflags(write=False)  # frozen, so `solve_rows` answers from it uncopied
             solved = oracle.solve_rows(rows, problems[0].constraint)
             for problem, result in zip(missing, solved[predicted:]):
                 optima[problem] = cache._store(problem, _true_value(result, problem))

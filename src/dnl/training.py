@@ -329,7 +329,7 @@ def train(
         raise ValueError("validation split is empty")
     if warmstart.num_parameters != train_sets[0].feature_dim:
         raise ValueError("warmstart dimension does not match the dataset")
-    model = _memoised(LinearModel(warmstart.coefficients.copy(), warmstart.intercept))
+    model = _memoised(LinearModel(warmstart.coefficients, warmstart.intercept))
     cache = TrueOptimumCache()
     # Looked up per call, so that a wrapper set on the module attribute applies.
     select = select_beta_full if config.variant is Variant.DNL else select_beta_max

@@ -39,13 +39,6 @@ class TestGenerate:
         assert "--group-size must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_non_finite_noise_is_usage_error(self, tmp_path):
-        out = tmp_path / "series.csv"
-        with pytest.raises(SystemExit) as exc:
-            run(["generate", "--days", "2", "--noise", "inf", "--out", str(out)])
-        assert exc.value.code == 1
-        assert not out.exists()
-
 
 DATA_FLAGS = [
     "--days", "6", "--features", "2", "--noise", "0.4", "--group-size", "8",
@@ -65,6 +58,30 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, command):
     out = tmp_path / "out"
     assert run([*command, "--seed", "-1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "dnl: error: --seed must be nonnegative\n"
+    assert not out.exists()
+
+
+NON_FINITE = [
+    (["generate", "--days", "3"], "--noise", "nan"),
+    (["generate", "--days", "3"], "--noise", "inf"),
+    (["train", *TRAIN_FLAGS], "--capacity", "nan"),
+    (["train", *TRAIN_FLAGS], "--noise", "inf"),
+    (["eval", *DATA_FLAGS, "--model", "absent.txt"], "--capacity", "nan"),
+    (["eval", *DATA_FLAGS, "--model", "absent.txt"], "--noise", "inf"),
+    (["sweep", "--days", "6"], "--capacities", "2 nan"),
+]
+
+
+@pytest.mark.parametrize("command, flag, values", NON_FINITE, ids=[
+    f"{command[0]}-{flag[2:]}-{values.replace(' ', '-')}" for command, flag, values in NON_FINITE
+])
+def test_non_finite_data_flag_is_usage_error(tmp_path, capsys, monkeypatch, command, flag, values):
+    # NaN and infinity are range errors like any other, reported before any
+    # work; an infinite capacity means no limit (`test_capacity_above_total_weight`).
+    monkeypatch.setattr(cli, "synthesize", None)
+    out = tmp_path / "out"
+    assert run([*command, flag, *values.split(), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"dnl: error: {flag} ")
     assert not out.exists()
 
 
@@ -159,6 +176,7 @@ class TestTrain:
     @pytest.mark.parametrize("flag, value", [
         ("--days", "0"), ("--features", "0"), ("--group-size", "0"), ("--noise", "-1"),
         ("--capacity", "-3"), ("--capacity", "0"), ("--machines", "0"), ("--jobs", "-2"),
+        ("--folds", "0"), ("--fold", "7"),
     ])
     def test_bad_data_flag_fails_before_work(self, tmp_path, capsys, monkeypatch, flag, value):
         monkeypatch.setattr(cli, "synthesize", None)
@@ -174,21 +192,6 @@ class TestTrain:
         argv = ["train", *TRAIN_FLAGS, "--problem", "weighted-knapsack",
                 "--capacity", capacity, "--epochs", "1", "--out", str(tmp_path)]
         assert run(argv) == 0
-
-    @pytest.mark.parametrize("flag", ["--capacity", "--noise"])
-    def test_nan_data_flag_fails(self, tmp_path, capsys, flag, monkeypatch):
-        # A usage error, raised while parsing: nothing is synthesised. An
-        # infinite noise is refused too; an infinite capacity means no limit.
-        monkeypatch.setattr(cli, "synthesize", None)
-        refused = {"nan": "not a number"}
-        if flag == "--noise":
-            refused["inf"] = "not a finite number"
-        for value, reason in refused.items():
-            with pytest.raises(SystemExit) as exc:
-                run(["train", *TRAIN_FLAGS, flag, value, "--out", str(tmp_path / "out")])
-            assert exc.value.code == 1
-            assert f"{flag}: {value} is {reason}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     def test_each_test_set_solved_once(self, tmp_path, monkeypatch):
         # One cache serves the warm start and every variant's test regret.
@@ -247,6 +250,7 @@ class TestEval:
         std = float(np.std(fold_means, ddof=1)) if folds > 1 else 0.0
         assert float(agg[3]) == pytest.approx(std, abs=1e-9)
         assert int(agg[4]) == sum(int(r[4]) for r in fold_rows)
+        assert all(r[2] == f"{float(r[2]):.12g}" and r[4].isdigit() for r in rows)
 
     def test_perfect_model_gives_zero_rows(self, tmp_path):
         # Noise-free series and the hidden generator model: regret must be 0.
@@ -288,6 +292,7 @@ class TestSweep:
         assert len(rows) == 3 * 2
         capacities = [float(r[0]) for r in rows]
         assert capacities == sorted(capacities)
+        assert [r[0] for r in rows] == ["2", "2", "4", "4", "6", "6"]
 
     def test_each_run_has_its_own_oracle_and_one_series(self, tmp_path, monkeypatch):
         # Ridge selection and every training get a fresh oracle, so a trace
@@ -334,11 +339,3 @@ class TestSweep:
         assert run(["sweep", "--days", "4", "--capacities", "2", "0", "--out", str(table)]) == 1
         assert "--capacities must be positive" in capsys.readouterr().err
         assert not table.exists()
-
-    def test_non_finite_capacity_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["sweep", "--days", "4", "--capacities", "2", "nan",
-                 "--out", str(tmp_path / "s.csv")])
-        assert exc.value.code == 1
-        assert "nan is not a number" in capsys.readouterr().err
-        assert not (tmp_path / "s.csv").exists()

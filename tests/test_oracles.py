@@ -1350,6 +1350,27 @@ class TestAnswersBuiltOnFirstRead:
         assert res.objective == expected
         assert [a.objective for a in answers] == expected_rows
 
+    @pytest.mark.parametrize("family", ["top-k", "class", "scheduling"])
+    def test_rows_answers_view_a_frozen_block_and_copy_a_writable_one(self, family):
+        # A read-only block that owns its memory, as `select_ridge` passes
+        # it, is not copied again; any other block is.
+        if family == "scheduling":
+            constraint = random_schedule_constraint(np.random.default_rng(59))
+            values = np.arange(1.0, 7.0)
+        else:
+            weights = [1.0] * 4 if family == "top-k" else [3.0, 5.0, 7.0, 2.0]
+            constraint = dnl.Knapsack(weights, 2.0 if family == "top-k" else 10.0)
+            values = np.array([4.0, 5.0, 6.0, 1.5])
+        frozen = np.array([values, values[::-1]])
+        frozen.setflags(write=False)
+        writable = frozen.copy()
+        for block, shared in ((frozen, True), (writable, False)):
+            answers = dnl.SolverOracle().solve_rows(block, constraint)
+            assert [np.shares_memory(a._values, block) for a in answers] == [shared] * 2
+            assert [a.objective for a in answers] == [
+                float(a.solution.vector @ row) for a, row in zip(answers, block)
+            ]
+
 
 class TestOracleResult:
     """A solver answer is a plain frozen dataclass: its solution and the
